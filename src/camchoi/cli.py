@@ -19,6 +19,7 @@ from .library import (
     build_cases,
     fig1_trajectory,
     load_builtin,
+    run_case,
 )
 from .modelfile import (
     AnsatzBlock,
@@ -239,10 +240,10 @@ def _cmd_paper_suite(args) -> int:
     cases = build_cases()
     rep = Report("paper-suite")
     if args.serial:
-        results = [c.run(doc) for c in cases]
+        results = [run_case(c, doc) for c in cases]
     else:
         with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda c: c.run(doc), cases))
+            results = list(pool.map(lambda c: run_case(c, doc), cases))
     for r in results:
         rep.add(r)
     return _print_report(rep, args.json)

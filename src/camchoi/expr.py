@@ -8,12 +8,21 @@ variables, opaque function symbols carrying a derivative multi-index, the
 elementary applications exp(.) and tanh(.), and opaque rational powers such
 as 2^n.  Equality of canonical forms is structural equality, which makes
 zero testing decidable.
+
+Kernel invariants:
+
+* Atoms other than exp/tanh applications (Sym, Jet, Func, RatPow) and
+  Exponents are interned: building an equal one returns the existing object,
+  so equality and hashing are by identity.
+* An Expr's terms are strictly descending by ``_mono_sort_key`` and carry no
+  zero coefficient; a monomial's factors are ascending by atom sort key.
+  Sums merge the two term tuples; each atom computes its sort key once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 Rational = Fraction
@@ -40,12 +49,21 @@ _RANK_APP = 7
 ELEMENTARY = ("exp", "tanh")
 
 
-@dataclass(frozen=True)
 class Exponent:
-    """Affine exponent num2/2 + n * <exponent parameter>."""
+    """Affine exponent num2/2 + n * <exponent parameter>; interned on (num2, n)."""
 
-    num2: int
-    n: int = 0
+    __slots__ = ("num2", "n", "_key")
+    _interned: dict = {}
+
+    def __new__(cls, num2: int, n: int = 0):
+        self = cls._interned.get((num2, n))
+        if self is None:
+            self = object.__new__(cls)
+            self.num2 = num2
+            self.n = n
+            self._key = (n, num2)
+            self = cls._interned.setdefault((num2, n), self)
+        return self
 
     def is_zero(self) -> bool:
         return self.num2 == 0 and self.n == 0
@@ -74,7 +92,10 @@ class Exponent:
         return Fraction(self.num2, 2)
 
     def key(self):
-        return (self.n, self.num2)
+        return self._key
+
+    def __repr__(self) -> str:
+        return "Exponent(num2=%r, n=%r)" % (self.num2, self.n)
 
     def __str__(self) -> str:
         if self.n == 0:
@@ -98,34 +119,35 @@ EXP_N = Exponent(0, 1)
 
 
 class Sym:
-    """A named base symbol: variable, parameter, or dependent quantity."""
+    """A named base symbol: variable, parameter, or dependent quantity.
 
-    __slots__ = ("name", "kind", "_rank", "_hash")
+    Interned on (rank, name): an independent and a reduced variable of the
+    same name are one object, which keeps the kind it was first built with.
+    """
 
-    def __init__(self, name: str, kind: str = PARAMETER):
-        if kind not in _KIND_RANK:
+    __slots__ = ("name", "kind", "_rank", "_key")
+    _interned: dict = {}
+
+    def __new__(cls, name: str, kind: str = PARAMETER):
+        rank = _KIND_RANK.get(kind)
+        if rank is None:
             raise ExprError("unknown symbol kind %r" % kind)
-        self.name = name
-        self.kind = kind
-        self._rank = _KIND_RANK[kind]
-        self._hash = hash((self._rank, name))
+        self = cls._interned.get((rank, name))
+        if self is None:
+            self = object.__new__(cls)
+            self.name = name
+            self.kind = kind
+            self._rank = rank
+            self._key = (rank, name, ())
+            self = cls._interned.setdefault((rank, name), self)
+        return self
 
     @property
     def rank(self) -> int:
         return self._rank
 
     def sort_key(self):
-        return (self._rank, self.name, ())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Sym)
-            and self._rank == other._rank
-            and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self._key
 
     def __repr__(self) -> str:
         return "Sym(%r, %s)" % (self.name, self.kind)
@@ -138,22 +160,24 @@ N_SYMBOL = Sym("n", PARAMETER)
 class RatPow:
     """Opaque rational base carrying a symbolic power, e.g. 2^n."""
 
-    __slots__ = ("base", "_hash")
+    __slots__ = ("base", "_key")
+    _interned: dict = {}
 
-    def __init__(self, base: Fraction):
-        if base == 0:
-            raise ExprError("zero base under a symbolic power")
-        self.base = base
-        self._hash = hash((_RANK_RATPOW, base))
+    def __new__(cls, base: Fraction):
+        base = Fraction(base)
+        ident = (base.numerator, base.denominator)
+        self = cls._interned.get(ident)
+        if self is None:
+            if base == 0:
+                raise ExprError("zero base under a symbolic power")
+            self = object.__new__(cls)
+            self.base = base
+            self._key = (_RANK_RATPOW, "%d/%d" % ident, ())
+            self = cls._interned.setdefault(ident, self)
+        return self
 
     def sort_key(self):
-        return (_RANK_RATPOW, "%d/%d" % (self.base.numerator, self.base.denominator), ())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPow) and self.base == other.base
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self._key
 
     def __repr__(self) -> str:
         return "RatPow(%s)" % (self.base,)
@@ -162,23 +186,28 @@ class RatPow:
 class Jet:
     """Jet coordinate u_J for a dependent symbol over ordered base variables."""
 
-    __slots__ = ("dep", "ivars", "counts", "_hash")
+    __slots__ = ("dep", "ivars", "counts", "order", "_key")
+    _interned: dict = {}
 
-    def __init__(self, dep: Sym, ivars: tuple, counts: tuple):
-        if len(ivars) != len(counts):
-            raise ExprError("jet index length mismatch")
-        if any(c < 0 for c in counts):
-            raise ExprError("negative jet multi-index")
-        if sum(counts) == 0:
-            raise ExprError("zero-order jet; use the dependent symbol")
-        self.dep = dep
-        self.ivars = ivars
-        self.counts = tuple(counts)
-        self._hash = hash((_RANK_JET, dep.name, tuple(v.name for v in ivars), self.counts))
-
-    @property
-    def order(self) -> int:
-        return sum(self.counts)
+    def __new__(cls, dep: Sym, ivars: tuple, counts: tuple):
+        ivars = tuple(ivars)
+        counts = tuple(counts)
+        self = cls._interned.get((dep, ivars, counts))
+        if self is None:
+            if len(ivars) != len(counts):
+                raise ExprError("jet index length mismatch")
+            if any(c < 0 for c in counts):
+                raise ExprError("negative jet multi-index")
+            if sum(counts) == 0:
+                raise ExprError("zero-order jet; use the dependent symbol")
+            self = object.__new__(cls)
+            self.dep = dep
+            self.ivars = ivars
+            self.counts = counts
+            self.order = sum(counts)
+            self._key = (_RANK_JET, dep.name, (self.order, counts, tuple(v.name for v in ivars)))
+            self = cls._interned.setdefault((dep, ivars, counts), self)
+        return self
 
     def word(self) -> tuple:
         out = []
@@ -187,23 +216,7 @@ class Jet:
         return tuple(out)
 
     def sort_key(self):
-        return (
-            _RANK_JET,
-            self.dep.name,
-            (self.order, self.counts, tuple(v.name for v in self.ivars)),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Jet)
-            and self.dep == other.dep
-            and self.counts == other.counts
-            and all(a == b for a, b in zip(self.ivars, other.ivars))
-            and len(self.ivars) == len(other.ivars)
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self._key
 
     def __repr__(self) -> str:
         return "Jet(%s;%s)" % (self.dep.name, ",".join(map(str, self.counts)))
@@ -212,53 +225,45 @@ class Jet:
 class Func:
     """Opaque function symbol with ordered arguments and a derivative multi-index."""
 
-    __slots__ = ("name", "args", "orders", "_hash")
+    __slots__ = ("name", "args", "orders", "_key")
+    _interned: dict = {}
 
-    def __init__(self, name: str, args: tuple, orders: Optional[tuple] = None):
-        if orders is None:
-            orders = tuple(0 for _ in args)
-        if len(args) != len(orders) or any(o < 0 for o in orders):
-            raise ExprError("bad derivative multi-index for %s" % name)
-        self.name = name
-        self.args = args
-        self.orders = tuple(orders)
-        self._hash = hash((_RANK_FUNC, name, tuple(a.name for a in args), self.orders))
+    def __new__(cls, name: str, args: tuple, orders: Optional[tuple] = None):
+        args = tuple(args)
+        orders = tuple(0 for _ in args) if orders is None else tuple(orders)
+        self = cls._interned.get((name, args, orders))
+        if self is None:
+            if len(args) != len(orders) or any(o < 0 for o in orders):
+                raise ExprError("bad derivative multi-index for %s" % name)
+            self = object.__new__(cls)
+            self.name = name
+            self.args = args
+            self.orders = orders
+            self._key = (_RANK_FUNC, name, (orders, tuple(a.name for a in args)))
+            self = cls._interned.setdefault((name, args, orders), self)
+        return self
 
     def bump(self, arg: Sym) -> "Func":
-        idx = None
-        for i, a in enumerate(self.args):
-            if a == arg:
-                idx = i
-                break
-        if idx is None:
+        if arg not in self.args:
             raise ExprError("%s is not an argument of %s" % (arg.name, self.name))
         orders = list(self.orders)
-        orders[idx] += 1
+        orders[self.args.index(arg)] += 1
         return Func(self.name, self.args, tuple(orders))
 
     def sort_key(self):
-        return (_RANK_FUNC, self.name, (self.orders, tuple(a.name for a in self.args)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Func)
-            and self.name == other.name
-            and self.orders == other.orders
-            and len(self.args) == len(other.args)
-            and all(a == b for a, b in zip(self.args, other.args))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self._key
 
     def __repr__(self) -> str:
         return "Func(%s;%s)" % (self.name, ",".join(map(str, self.orders)))
 
 
 class App:
-    """Application of an elementary function (exp or tanh) to a canonical Expr."""
+    """Application of an elementary function (exp or tanh) to a canonical Expr.
 
-    __slots__ = ("fn", "arg", "_hash")
+    Not interned: equality compares the function and the argument.
+    """
+
+    __slots__ = ("fn", "arg", "_hash", "_key")
 
     def __init__(self, fn: str, arg: "Expr"):
         if fn not in ELEMENTARY:
@@ -266,9 +271,10 @@ class App:
         self.fn = fn
         self.arg = arg
         self._hash = hash((_RANK_APP, fn, arg))
+        self._key = (_RANK_APP, fn, arg.key())
 
     def sort_key(self):
-        return (_RANK_APP, self.fn, self.arg.key())
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, App) and self.fn == other.fn and self.arg == other.arg
@@ -284,32 +290,44 @@ Atom = Union[Sym, RatPow, Jet, Func, App]
 Mono = tuple  # tuple[tuple[Atom, Exponent], ...] sorted by atom sort key
 
 
+def _atom_key(factor):
+    """Sort key of an (atom, exponent) factor within a monomial."""
+    return factor[0]._key
+
+
 def _mono_sort_key(mono: Mono):
     return (
-        sum(e.n for _, e in mono),
-        sum(e.num2 for _, e in mono),
-        tuple((a.sort_key(), e.key()) for a, e in mono),
+        sum([e.n for _, e in mono]),
+        sum([e.num2 for _, e in mono]),
+        tuple([(a._key, e._key) for a, e in mono]),
     )
 
 
 class Expr:
     """Canonical expression; construct through the module helpers and operators."""
 
-    __slots__ = ("terms", "_hash", "_key", "_str")
+    __slots__ = ("terms", "_hash", "_key", "_str", "_mkeys")
 
-    def __init__(self, terms: tuple):
+    def __init__(self, terms: tuple, mkeys: Optional[list] = None):
         self.terms = terms
         self._hash = None
         self._key = None
         self._str = None
+        self._mkeys = mkeys
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def _from_map(m: dict) -> "Expr":
-        items = [(mono, c) for mono, c in m.items() if c != 0]
-        items.sort(key=lambda t: _mono_sort_key(t[0]), reverse=True)
-        return Expr(tuple(items))
+        items = [(_mono_sort_key(mono), mono, c) for mono, c in m.items() if c != 0]
+        items.sort(key=itemgetter(0), reverse=True)
+        return Expr(tuple([(mono, c) for _k, mono, c in items]), [k for k, _m, _c in items])
+
+    def _mono_keys(self) -> list:
+        """The ``_mono_sort_key`` of each term, computed once per Expr."""
+        if self._mkeys is None:
+            self._mkeys = [_mono_sort_key(mono) for mono, _ in self.terms]
+        return self._mkeys
 
     @staticmethod
     def rational(q) -> "Expr":
@@ -362,7 +380,7 @@ class Expr:
     def key(self):
         if self._key is None:
             self._key = tuple(
-                (tuple((a.sort_key(), e.key()) for a, e in mono), c.numerator, c.denominator)
+                (tuple([(a._key, e._key) for a, e in mono]), c.numerator, c.denominator)
                 for mono, c in self.terms
             )
         return self._key
@@ -383,16 +401,54 @@ class Expr:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Expr":
+        """Merge two canonical term tuples; like terms add, zero sums drop."""
         other = as_expr(other)
-        m = dict(self.terms)
-        for mono, c in other.terms:
-            m[mono] = m.get(mono, Fraction(0)) + c
-        return Expr._from_map(m)
+        ta, tb = self.terms, other.terms
+        if not tb:
+            return self
+        if not ta:
+            return other
+        ka, kb = self._mono_keys(), other._mono_keys()
+        na, nb = len(ta), len(tb)
+        terms, keys = [], []
+        i = j = 0
+        while i < na and j < nb:
+            x, y = ka[i], kb[j]
+            if x > y:
+                terms.append(ta[i])
+                keys.append(x)
+                i += 1
+            elif x < y:
+                terms.append(tb[j])
+                keys.append(y)
+                j += 1
+            else:
+                mono, c = ta[i]
+                if mono != tb[j][0]:
+                    # distinct monomials with one sort key: order them as a
+                    # stable sort of the accumulated map would
+                    m = dict(ta)
+                    for mono, c in tb:
+                        m[mono] = m.get(mono, Fraction(0)) + c
+                    return Expr._from_map(m)
+                c = c + tb[j][1]
+                if c:
+                    terms.append((mono, c))
+                    keys.append(x)
+                i += 1
+                j += 1
+        if i < na:
+            terms.extend(ta[i:])
+            keys.extend(ka[i:])
+        elif j < nb:
+            terms.extend(tb[j:])
+            keys.extend(kb[j:])
+        return Expr(tuple(terms), keys)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple((mono, -c) for mono, c in self.terms))
+        return Expr(tuple([(mono, -c) for mono, c in self.terms]), self._mkeys)
 
     def __sub__(self, other) -> "Expr":
         return self + (-as_expr(other))
@@ -406,9 +462,10 @@ class Expr:
         for mono1, c1 in self.terms:
             for mono2, c2 in other.terms:
                 mono, extra = _mul_monos(mono1, mono2)
-                c = c1 * c2 * extra
+                c = c1 * c2 if extra == 1 else c1 * c2 * extra
                 if c:
-                    m[mono] = m.get(mono, Fraction(0)) + c
+                    prev = m.get(mono)
+                    m[mono] = c if prev is None else prev + c
         return Expr._from_map(m)
 
     __rmul__ = __mul__
@@ -465,7 +522,7 @@ class Expr:
             for a, e in m2:
                 m[a] = m.get(a, Exponent(0, 0)).plus(e)
         mono_out = tuple(sorted(((a, e) for a, e in m.items() if not e.is_zero()),
-                                key=lambda t: t[0].sort_key()))
+                                key=_atom_key))
         return Expr(((mono_out, extra),))
 
     # -- calculus ------------------------------------------------------------
@@ -729,25 +786,38 @@ def is_zero(e) -> bool:
 
 
 def _mul_monos(m1: Mono, m2: Mono):
-    """Merge two sorted monomials; returns (mono, rational factor from folds)."""
-    d: dict = {}
-    for a, e in m1:
-        d[a] = e
-    extra = Fraction(1)
-    for a, e in m2:
-        if a in d:
-            d[a] = d[a].plus(e)
-        else:
-            d[a] = e
+    """Merge two sorted monomials; returns (mono, rational factor from folds).
+
+    Canonical monomials never hold a zero exponent or a RatPow with an
+    integer exponent, so only atoms present in both factors need folding.
+    """
+    if not m1 or not m2:
+        return m1 or m2, 1
     items = []
-    for a, e in d.items():
-        if e.is_zero():
-            continue
-        if isinstance(a, RatPow) and e.is_integer():
-            extra *= a.base ** e.int_value()
-            continue
-        items.append((a, e))
-    items.sort(key=lambda t: t[0].sort_key())
+    extra = 1
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, e = m1[i]
+        b, f = m2[j]
+        if a == b:
+            i += 1
+            j += 1
+            e = e.plus(f)
+            if e.is_zero():
+                continue
+            if isinstance(a, RatPow) and e.is_integer():
+                extra *= a.base ** e.int_value()
+                continue
+            items.append((a, e))
+        elif b._key < a._key:
+            items.append(m2[j])
+            j += 1
+        else:
+            items.append(m1[i])
+            i += 1
+    items.extend(m1[i:])
+    items.extend(m2[j:])
     return tuple(items), extra
 
 
@@ -757,7 +827,7 @@ def _invert_monomial(e: Expr) -> Expr:
     if not e.is_monomial():
         raise ExprError("non-monomial divisor: %s" % e)
     mono, coeff = e.terms[0]
-    inv = tuple(sorted(((a, x.neg()) for a, x in mono), key=lambda t: t[0].sort_key()))
+    inv = tuple(sorted(((a, x.neg()) for a, x in mono), key=_atom_key))
     return Expr(((inv, Fraction(1) / coeff),))
 
 
@@ -816,10 +886,6 @@ def app(fn: str, arg) -> Expr:
     if arg.is_zero:
         return ONE if fn == "exp" else ZERO
     return Expr.atom(App(fn, arg))
-
-
-def sym_expr(name: str, kind: str = PARAMETER) -> Expr:
-    return Expr.atom(Sym(name, kind))
 
 
 # -- printing helpers ---------------------------------------------------------

@@ -4,6 +4,7 @@ verification cases keyed by stable labels (cc.NN, eq.NN, table-N, fig-1)."""
 from __future__ import annotations
 
 import importlib.resources as resources
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -82,6 +83,17 @@ class Case:
     kind: str
     title: str
     run: Callable[[ModelDocument], CaseResult]
+
+
+def run_case(case: Case, doc: ModelDocument) -> CaseResult:
+    """Run one case; an exception becomes a ``fail`` verdict instead of
+    aborting the suite, with ``detail.error`` naming its type and message.
+    The traceback goes to standard error, never into the report."""
+    try:
+        return case.run(doc)
+    except Exception as exc:
+        traceback.print_exc()
+        return CaseResult(case.label, case.kind, "fail", {"error": "%s: %s" % (type(exc).__name__, exc)})
 
 
 # -- shared helpers -------------------------------------------------------------

@@ -113,6 +113,35 @@ def test_paper_suite_serial_matches_threaded(capsys, tmp_path):
     assert open(p1).read() == open(p2).read()
 
 
+def test_paper_suite_reports_the_other_cases_when_one_raises(capsys, tmp_path, monkeypatch):
+    from camchoi import cli, library
+
+    clean = os.path.join(tmp_path, "clean.json")
+    broken = os.path.join(tmp_path, "broken.json")
+    run(capsys, "paper-suite", "--json", clean)
+
+    def build_cases():
+        cases = library.build_cases()
+
+        def boom(doc):
+            raise ZeroDivisionError("injected")
+
+        cases[0].run = boom
+        return cases
+
+    monkeypatch.setattr(cli, "build_cases", build_cases)
+    code, _, err = run(capsys, "paper-suite", "--json", broken)
+    assert code == 1
+    assert "ZeroDivisionError: injected" in err
+    label = library.build_cases()[0].label
+    before = json.loads(open(clean).read())["cases"]
+    after = json.loads(open(broken).read())["cases"]
+    assert len(after) == len(before) == 50
+    failed = [c for c in after if c["label"] == label]
+    assert [(c["verdict"], c["detail"]) for c in failed] == [("fail", {"error": "ZeroDivisionError: injected"})]
+    assert [c for c in after if c["label"] != label] == [c for c in before if c["label"] != label]
+
+
 def test_report_fields_are_documented():
     import importlib.resources as resources
 

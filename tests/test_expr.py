@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from camchoi.expr import (
     DEPENDENT,
     EXP_N,
+    EXP_ONE,
     Exponent,
     Expr,
     ExprError,
@@ -12,6 +15,8 @@ from camchoi.expr import (
     INDEPENDENT,
     Jet,
     N_SYMBOL,
+    PARAMETER,
+    REDUCED,
     RatPow,
     Sym,
     ONE,
@@ -33,6 +38,59 @@ U = Expr.atom(u)
 
 def jet(counts):
     return Jet(u, (t, x), counts)
+
+
+def test_equal_atoms_are_one_object():
+    assert Sym("x", INDEPENDENT) is Sym("x", REDUCED) is x
+    assert Sym("x", PARAMETER) is not x
+    assert Jet(u, (t, x), (1, 0)) is Jet(Sym("u", DEPENDENT), [t, Sym("x", REDUCED)], [1, 0])
+    assert Func("phi", (t,)) is Func("phi", (t,), (0,))
+    assert Func("phi", (t,)).bump(t) is Func("phi", (t,), (1,))
+    assert RatPow(Fraction(4, 2)) is RatPow(2)
+    assert Exponent(2) is Exponent(2, 0) is EXP_ONE
+    assert Exponent(1, 1).plus(Exponent(1, -1)) is EXP_ONE
+
+
+def _fresh_atoms(tag):
+    out = []
+    for i in range(200):
+        s = Sym("%s%d" % (tag, i), INDEPENDENT)
+        out += [s, Jet(u, (s,), (2,)), Func("f" + tag, (s,), (i % 3,)),
+                RatPow(Fraction(i + 1, 7919)), Exponent(1000 + i, 7)]
+    return out
+
+
+def test_interning_holds_across_threads():
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=10)
+    built = [None] * workers
+
+    def build(k):
+        barrier.wait()
+        built[k] = _fresh_atoms("race")
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(atoms) == 1000 for atoms in built)
+    assert all(p is q for atoms in built[1:] for p, q in zip(built[0], atoms))
+
+
+def test_sum_of_distinct_monomials_sharing_a_sort_key():
+    jx = Jet(u, (x,), (1,))
+    jp = Jet(u, (Sym("x", PARAMETER),), (1,))
+    assert jx is not jp and jx.sort_key() == jp.sort_key()
+    s = Expr.atom(jx) + Expr.atom(jp)
+    assert [m for m, _ in s.terms] == [((jx, EXP_ONE),), ((jp, EXP_ONE),)]
+    assert s - Expr.atom(jp) == Expr.atom(jx)
 
 
 def test_like_terms_merge():

@@ -18,6 +18,7 @@ from camchoi.expr import (
     Sym,
     ONE,
     ZERO,
+    _mono_sort_key,
     app,
 )
 from camchoi.jet import Context, total_derivative
@@ -78,6 +79,48 @@ def test_normalize_idempotent_and_order_independent():
         # canonical forms are fixed points of re-normalization
         assert total1 + ZERO == total1
         assert total1 * ONE == total1
+
+
+def _reference_sum(e, f):
+    """Sum built the slow way: accumulate, drop zeros, stable sort descending."""
+    m = {}
+    for mono, c in e.terms + f.terms:
+        m[mono] = m.get(mono, Fraction(0)) + c
+    items = [(mono, c) for mono, c in m.items() if c != 0]
+    items.sort(key=lambda term: _mono_sort_key(term[0]), reverse=True)
+    return tuple(items)
+
+
+def _assert_canonical(e):
+    keys = [_mono_sort_key(mono) for mono, _ in e.terms]
+    assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
+    assert all(c != 0 for _, c in e.terms)
+    assert e._mono_keys() == keys
+    for atom in e.atoms():
+        if hasattr(atom, "arg"):
+            _assert_canonical(atom.arg)
+
+
+def test_sum_matches_reference_accumulation():
+    rng = random.Random(53)
+    for _ in range(150):
+        e = random_expr(rng, 3)
+        f = random_expr(rng, 3)
+        if rng.random() < 0.2:
+            f = f - e  # force cancellations
+        assert (e + f).terms == _reference_sum(e, f)
+        assert (f + e).terms == _reference_sum(f, e)
+
+
+def test_results_are_strictly_descending_without_zeros():
+    rng = random.Random(59)
+    targets = [t, x, u, Jet(u, (t, x), (0, 1))]
+    for _ in range(120):
+        e = random_expr(rng, 3)
+        f = random_expr(rng, 3)
+        s = rng.choice(targets)
+        for r in (e, e + f, e - f, e - e, -e, e * f, e ** 2, e.diff(s), e.subst(s, f)):
+            _assert_canonical(r)
 
 
 def test_leibniz_rule():
