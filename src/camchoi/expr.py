@@ -12,11 +12,15 @@ zero testing decidable.
 Kernel invariants:
 
 * Atoms other than exp/tanh applications (Sym, Jet, Func, RatPow) and
-  Exponents are interned: building an equal one returns the existing object,
-  so equality and hashing are by identity.
+  Exponents are interned: building an equal one returns the existing object
+  (copies and unpickled objects too), so equality and hashing are by identity.
+* Atom sort keys are injective (jet and function keys end with the ranks of
+  their variables), so equal keys mean equal atoms and equal monomial keys
+  mean equal monomials.
 * An Expr's terms are strictly descending by ``_mono_sort_key`` and carry no
-  zero coefficient; a monomial's factors are ascending by atom sort key.
-  Sums merge the two term tuples; each atom computes its sort key once.
+  zero coefficient; a monomial's factors are strictly ascending by atom sort
+  key, and a RatPow never carries an integer exponent.  Sums merge the two
+  term tuples; each atom computes its sort key once.
 """
 
 from __future__ import annotations
@@ -94,6 +98,9 @@ class Exponent:
     def key(self):
         return self._key
 
+    def __reduce__(self):
+        return (Exponent, (self.num2, self.n))
+
     def __repr__(self) -> str:
         return "Exponent(num2=%r, n=%r)" % (self.num2, self.n)
 
@@ -149,6 +156,9 @@ class Sym:
     def sort_key(self):
         return self._key
 
+    def __reduce__(self):
+        return (Sym, (self.name, self.kind))
+
     def __repr__(self) -> str:
         return "Sym(%r, %s)" % (self.name, self.kind)
 
@@ -179,6 +189,9 @@ class RatPow:
     def sort_key(self):
         return self._key
 
+    def __reduce__(self):
+        return (RatPow, (self.base,))
+
     def __repr__(self) -> str:
         return "RatPow(%s)" % (self.base,)
 
@@ -205,7 +218,12 @@ class Jet:
             self.ivars = ivars
             self.counts = counts
             self.order = sum(counts)
-            self._key = (_RANK_JET, dep.name, (self.order, counts, tuple(v.name for v in ivars)))
+            self._key = (
+                _RANK_JET,
+                dep.name,
+                (self.order, counts, tuple([v.name for v in ivars])),
+                (dep._rank,) + tuple([v._rank for v in ivars]),
+            )
             self = cls._interned.setdefault((dep, ivars, counts), self)
         return self
 
@@ -217,6 +235,9 @@ class Jet:
 
     def sort_key(self):
         return self._key
+
+    def __reduce__(self):
+        return (Jet, (self.dep, self.ivars, self.counts))
 
     def __repr__(self) -> str:
         return "Jet(%s;%s)" % (self.dep.name, ",".join(map(str, self.counts)))
@@ -239,7 +260,12 @@ class Func:
             self.name = name
             self.args = args
             self.orders = orders
-            self._key = (_RANK_FUNC, name, (orders, tuple(a.name for a in args)))
+            self._key = (
+                _RANK_FUNC,
+                name,
+                (orders, tuple([a.name for a in args])),
+                tuple([a._rank for a in args]),
+            )
             self = cls._interned.setdefault((name, args, orders), self)
         return self
 
@@ -252,6 +278,9 @@ class Func:
 
     def sort_key(self):
         return self._key
+
+    def __reduce__(self):
+        return (Func, (self.name, self.args, self.orders))
 
     def __repr__(self) -> str:
         return "Func(%s;%s)" % (self.name, ",".join(map(str, self.orders)))
@@ -340,6 +369,8 @@ class Expr:
     def atom(a: Atom, exp: Exponent = EXP_ONE) -> "Expr":
         if exp.is_zero():
             return ONE
+        if a.__class__ is RatPow and exp.is_integer():
+            return Expr.rational(a.base ** exp.int_value())
         return Expr(((((a, exp),), Fraction(1)),))
 
     # -- basic queries -------------------------------------------------------
@@ -424,13 +455,6 @@ class Expr:
                 j += 1
             else:
                 mono, c = ta[i]
-                if mono != tb[j][0]:
-                    # distinct monomials with one sort key: order them as a
-                    # stable sort of the accumulated map would
-                    m = dict(ta)
-                    for mono, c in tb:
-                        m[mono] = m.get(mono, Fraction(0)) + c
-                    return Expr._from_map(m)
                 c = c + tb[j][1]
                 if c:
                     terms.append((mono, c))
@@ -789,7 +813,8 @@ def _mul_monos(m1: Mono, m2: Mono):
     """Merge two sorted monomials; returns (mono, rational factor from folds).
 
     Canonical monomials never hold a zero exponent or a RatPow with an
-    integer exponent, so only atoms present in both factors need folding.
+    integer exponent, so only atoms present in both factors need folding;
+    atom keys are injective, so an atom occurs in each factor at most once.
     """
     if not m1 or not m2:
         return m1 or m2, 1

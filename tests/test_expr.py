@@ -84,13 +84,39 @@ def test_interning_holds_across_threads():
     assert all(p is q for atoms in built[1:] for p, q in zip(built[0], atoms))
 
 
-def test_sum_of_distinct_monomials_sharing_a_sort_key():
-    jx = Jet(u, (x,), (1,))
-    jp = Jet(u, (Sym("x", PARAMETER),), (1,))
-    assert jx is not jp and jx.sort_key() == jp.sort_key()
-    s = Expr.atom(jx) + Expr.atom(jp)
-    assert [m for m, _ in s.terms] == [((jx, EXP_ONE),), ((jp, EXP_ONE),)]
-    assert s - Expr.atom(jp) == Expr.atom(jx)
+def test_atoms_differing_only_in_rank_have_distinct_keys():
+    xp = Sym("x", PARAMETER)
+    jx, jp = Jet(u, (x,), (1,)), Jet(u, (xp,), (1,))
+    fx, fp = Func("f", (x,)), Func("f", (xp,))
+    assert jx.sort_key() != jp.sort_key() and fx.sort_key() != fp.sort_key()
+    for p, q in ((jx, jp), (fx, fp)):
+        P, Q = Expr.atom(p), Expr.atom(q)
+        assert P + Q == Q + P
+        assert (P + Q) - Q == P
+        assert P * (Q * P) == P ** 2 * Q == (P * Q) * P
+        assert P * (Q * P) - P ** 2 * Q == ZERO
+
+
+def test_integer_power_of_rational_base_folds():
+    two = RatPow(2)
+    assert Expr.atom(two) == 2
+    assert Expr.atom(two) * ONE == 2
+    assert Expr.atom(two, Exponent(-4)) == Fraction(1, 4)
+    assert Expr.atom(two, EXP_N) * Expr.atom(two) == 2 * Expr.atom(two, EXP_N)
+
+
+def test_copies_of_interned_atoms_are_the_same_object():
+    import copy
+    import pickle
+
+    for obj in (x, Sym("x", PARAMETER), jet((1, 2)), Func("phi", (t,), (1,)),
+                RatPow(Fraction(3, 2)), Exponent(-1, 1)):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    e = (X + U.pow_exponent(EXP_N)) * Expr.atom(jet((0, 1)))
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert copy.deepcopy(e) == e
 
 
 def test_like_terms_merge():

@@ -9,12 +9,14 @@ from fractions import Fraction
 from camchoi.expr import (
     DEPENDENT,
     EXP_ONE,
+    EXP_N,
     Exponent,
     Expr,
     Func,
     INDEPENDENT,
     Jet,
     PARAMETER,
+    RatPow,
     Sym,
     ONE,
     ZERO,
@@ -96,6 +98,10 @@ def _assert_canonical(e):
     assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
     assert all(c != 0 for _, c in e.terms)
     assert e._mono_keys() == keys
+    for mono, _ in e.terms:
+        akeys = [atom.sort_key() for atom, _ in mono]
+        assert all(k1 < k2 for k1, k2 in zip(akeys, akeys[1:]))
+        assert not any(isinstance(atom, RatPow) and x.is_integer() for atom, x in mono)
     for atom in e.atoms():
         if hasattr(atom, "arg"):
             _assert_canonical(atom.arg)
@@ -121,6 +127,48 @@ def test_results_are_strictly_descending_without_zeros():
         s = rng.choice(targets)
         for r in (e, e + f, e - f, e - e, -e, e * f, e ** 2, e.diff(s), e.subst(s, f)):
             _assert_canonical(r)
+
+
+# Atoms whose names coincide and whose kinds differ: an independent x and a
+# parameter x, and jets and function symbols over each.
+xp = Sym("x", PARAMETER)
+RANK_TIED_POOL = [
+    x,
+    xp,
+    Jet(u, (x,), (1,)),
+    Jet(u, (xp,), (1,)),
+    Func("f", (x,)),
+    Func("f", (xp,)),
+    RatPow(2),
+]
+
+
+def test_products_and_sums_over_rank_tied_atoms():
+    rng = random.Random(61)
+
+    def factor():
+        atom = rng.choice(RANK_TIED_POOL)
+        return Expr.atom(atom, EXP_N if isinstance(atom, RatPow) else Exponent(2 * rng.randint(1, 2)))
+
+    for _ in range(150):
+        fs = [factor() for _ in range(rng.randint(2, 5))]
+        left = fs[0]
+        for f in fs[1:]:
+            left = left * f
+        right = fs[-1]
+        for f in reversed(fs[:-1]):
+            right = f * right
+        shuffled = fs[:]
+        rng.shuffle(shuffled)
+        other = ONE
+        for f in shuffled:
+            other = other * f
+        assert left == right == other
+        _assert_canonical(left)
+        e = left + fs[0] - fs[-1]
+        assert e == fs[0] + left - fs[-1] == -fs[-1] + fs[0] + left
+        _assert_canonical(e)
+        assert e - fs[0] - left + fs[-1] == ZERO
 
 
 def test_leibniz_rule():
