@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -32,10 +31,9 @@ from .modelfile import (
     SolutionBlock,
     parse_model,
 )
-from .odes import IntegratorConfig, OdeError, compile_rhs, integrate, write_csv
+from .odes import IntegratorConfig, compile_rhs, integrate, write_csv
 from .report import Report
 from .reduction import (
-    ReductionError,
     check_first_integral,
     compare_reduced,
     pullback,
@@ -237,15 +235,9 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_paper_suite(args) -> int:
     doc = _load_model("builtin")
-    cases = build_cases()
     rep = Report("paper-suite")
-    if args.serial:
-        results = [run_case(c, doc) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda c: run_case(c, doc), cases))
-    for r in results:
-        rep.add(r)
+    for c in build_cases():
+        rep.add(run_case(c, doc))
     return _print_report(rep, args.json)
 
 
@@ -318,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("paper-suite", _cmd_paper_suite,
              help="run every built-in check and write one consolidated report")
-    sp.add_argument("--serial", action="store_true", help="disable the thread pool")
+    sp.add_argument("--serial", action="store_true",
+                    help="accepted for compatibility; the cases always run serially")
 
     return p
 
@@ -331,10 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, KeyError, FileNotFoundError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except (ExprError, OdeError, ReductionError) as e:
+    # JetError, OdeError and ReductionError are ExprErrors
+    except (ParseError, KeyError, FileNotFoundError, ExprError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
 

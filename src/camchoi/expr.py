@@ -149,10 +149,6 @@ class Sym:
             self = cls._interned.setdefault((rank, name), self)
         return self
 
-    @property
-    def rank(self) -> int:
-        return self._rank
-
     def sort_key(self):
         return self._key
 
@@ -392,11 +388,6 @@ class Expr:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading(self):
-        if self.is_zero:
-            raise ExprError("zero expression has no leading term")
-        return self.terms[0]
-
     def atoms(self) -> Iterator[Atom]:
         """Yield every atom, recursing into elementary-function arguments."""
         for mono, _ in self.terms:
@@ -540,7 +531,7 @@ class Expr:
             if not newe.is_zero():
                 m[a] = newe
         if coeff != 1:
-            if coeff < 0 and not exp.is_integer():
+            if coeff < 0:
                 raise ExprError("negative coefficient under a symbolic power")
             m2, extra = _fold_ratpow(RatPow(coeff), exp)
             for a, e in m2:
@@ -576,7 +567,7 @@ class Expr:
     def subst(self, target: Atom, repl) -> "Expr":
         """Replace every occurrence of an atom, including inside exp/tanh arguments."""
         repl = as_expr(repl)
-        if isinstance(target, Sym) and target == N_SYMBOL:
+        if target is N_SYMBOL and any(e.n for mono, _ in self.terms for _, e in mono):
             return self._subst_exponent_param(repl)
         out = ZERO
         for mono, coeff in self.terms:
@@ -593,9 +584,6 @@ class Expr:
         return out
 
     def _subst_exponent_param(self, repl: "Expr") -> "Expr":
-        uses_exponents = any(e.n for mono, _ in self.terms for _, e in mono)
-        if not uses_exponents:
-            return self.subst_plain_n(repl)
         if not repl.is_rational():
             raise ExprError("exponent parameter must bind to an integer")
         q = repl.as_rational()
@@ -617,20 +605,6 @@ class Expr:
                     if e2.is_zero():
                         continue
                     factor = factor * Expr.atom(a, e2)
-            out = out + factor
-        return out
-
-    def subst_plain_n(self, repl: "Expr") -> "Expr":
-        out = ZERO
-        for mono, coeff in self.terms:
-            factor = Expr.rational(coeff)
-            for a, e in mono:
-                if a == N_SYMBOL:
-                    factor = factor * _power_of(repl, e)
-                elif isinstance(a, App) and a.arg.contains(N_SYMBOL):
-                    factor = factor * _power_of(app(a.fn, a.arg.subst(N_SYMBOL, repl)), e)
-                else:
-                    factor = factor * Expr.atom(a, e)
             out = out + factor
         return out
 
@@ -703,6 +677,17 @@ class Expr:
                 out[keyexpr] = val
         return out
 
+    def affine_in(self, atom: Atom):
+        """Split ``self == a*atom + b`` with ``a`` and ``b`` free of ``atom``.
+
+        Returns ``(a, b)``, with ``a`` zero when ``atom`` does not occur, or
+        None when ``atom`` occurs with any power other than 1.
+        """
+        parts = self.collect([atom])
+        a = parts.pop(Expr.atom(atom), ZERO)
+        b = parts.pop(ONE, ZERO)
+        return None if parts else (a, b)
+
     def content_normalized(self) -> "Expr":
         """Divide by the rational content; leading coefficient becomes +1-signed."""
         if self.is_zero:
@@ -747,31 +732,6 @@ class Expr:
                     base = Fraction(env[a])
                 k = e.int_value()
                 v *= base ** k
-            total += v
-        return total
-
-    def eval_float(self, env: dict) -> float:
-        import math
-
-        total = 0.0
-        for mono, coeff in self.terms:
-            v = float(coeff)
-            for a, e in mono:
-                if isinstance(a, App):
-                    argv = a.arg.eval_float(env)
-                    base = math.exp(argv) if a.fn == "exp" else math.tanh(argv)
-                elif isinstance(a, RatPow):
-                    base = float(a.base)
-                else:
-                    if a not in env:
-                        raise ExprError("unbound atom %r" % (a,))
-                    base = float(env[a])
-                if e.n:
-                    raise ExprError("unbound exponent parameter in numeric evaluation")
-                if e.num2 % 2 == 0:
-                    v *= base ** (e.num2 // 2)
-                else:
-                    v *= math.sqrt(base) ** e.num2
             total += v
         return total
 
@@ -857,11 +817,8 @@ def _invert_monomial(e: Expr) -> Expr:
 
 
 def _fold_ratpow(rp: RatPow, exp: Exponent):
-    """RatPow(q)^exp as (mono fragment, rational factor)."""
-    if exp.is_integer():
-        return (), rp.base ** exp.int_value()
-    if rp.base == 1:
-        return (), Fraction(1)
+    """RatPow(q)^exp as (mono fragment, rational factor), for q != 1 and exp
+    not an integer."""
     if exp.num2 % 2:
         raise ExprError("half-integer power of a rational base")
     k = exp.num2 // 2

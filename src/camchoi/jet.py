@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .expr import (
-    EXP_ONE,
     Expr,
     ExprError,
     Func,
     Jet,
     Sym,
-    ZERO,
     as_expr,
 )
 
@@ -125,20 +123,10 @@ def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
     if not jets:
         raise JetError("no jet variables in the equation")
     leading = max(jets, key=lambda a: (a.order, a.word()))
-    parts = lhs.collect([leading])
-    rest = ZERO
-    coeff = None
-    for keyexpr, val in parts.items():
-        if keyexpr == Expr.rational(1):
-            rest = val
-            continue
-        mono, _c = keyexpr.leading()
-        (atom, e), = mono
-        if e != EXP_ONE:
-            raise JetError("nonlinear in leading derivative: %s appears with power %s" % (atom, e))
-        coeff = val
-    if coeff is None:
-        raise JetError("leading derivative vanished during collection")
+    split = lhs.affine_in(leading)
+    if split is None:
+        raise JetError("nonlinear in leading derivative: %s appears with a power other than 1" % leading)
+    coeff, rest = split
     if not coeff.is_monomial():
         raise JetError("nonlinear in leading derivative: coefficient %s of %s" % (coeff, leading))
     for a in coeff.atoms():

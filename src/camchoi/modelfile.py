@@ -19,7 +19,6 @@ from .expr import (
     PARAMETER,
     REDUCED,
     Sym,
-    ONE,
     ZERO,
     app,
 )
@@ -318,9 +317,7 @@ class _Parser:
                 self.error("expected a declaration or block", expected=set(_BLOCK_KINDS) | {"param", "exponent", "func"})
             if tok.value == "param":
                 self.advance()
-                names = [self.expect("NAME").value]
-                while self.accept(","):
-                    names.append(self.expect("NAME").value)
+                names = self._parse_namelist()
                 for nm in names:
                     if nm in params:
                         self.error("parameter %r declared twice" % nm)
@@ -337,9 +334,7 @@ class _Parser:
                 self.advance()
                 nm = self.expect("NAME").value
                 self.expect("(")
-                args = [self.expect("NAME").value]
-                while self.accept(","):
-                    args.append(self.expect("NAME").value)
+                args = self._parse_namelist()
                 self.expect(")")
                 if nm in funcs:
                     self.error("function %r declared twice" % nm)
@@ -358,9 +353,7 @@ class _Parser:
     def parse_block(self, doc: ModelDocument):
         kind = self.expect("NAME").value
         name = self.expect("NAME").value
-        on = None
-        if self.accept("NAME", "on"):
-            on = self.expect("NAME").value
+        on = self.expect("NAME") if self.accept("NAME", "on") else None
         for b in doc.blocks:
             if b.__class__.__name__.lower().startswith(kind) and b.name == name:
                 self.error("duplicate %s block %r" % (kind, name))
@@ -383,6 +376,17 @@ class _Parser:
             self.skip_newlines()
         elif tok.type != "}":
             self.error("expected end of clause", expected={";", "newline", "}"})
+
+    def _on_context(self, doc, kind: str, on: Optional[Token]) -> Context:
+        """Context of the block named after 'on'; a ParseError at that name if it has none."""
+        if on is None:
+            self.error("%s blocks need 'on %s'" % (kind, "EQUATION" if kind == "solution" else "PDE"))
+        try:
+            if kind == "field":
+                return doc.block(PdeBlock, on.value).ctx
+            return doc.context_of(doc.find(on.value))
+        except KeyError as e:
+            raise ParseError(e.args[0], on.line, on.col) from None
 
     def _parse_namelist(self) -> List[str]:
         names = [self.expect("NAME").value]
@@ -447,10 +451,8 @@ class _Parser:
         return OdeBlock(name, ctx, lhs, note)
 
     def _clauses_field(self, doc, name, on):
-        if on is None:
-            self.error("field blocks need 'on PDE'")
-        target = doc.block(PdeBlock, on)
-        ctx = target.ctx
+        ctx = self._on_context(doc, "field", on)
+        on = on.value
         scope = _Scope(doc, ctx)
         xi: Dict[Sym, Expr] = {}
         eta = ZERO
@@ -480,10 +482,8 @@ class _Parser:
         return FieldBlock(name, on, VectorField(ctx, xi, eta, name=name), note)
 
     def _clauses_ansatz(self, doc, name, on):
-        if on is None:
-            self.error("ansatz blocks need 'on PDE'")
-        target = doc.find(on)
-        src = doc.context_of(target)
+        src = self._on_context(doc, "ansatz", on)
+        on = on.value
         new_vars: List[Tuple[Sym, Expr]] = []
         rule: Optional[Expr] = None
         hints: List[Tuple[Sym, Expr]] = []
@@ -500,9 +500,9 @@ class _Parser:
                 else:
                     new_vars.append((Sym(vname, REDUCED), e))
             elif key == "sub":
-                dname = self.expect("NAME").value
-                if dname != src.dependent.name:
-                    self.error("%r is not the dependent variable of %s" % (dname, on))
+                sub = self.expect("NAME")
+                if sub.value != src.dependent.name:
+                    self.error("%r is not the dependent variable of %s" % (sub.value, on))
                 self.expect("=")
                 scope = _Scope(doc, src, extra_vars=[v for v, _ in new_vars])
                 rule = self.parse_expr(scope)
@@ -525,16 +525,14 @@ class _Parser:
         func = None
         dep = None
         if rule is not None:
-            func, dep = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars))
+            func, dep = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars), sub)
         return AnsatzBlock(
             name, on, Ansatz(src, new_vars, dep, func, rule, hints, name=name, note=note), note
         )
 
     def _clauses_solution(self, doc, name, on):
-        if on is None:
-            self.error("solution blocks need 'on EQUATION'")
-        target = doc.find(on)
-        ctx = doc.context_of(target)
+        ctx = self._on_context(doc, "solution", on)
+        on = on.value
         sol: Optional[Expr] = None
         rules: List[SolutionRule] = []
         bindings: List[Tuple[Sym, Expr]] = []
@@ -767,16 +765,10 @@ def _apply_power(base: Expr, expexpr: Expr) -> Expr:
         if q.denominator == 2:
             return base.pow_exponent(Exponent(q.numerator, 0))
         raise ExprError("exponent denominators beyond 2 are not supported")
-    parts = expexpr.collect([N_SYMBOL])
-    const = ZERO
-    ncoeff = ZERO
-    for key, val in parts.items():
-        if key == ONE:
-            const = val
-        elif key == Expr.atom(N_SYMBOL):
-            ncoeff = val
-        else:
-            raise ExprError("exponent must be affine in n")
+    split = expexpr.affine_in(N_SYMBOL)
+    if split is None:
+        raise ExprError("exponent must be affine in n")
+    ncoeff, const = split
     if not (const.is_zero or const.is_rational()) or not (ncoeff.is_zero or ncoeff.is_rational()):
         raise ExprError("exponent must be affine in n with rational coefficients")
     c = const.as_rational() if not const.is_zero else Fraction(0)
@@ -786,15 +778,16 @@ def _apply_power(base: Expr, expexpr: Expr) -> Expr:
     return base.pow_exponent(Exponent(int(2 * c), int(k)))
 
 
-def _detect_ansatz_function(rule: Expr, new_vars: tuple):
+def _detect_ansatz_function(rule: Expr, new_vars: tuple, sub: Token):
     candidates = {}
     for a in rule.atoms():
         if isinstance(a, Func) and len(a.args) == len(new_vars):
             if all(x == y for x, y in zip(a.args, new_vars)):
                 candidates[a.name] = Func(a.name, a.args)
     if len(candidates) != 1:
-        raise ExprError(
-            "the dependent rule must use exactly one new function of the new variables"
+        raise ParseError(
+            "the dependent rule must use exactly one new function of the new variables",
+            sub.line, sub.col,
         )
     fn = next(iter(candidates.values()))
     return fn, Sym(fn.name, DEPENDENT)

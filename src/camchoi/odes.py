@@ -9,14 +9,11 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
-    EXP_ONE,
     Expr,
     ExprError,
     N_SYMBOL,
     RatPow,
     Sym,
-    ONE,
-    ZERO,
     as_expr,
 )
 from .jet import Context
@@ -67,20 +64,11 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
     order = e.max_jet_order()
     if order == 0:
         raise OdeError("no derivatives present in the equation")
-    top = ctx.jet((order,))
-    parts = e.collect([top])
-    coeff = None
-    rest = ZERO
-    for key, val in parts.items():
-        if key == ONE:
-            rest = val
-            continue
-        mono, _ = key.leading()
-        (_atom, ex), = mono
-        if ex != EXP_ONE:
-            raise OdeError("nonlinear in highest derivative")
-        coeff = val
-    if coeff is None:
+    split = e.affine_in(ctx.jet((order,)))
+    if split is None:
+        raise OdeError("nonlinear in highest derivative")
+    coeff, rest = split
+    if coeff.is_zero:
         raise OdeError("highest derivative vanished")
     if not coeff.is_monomial():
         raise OdeError("nonlinear in highest derivative: coefficient %s" % coeff)
@@ -107,7 +95,11 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
 
 
 def _compile_callable(sys: OdeSystem) -> Callable:
-    """Generate a plain Python function for the right-hand side."""
+    """Generate a plain Python function for the right-hand side.
+
+    A domain error in the generated code (0.0 ** -1, math.sqrt of a negative)
+    returns NaNs, which the integrators treat as a non-finite evaluation.
+    """
     var = sys.ctx.independents[0]
     names: Dict[object, str] = {var: "x"}
     for i, a in enumerate(sys.state_atoms):
@@ -143,8 +135,10 @@ def _compile_callable(sys: OdeSystem) -> Callable:
 
     args = ", ".join(["x"] + ["y%d" % i for i in range(sys.order)])
     body = ", ".join(emit(e) for e in sys.rhs)
-    src = "def _rhs(%s):\n    return (%s,)\n" % (args, body)
-    ns: Dict[str, object] = {"math": math}
+    src = ("def _rhs(%s):\n    try:\n        return (%s,)\n"
+           "    except (ArithmeticError, ValueError):\n        return (%s)\n"
+           % (args, body, "nan, " * sys.order))
+    ns: Dict[str, object] = {"math": math, "nan": math.nan}
     exec(src, ns)
     return ns["_rhs"]
 
@@ -237,7 +231,8 @@ def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
         t += h
         samples.append((t, y))
     samples[-1] = (b, samples[-1][1])
-    return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps)
+    flag = "" if all(math.isfinite(v) for v in y) else "non-finite"
+    return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
 
 
 def _rk4_step(f, t, y, h):

@@ -10,7 +10,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .expr import (
     DEPENDENT,
-    EXP_ONE,
     Exponent,
     Expr,
     ExprError,
@@ -71,10 +70,10 @@ class Ansatz:
         """The dependent invariant F solved from u = rule(F), when rule is affine in F."""
         if self.dependent_rule is None:
             raise ReductionError("ansatz %s has no dependent rule" % self.name)
-        f_atom = Expr.atom(self.func)
-        parts = self.dependent_rule.collect([self.func])
-        coeff = parts.get(f_atom, ZERO)
-        rest = parts.get(ONE, ZERO)
+        split = self.dependent_rule.affine_in(self.func)
+        if split is None:
+            raise ReductionError("dependent rule is not affine in the new function")
+        coeff, rest = split
         if coeff.is_zero:
             raise ReductionError("dependent rule does not involve the new function")
         return (Expr.atom(self.src.dependent) - rest) / coeff
@@ -248,12 +247,10 @@ def invariants_for(
 
 def _affine_parts(e: Expr, v: Sym, ctx: Context) -> Tuple[Expr, Expr]:
     """Split e = a*v + b; reject any other dependence on context variables."""
-    parts = e.collect([v])
-    a = parts.get(Expr.atom(v), ZERO)
-    b = parts.get(ONE, ZERO)
-    for key in parts:
-        if key != Expr.atom(v) and key != ONE:
-            raise UnsupportedField("unsupported field shape: %s in a coefficient" % key)
+    split = e.affine_in(v)
+    if split is None:
+        raise UnsupportedField("unsupported field shape: %s is not affine in %s" % (e, v.name))
+    a, b = split
     banned = set(ctx.independents) | {ctx.dependent}
     for piece in (a, b):
         for atom in piece.atoms():
@@ -267,18 +264,46 @@ def _affine_parts(e: Expr, v: Sym, ctx: Context) -> Tuple[Expr, Expr]:
 # -- pullback ------------------------------------------------------------------
 
 
-def _chain_derivative(a: Ansatz, e: Expr, v: Sym) -> Expr:
-    """d/d(old v) of an expression written in old variables and new functions."""
-    out = e.diff(v)
-    for w, wexpr in a.new_independent:
-        if w == v:
-            continue  # pass-through variable, already covered by the direct term
-        dw = wexpr.diff(v)
-        if dw.is_zero:
-            continue
-        d = e.diff(w)
-        if not d.is_zero:
-            out = out + d * dw
+def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
+                          links: List[Tuple[Sym, Expr]]) -> Expr:
+    """Substitute u = value, and each jet of u by the matching derivative of value.
+
+    ``value`` may use symbols w linked to the context variables by the
+    (w, expression) pairs in ``links``; derivatives apply the chain rule
+    through them.  A variable linked to itself passes through unchanged.
+    """
+
+    def chain_derivative(e: Expr, v: Sym) -> Expr:
+        out = e.diff(v)
+        for w, wexpr in links:
+            if w == v:
+                continue  # pass-through variable, already covered by the direct term
+            dw = wexpr.diff(v)
+            if dw.is_zero:
+                continue
+            d = e.diff(w)
+            if not d.is_zero:
+                out = out + d * dw
+        return out
+
+    express: Dict[tuple, Expr] = {tuple(0 for _ in ctx.independents): value}
+
+    def get(counts: tuple) -> Expr:
+        if counts in express:
+            return express[counts]
+        i = max(k for k, c in enumerate(counts) if c > 0)
+        prev = tuple(c - (1 if k == i else 0) for k, c in enumerate(counts))
+        val = chain_derivative(get(prev), ctx.independents[i])
+        express[counts] = val
+        return val
+
+    out = lhs
+    jets = [a for a in set(lhs.atoms()) if isinstance(a, Jet) and a.dep == ctx.dependent]
+    jets.sort(key=lambda a: a.sort_key())
+    for a in jets:
+        out = out.subst(a, get(a.counts))
+    if out.contains(ctx.dependent):
+        out = out.subst(ctx.dependent, value)
     return out
 
 
@@ -289,26 +314,7 @@ def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
     if not jacobian_rank_ok(a):
         raise ReductionError("ansatz %s has a rank-deficient Jacobian" % a.name)
     ctx = pde.ctx
-    express: Dict[tuple, Expr] = {tuple(0 for _ in ctx.independents): a.dependent_rule}
-
-    def get(counts: tuple) -> Expr:
-        if counts in express:
-            return express[counts]
-        nz = [i for i, c in enumerate(counts) if c > 0]
-        i = nz[-1]
-        prev = tuple(c - (1 if k == i else 0) for k, c in enumerate(counts))
-        val = _chain_derivative(a, get(prev), ctx.independents[i])
-        express[counts] = val
-        return val
-
-    out = pde.lhs
-    jets = [at for at in set(pde.lhs.atoms()) if isinstance(at, Jet) and at.dep == ctx.dependent]
-    jets.sort(key=lambda at: at.sort_key())
-    for at in jets:
-        out = out.subst(at, get(at.counts))
-    if out.contains(ctx.dependent):
-        out = out.subst(ctx.dependent, a.dependent_rule)
-
+    out = _substitute_dependent(pde.lhs, ctx, a.dependent_rule, a.new_independent)
     for v, hint in a.inverse_hints:
         out = out.subst(v, hint)
 
@@ -342,7 +348,7 @@ def _funcs_to_jets(e: Expr, a: Ansatz, new_ctx: Context) -> Expr:
 
 
 def _cancel_common_monomial(e: Expr) -> Expr:
-    if e.is_zero or len(e.terms) == 0:
+    if e.is_zero:
         return e
     common: Dict[object, Exponent] = {}
     first = True
@@ -404,10 +410,6 @@ class CompareReport:
     residual: Expr
     substitution: Optional[List[Tuple[Sym, Expr]]] = None
 
-    @property
-    def matched(self) -> bool:
-        return self.verdict != "mismatch"
-
 
 def compare_reduced(
     derived: ReducedEquation,
@@ -442,17 +444,10 @@ def _single_var(ctx: Context) -> Sym:
 
 
 def _top_jet_coeff(e: Expr, ctx: Context, order: int) -> Expr:
-    jet = ctx.jet((order,))
-    parts = e.collect([jet])
-    for key, val in parts.items():
-        if key == ONE:
-            continue
-        mono, _ = key.leading()
-        (atom, ex), = mono
-        if ex != EXP_ONE:
-            raise ReductionError("nonlinear top derivative in %s" % e)
-        return val
-    return ZERO
+    split = e.affine_in(ctx.jet((order,)))
+    if split is None:
+        raise ReductionError("nonlinear top derivative in %s" % e)
+    return split[0]
 
 
 def _solve_for_top(fi: FirstIntegralCandidate) -> Optional[Tuple[Jet, Expr]]:
@@ -530,41 +525,7 @@ def verify_closed_form(
     residual and, when nonzero, its coefficients collected over elementary
     function monomials (the constraint equations on the free constants).
     """
-    ctx = target.ctx
-    lhs = target.lhs
-    bindings = bindings or []
-
-    def dd(e: Expr, v: Sym) -> Expr:
-        out = e.diff(v)
-        for w, wexpr in bindings:
-            dw = wexpr.diff(v)
-            if dw.is_zero:
-                continue
-            d = e.diff(w)
-            if not d.is_zero:
-                out = out + d * dw
-        return out
-
-    express: Dict[tuple, Expr] = {tuple(0 for _ in ctx.independents): sol}
-
-    def get(counts: tuple) -> Expr:
-        if counts in express:
-            return express[counts]
-        nz = [i for i, c in enumerate(counts) if c > 0]
-        i = nz[-1]
-        prev = tuple(c - (1 if kk == i else 0) for kk, c in enumerate(counts))
-        val = dd(get(prev), ctx.independents[i])
-        express[counts] = val
-        return val
-
-    out = lhs
-    jets = [a for a in set(lhs.atoms()) if isinstance(a, Jet) and a.dep == ctx.dependent]
-    jets.sort(key=lambda a: a.sort_key())
-    for a in jets:
-        out = out.subst(a, get(a.counts))
-    if out.contains(ctx.dependent):
-        out = out.subst(ctx.dependent, sol)
-
+    out = _substitute_dependent(target.lhs, target.ctx, sol, bindings or [])
     for _ in range(12):
         before = out
         for rule in rules:

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from camchoi.cli import main
 from camchoi.report import SCHEMA
 
@@ -169,3 +171,34 @@ def test_parse_error_exits_2(capsys, tmp_path):
 def test_unknown_block_exits_2(capsys):
     code, _, err = run(capsys, "check-symmetry", "builtin", "nope", "cc")
     assert code == 2
+
+
+DOMAIN_MODEL = """
+ode inv {
+  vars = s
+  dep = H
+  eq D(H;s) - H^(-1) = 0
+}
+ode root {
+  vars = s
+  dep = H
+  eq D(H;s) + H^(1/2) + 1 = 0
+}
+"""
+
+
+# H' = -sqrt(H) - 1 from H(0) = 1 reaches H = 0 at s = 2 - 2 ln 2 = 0.6137...
+@pytest.mark.parametrize("argv, code, expect", [
+    (["inv", "--ic", "0", "--span", "0", "1"], 2, ["not finite at the initial point"]),
+    (["root", "--ic", "1", "--span", "0", "3"], 1, ["endpoint 0.6137", "[step-underflow]"]),
+    (["root", "--ic", "1", "--span", "0", "3", "--method", "fixed-rk4", "--step", "0.01"], 1,
+     ["endpoint 3 -> nan [non-finite]"]),
+], ids=["initial point", "adaptive", "fixed-rk4"])
+def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
+    path = os.path.join(tmp_path, "domain.model")
+    with open(path, "w") as fh:
+        fh.write(DOMAIN_MODEL)
+    got, out, err = run(capsys, "integrate", path, *argv)
+    assert got == code
+    for text in expect:
+        assert text in out + err

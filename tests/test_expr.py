@@ -22,6 +22,7 @@ from camchoi.expr import (
     ONE,
     ZERO,
     app,
+    as_expr,
     normalize,
 )
 
@@ -262,3 +263,22 @@ def test_print_parse_simple_forms():
     assert str(2 * X) == "2*x"
     assert str(U.pow_exponent(EXP_N)) == "u^n"
     assert str(-Expr.atom(jet((0, 2)))) == "-u[x,x]"
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: Expr.atom(RatPow(2), EXP_N).diff(x), ZERO),
+    (lambda: Expr.atom(RatPow(2), Exponent(2, 1)) * Expr.atom(RatPow(2), Exponent(0, -1)), Expr.rational(2)),
+    (lambda: 1 / X, Expr.atom(x, Exponent(-2, 0))),
+    (lambda: Expr.atom(a, Exponent(0, 0)), ONE),
+    (lambda: as_expr(x), X),
+], ids=["d/dx 2^n", "2^(n+1) * 2^(-n)", "1/x", "a^0", "as_expr(Sym)"])
+def test_rarely_taken_kernel_branches(build, want):
+    assert build() == want
+
+
+def test_affine_in_splits_off_one_atom():
+    A = Expr.atom(a)
+    assert ((A + 1) * U + X).affine_in(u) == (A + 1, X)
+    assert (X * T).affine_in(u) == (ZERO, X * T)
+    assert (U + U ** 2).affine_in(u) is None
+    assert (X * U ** 2).affine_in(u) is None

@@ -110,6 +110,23 @@ def test_exponent_must_be_named_n():
         parse_model("exponent m\n")
 
 
+MINI_LINES = MINI.count("\n")
+
+
+@pytest.mark.parametrize("block, line, col", [
+    ("field X on nosuch { eta = 0 }", 1, 12),
+    ("ansatz A on nosuch {\n  var w = x\n}", 1, 13),
+    ("ansatz A on X3 {\n  var w = x\n}", 1, 13),
+    ("solution S on X3 {\n  sub u = 0\n}", 1, 15),
+    ("ansatz A on cc {\n  var w = x\n  sub u = w\n}", 3, 7),
+], ids=["field on unknown", "ansatz on unknown", "ansatz on field", "solution on field",
+        "ansatz without new function"])
+def test_bad_block_references_are_parse_errors(block, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI + block + "\n")
+    assert (err.value.line, err.value.col) == (MINI_LINES + line, col)
+
+
 def test_manifest_covers_required_labels():
     required = (
         ["cc.03", "cc.04", "cc.08", "cc.11"]

@@ -287,3 +287,26 @@ def test_tanh_amplitude_constraint(doc):
 
 def test_cc32_certifies_with_riccati_rule(doc, case_results):
     assert case_results["cc.33"].verdict == "pass"
+
+
+def test_dependent_expression_rejects_a_rule_not_affine_in_the_function(doc):
+    ctx = pde(doc, "cc19").ctx
+    t, w = ctx.independents
+    fn = Func("U", (t, w))
+    F = Expr.atom(fn)
+    a = Ansatz(ctx, [(t, Expr.atom(t)), (w, Expr.atom(w))], Sym("U", DEPENDENT), fn, F + F ** 2,
+               name="square")
+    with pytest.raises(ReductionError, match="not affine"):
+        a.dependent_expression()
+
+
+def test_top_jet_coefficient_rejects_a_squared_top_jet_in_any_term_order():
+    from camchoi.reduction import _top_jet_coeff
+
+    zeta = Sym("zeta", REDUCED)
+    H = Sym("H", DEPENDENT)
+    ctx = Context((zeta,), H)
+    top = ctx.jet_expr((1,))
+    for e in (top + top ** 2, Expr.atom(H) ** 3 * top + top ** 2):
+        with pytest.raises(ReductionError, match="nonlinear top derivative"):
+            _top_jet_coeff(e, ctx, 1)
