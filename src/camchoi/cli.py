@@ -25,6 +25,7 @@ from .modelfile import (
     FieldBlock,
     IntegralBlock,
     ModelDocument,
+    ModelLookupError,
     OdeBlock,
     PdeBlock,
     ParseError,
@@ -48,6 +49,30 @@ def _load_model(spec: str) -> ModelDocument:
         return load_builtin()
     with open(spec, "r", encoding="utf-8") as fh:
         return parse_model(fh.read())
+
+
+class UsageError(Exception):
+    """A malformed command-line item, reported on one line with exit 2."""
+
+
+def _declared(doc: ModelDocument, name: str):
+    if name not in doc.params:
+        raise ValueError("%r is not a declared parameter" % name)
+    return doc.params[name]
+
+
+def _assignments(doc: ModelDocument, items, option: str, value) -> list:
+    """(declared parameter, value(text)) for each NAME=TEXT item of option."""
+    out = []
+    for item in items or []:
+        name, eq, text = (s.strip() for s in item.partition("="))
+        try:
+            if not eq:
+                raise ValueError("expected NAME=VALUE")
+            out.append((_declared(doc, name), value(text)))
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError("%s %s: %s" % (option, item, e)) from None
+    return out
 
 
 def _print_report(rep: Report, json_path: Optional[str]) -> int:
@@ -131,10 +156,7 @@ def _cmd_reduce(args) -> int:
     verdict = "pass"
     if args.printed:
         printed = doc.equation_of(doc.find(args.printed))
-        subs = []
-        for item in args.identify or []:
-            lhs_name, _, rhs_name = item.partition("=")
-            subs.append((doc.params[lhs_name.strip()], Expr.atom(doc.params[rhs_name.strip()])))
+        subs = _assignments(doc, args.identify, "--identify", lambda s: Expr.atom(_declared(doc, s)))
         cmp_rep = compare_reduced(red, printed, substitutions=subs or None)
         detail["verdict vs %s" % args.printed] = cmp_rep.verdict
         if cmp_rep.verdict == "mismatch":
@@ -183,10 +205,7 @@ def _cmd_solution_check(args) -> int:
 def _cmd_integrate(args) -> int:
     doc = _load_model(args.model)
     blk = doc.block(OdeBlock, args.ode)
-    params = {}
-    for item in args.param or []:
-        name, _, val = item.partition("=")
-        params[doc.params[name.strip()]] = Fraction(val.strip())
+    params = dict(_assignments(doc, args.param, "--param", Fraction))
     sys_ = compile_rhs(blk.ctx, blk.lhs, params, name=args.ode)
     cfg = IntegratorConfig(
         method=args.method,
@@ -325,7 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     # JetError, OdeError and ReductionError are ExprErrors
-    except (ParseError, KeyError, FileNotFoundError, ExprError) as e:
+    except (ParseError, ModelLookupError, UsageError, FileNotFoundError, ExprError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
 

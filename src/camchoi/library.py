@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .expr import Expr, Func, Sym, ONE, ZERO, app
-from .jet import Pde
+from .jet import Context, Pde
 from .modelfile import (
     AnsatzBlock,
     FieldBlock,
@@ -24,6 +24,7 @@ from .modelfile import (
 )
 from .odes import IntegratorConfig, compile_rhs, integrate
 from .reduction import (
+    Ansatz,
     check_first_integral,
     compare_reduced,
     compose_ansatz,
@@ -31,7 +32,15 @@ from .reduction import (
     pullback,
     verify_closed_form,
 )
-from .symmetry import VectorField, check_symmetry, closure_table, commutator, determining_equations, field_lincomb
+from .symmetry import (
+    VectorField,
+    check_symmetry,
+    closure_table,
+    commutator,
+    decompose_field,
+    determining_equations,
+    field_lincomb,
+)
 
 
 def builtin_text() -> str:
@@ -107,16 +116,27 @@ def _pde(doc: ModelDocument, name: str) -> Pde:
     return doc.block(PdeBlock, name).pde
 
 
+def _cc(doc: ModelDocument) -> Context:
+    return doc.block(PdeBlock, "cc").ctx
+
+
+def _t(doc: ModelDocument) -> Sym:
+    return _cc(doc).independents[0]
+
+
+def _tfunc(doc: ModelDocument, name: str) -> Expr:
+    """The arbitrary function name(t) of the function-parametrized generators."""
+    return Expr.atom(Func(name, (_t(doc),)))
+
+
 def x3_of(doc: ModelDocument, arg: Expr) -> VectorField:
-    cc = doc.block(PdeBlock, "cc")
-    ctx = cc.ctx
-    t = ctx.independents[0]
-    x = ctx.independents[1]
+    ctx = _cc(doc)
+    t, x = ctx.independents[:2]
     return VectorField(ctx, {x: arg}, -arg.diff(t), name="X3(arg)")
 
+
 def x4_of(doc: ModelDocument, arg: Expr) -> VectorField:
-    cc = doc.block(PdeBlock, "cc")
-    ctx = cc.ctx
+    ctx = _cc(doc)
     t, x, y = ctx.independents
     Y = Expr.atom(y)
     dt = arg.diff(t)
@@ -137,7 +157,22 @@ def compare_fields(computed: VectorField, printed: VectorField) -> str:
     return "mismatch"
 
 
-def _sym_case(label: str, title: str, pairs: List[Tuple[str, str]], alpha_zero: bool = False):
+def _combo(doc: ModelDocument, pairs: List[Tuple[object, str]]) -> VectorField:
+    """sum(coeff * field); a coefficient is a rational or a parameter name,
+    negated by a leading '-'.  No pairs give the zero field."""
+    terms = []
+    for coeff, fname in pairs:
+        if isinstance(coeff, str):
+            p = Expr.atom(doc.params[coeff.lstrip("-")])
+            coeff = -p if coeff.startswith("-") else p
+        terms.append((coeff, _vf(doc, fname)))
+    return field_lincomb(terms, terms[0][1].ctx if terms else _cc(doc))
+
+
+# -- case builders: one per check kind ---------------------------------------------
+
+
+def _sym_case(label: str, title: str, pairs: List[Tuple[str, str]], alpha_zero: bool = False) -> Case:
     def run(doc: ModelDocument) -> CaseResult:
         residuals = {}
         ok = True
@@ -153,94 +188,111 @@ def _sym_case(label: str, title: str, pairs: List[Tuple[str, str]], alpha_zero: 
     return Case(label, "symmetry", title, run)
 
 
-# -- commutator relation machinery ----------------------------------------------
+def _bracket_case(label: str, title: str, relations, note: str) -> Case:
+    """Compare computed commutators with printed ones.  A relation is
+    (subject, left, right, printed, expected): printed is a field builder or a
+    _combo list, expected is match, sign-flip or mismatch.  A verdict other
+    than expected fails the case; every mismatch goes to the ledger."""
 
-
-@dataclass
-class Relation:
-    subject: str
-    left: str
-    right: str
-    printed: Callable[[ModelDocument], VectorField]
-    expected: str  # match | sign-flip | mismatch
-
-
-def _relation_case(label: str, title: str, relations: List[Relation]):
     def run(doc: ModelDocument) -> CaseResult:
         detail = {}
         ledger: List[LedgerEntry] = []
         ok = True
-        for rel in relations:
-            Z = commutator(_vf(doc, rel.left), _vf(doc, rel.right))
-            printed = rel.printed(doc)
-            verdict = compare_fields(Z, printed)
-            detail[rel.subject] = verdict
-            if verdict != rel.expected:
-                ok = False
+        for subject, left, right, printed, expected in relations:
+            Z = commutator(_vf(doc, left), _vf(doc, right))
+            P = printed(doc) if callable(printed) else _combo(doc, printed)
+            detail[subject] = verdict = compare_fields(Z, P)
+            ok = ok and verdict == expected
             if verdict == "mismatch":
-                ledger.append(
-                    LedgerEntry(label, rel.subject, str(printed), str(Z), "", "printed relation does not reproduce")
-                )
+                ledger.append(LedgerEntry(label, subject, str(P), str(Z), "", note))
         verdict = "pass" if ok and not ledger else ("mismatch-recorded" if ok else "fail")
         return CaseResult(label, "commutators", verdict, detail, ledger)
 
     return Case(label, "commutators", title, run)
 
 
-def _zero_field(doc: ModelDocument) -> VectorField:
-    ctx = doc.block(PdeBlock, "cc").ctx
-    return VectorField(ctx, {}, ZERO, name="0")
+def _table(names: List[str], printed: dict, expected: dict) -> list:
+    """The relations of a printed commutator table, one per ordered pair;
+    pairs missing from printed commute, pairs missing from expected match."""
+    return [("[%s,%s]" % (a, b), a, b, printed.get((a, b), []), expected.get((a, b), "match"))
+            for a in names for b in names if a != b]
 
 
-def _combo(doc: ModelDocument, pairs: List[Tuple[object, str]]) -> VectorField:
-    ctx = _vf(doc, pairs[0][1]).ctx if pairs else doc.block(PdeBlock, "cc").ctx
-    terms = []
-    for coeff, fname in pairs:
-        if isinstance(coeff, str):
-            coeff = Expr.atom(doc.params[coeff])
-        elif not isinstance(coeff, Expr):
-            coeff = Expr.rational(coeff)
-        terms.append((coeff, _vf(doc, fname)))
-    return field_lincomb(terms, ctx)
+def _closure_case(label: str, title: str, names: List[str]) -> Case:
+    def run(doc: ModelDocument) -> CaseResult:
+        rep = closure_table([_vf(doc, nm) for nm in names])
+        return CaseResult(label, "closure", "pass" if rep.closed else "fail", {"closed": rep.closed})
+
+    return Case(label, "closure", title, run)
+
+
+def _red_case(label: str, title: str, pde_name: str, ansatz_name: str, printed_name: Optional[str] = None,
+              expected: str = "", derived_name: Optional[str] = None, identify=()) -> Case:
+    """Pull pde_name back under ansatz_name.  With printed_name the result is
+    compared with that catalogued equation (after the parameter
+    identifications in identify) and the comparison goes to the ledger."""
+
+    def run(doc: ModelDocument) -> CaseResult:
+        red = pullback(_pde(doc, pde_name), doc.block(AnsatzBlock, ansatz_name).ansatz)
+        detail = {"derived": str(red.lhs)}
+        if printed_name is None:
+            return CaseResult(label, "reduction", "pass", detail)
+        ok = True
+        if derived_name:
+            ok = red.lhs == doc.equation_of(doc.find(derived_name)).normalized()
+            detail["matches hand-derived oracle"] = ok
+        printed = doc.equation_of(doc.find(printed_name))
+        subs = [(doc.params[a], Expr.atom(doc.params[b])) for a, b in identify]
+        rep = compare_reduced(red, printed, substitutions=subs or None)
+        detail["verdict vs printed"] = rep.verdict
+        if rep.verdict == "mismatch":
+            note = "printed reduced equation differs from the computed reduction"
+        elif rep.verdict == "under-substitution":
+            note = "matches under the identification " + ", ".join("%s = %s" % (s.name, v) for s, v in subs)
+        else:
+            note = "matches the computed reduction (%s)" % rep.verdict
+        ledger = [LedgerEntry(label, "%s under %s" % (pde_name, ansatz_name),
+                              str(printed.lhs), str(red.lhs), str(rep.residual), note)]
+        ok = ok and rep.verdict == expected
+        verdict = "fail" if not ok else ("mismatch-recorded" if rep.verdict == "mismatch" else "pass")
+        return CaseResult(label, "reduction", verdict, detail, ledger)
+
+    return Case(label, "reduction", title, run)
+
+
+def _fi_case(title: str, eq_name: str, fi_name: str) -> Case:
+    """A printed quadrature pair that is expected to leave a nonzero residual."""
+    label = fi_name[:2] + "." + fi_name[2:]
+
+    def run(doc: ModelDocument) -> CaseResult:
+        eq = doc.equation_of(doc.find(eq_name))
+        r = check_first_integral(eq, doc.block(IntegralBlock, fi_name).candidate)
+        detail = {"residual": str(r)}
+        if r.is_zero:
+            return CaseResult(label, "first-integral", "fail", detail)
+        entry = LedgerEntry(label, "d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
+                            str(r), "printed quadrature pair leaves a nonzero residual")
+        return CaseResult(label, "first-integral", "mismatch-recorded", detail, [entry])
+
+    return Case(label, "first-integral", title, run)
+
+
+def _sol_case(title: str, name: str) -> Case:
+    """A closed-form solution that is expected to leave a zero residual."""
+    label = name[:2] + "." + name[2:]
+
+    def run(doc: ModelDocument) -> CaseResult:
+        blk = doc.block(SolutionBlock, name)
+        res, _cons = verify_closed_form(doc.equation_of(doc.find(blk.on)), blk.sol, blk.rules, blk.bindings)
+        return CaseResult(label, "solution", "pass" if res.is_zero else "fail", {"residual": str(res)})
+
+    return Case(label, "solution", title, run)
 
 
 # -- the case registry -----------------------------------------------------------
 
-
-def _table_case(label: str, title: str, basis_names: List[str], printed_entries, expected_anomalies):
-    """Compare computed [row, col] against a printed commutator table."""
-
-    def run(doc: ModelDocument) -> CaseResult:
-        fields = [_vf(doc, nm) for nm in basis_names]
-        detail = {}
-        ledger: List[LedgerEntry] = []
-        ok = True
-        for (i, j), combo in printed_entries.items():
-            Z = commutator(fields[i], fields[j])
-            printed = _combo(doc, combo) if combo else _zero_field(doc)
-            verdict = compare_fields(Z, printed)
-            key = "[%s,%s]" % (basis_names[i], basis_names[j])
-            detail[key] = verdict
-            expected = "mismatch" if (i, j) in expected_anomalies else None
-            if expected == "mismatch":
-                if verdict != "mismatch":
-                    ok = False
-                ledger.append(
-                    LedgerEntry(
-                        label,
-                        key,
-                        str(printed),
-                        str(Z),
-                        "",
-                        "table entry is internally inconsistent with the computed commutator",
-                    )
-                )
-            elif verdict == "mismatch":
-                ok = False
-        verdict = "pass" if ok and not ledger else ("mismatch-recorded" if ok else "fail")
-        return CaseResult(label, "commutators", verdict, detail, ledger)
-
-    return Case(label, "commutators", title, run)
+_RELATION_NOTE = "printed relation does not reproduce"
+_TABLE_NOTE = "table entry is internally inconsistent with the computed commutator"
 
 
 def build_cases() -> List[Case]:
@@ -269,94 +321,67 @@ def build_cases() -> List[Case]:
     add(Case("sec4.1-printed", "symmetry", "catalogued Zb3 variant", _run_zb3_printed))
 
     # commutator relations
-    add(_relation_case("cc.05", "first commutator row", [
-        Relation("[X1,X2]", "X1", "X2", lambda d: _combo(d, [(2, "X1")]), "match"),
-        Relation("[X1,X3]", "X1", "X3", lambda d: x3_of(d, _phi(d).diff(_t(d))), "match"),
-        Relation("[X1,X4]", "X1", "X4", lambda d: x4_of(d, _psi(d).diff(_t(d))), "match"),
-    ]))
-    add(_relation_case("cc.06", "scaling against the function family", [
-        Relation("[X2,X3]", "X2", "X3",
-                 lambda d: x3_of(d, _phi(d) - 2 * Expr.atom(_t(d)) * _phi(d).diff(_t(d))), "sign-flip"),
-        Relation("[X2,X4]", "X2", "X4",
-                 lambda d: x4_of(d, Expr.rational(Fraction(3, 4)) * _psi(d)
-                                 - 2 * Expr.atom(_t(d)) * _psi(d).diff(_t(d))), "mismatch"),
-        Relation("[X3,X4]", "X3", "X4", lambda d: _zero_field(d), "match"),
-    ]))
-    add(_relation_case("cc.07", "function family among itself", [
-        Relation("[X3(phi),X3(chi)]", "X3", "X3chi", lambda d: _zero_field(d), "match"),
-        Relation("[X4(psi),X4(chi)]", "X4", "X4chi",
-                 lambda d: x3_of(d, Expr.rational(Fraction(1, 2))
-                                 * (_chi(d) * _psi(d).diff(_t(d)) - _psi(d) * _chi(d).diff(_t(d)))), "match"),
-    ]))
-    add(_relation_case("cc.09", "constant family, first row", [
-        Relation("[X1p,X2p]", "X1p", "X2p", lambda d: _combo(d, [(2, "X1p")]), "match"),
-        Relation("[X1p,X3p]", "X1p", "X3p", lambda d: _zero_field(d), "match"),
-        Relation("[X1p,X4p]", "X1p", "X4p", lambda d: _zero_field(d), "match"),
-    ]))
-    add(_relation_case("cc.10", "constant family, second row", [
-        Relation("[X2p,X3p]", "X2p", "X3p", lambda d: _combo(d, [(1, "X3p")]), "sign-flip"),
-        Relation("[X2p,X4p]", "X2p", "X4p", lambda d: _combo(d, [(Fraction(3, 2), "X3p")]), "mismatch"),
-        Relation("[X3p,X4p]", "X3p", "X4p", lambda d: _zero_field(d), "match"),
-    ]))
-    add(_relation_case("cc.12", "exponential family, first row", [
-        Relation("[X1p,X5p]", "X1p", "X5p", lambda d: _combo(d, [("omega1", "X5p")]), "match"),
-        Relation("[X1p,X6p]", "X1p", "X6p", lambda d: _combo(d, [("omega2", "X6p")]), "match"),
-        Relation("[X1p,X6p_printed]", "X1p", "X6p_printed",
-                 lambda d: _combo(d, [("omega2", "X6p_printed")]), "mismatch"),
-        Relation("[X2p,X5p]", "X2p", "X5p", _cc12_printed_x2x5, "mismatch"),
-    ]))
-    add(_relation_case("cc.13", "exponential family, scaling row", [
-        Relation("[X2p,X6p]", "X2p", "X6p", _cc13_printed, "sign-flip"),
-    ]))
-    add(_relation_case("cc.14", "exponential family, translation row", [
-        Relation("[X3p,X5p]", "X3p", "X5p", lambda d: _zero_field(d), "match"),
-        Relation("[X3p,X6p]", "X3p", "X6p", lambda d: _zero_field(d), "match"),
-        Relation("[X4p,X6p]", "X4p", "X6p", _cc14_printed, "mismatch"),
-    ]))
+    add(_bracket_case("cc.05", "first commutator row", [
+        ("[X1,X2]", "X1", "X2", [(2, "X1")], "match"),
+        ("[X1,X3]", "X1", "X3", lambda d: x3_of(d, _tfunc(d, "phi").diff(_t(d))), "match"),
+        ("[X1,X4]", "X1", "X4", lambda d: x4_of(d, _tfunc(d, "psi").diff(_t(d))), "match"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.06", "scaling against the function family", [
+        ("[X2,X3]", "X2", "X3", _cc06_printed_x2x3, "sign-flip"),
+        ("[X2,X4]", "X2", "X4", _cc06_printed_x2x4, "mismatch"),
+        ("[X3,X4]", "X3", "X4", [], "match"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.07", "function family among itself", [
+        ("[X3(phi),X3(chi)]", "X3", "X3chi", [], "match"),
+        ("[X4(psi),X4(chi)]", "X4", "X4chi", _cc07_printed, "match"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.09", "constant family, first row", [
+        ("[X1p,X2p]", "X1p", "X2p", [(2, "X1p")], "match"),
+        ("[X1p,X3p]", "X1p", "X3p", [], "match"),
+        ("[X1p,X4p]", "X1p", "X4p", [], "match"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.10", "constant family, second row", [
+        ("[X2p,X3p]", "X2p", "X3p", [(1, "X3p")], "sign-flip"),
+        ("[X2p,X4p]", "X2p", "X4p", [(Fraction(3, 2), "X3p")], "mismatch"),
+        ("[X3p,X4p]", "X3p", "X4p", [], "match"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.12", "exponential family, first row", [
+        ("[X1p,X5p]", "X1p", "X5p", [("omega1", "X5p")], "match"),
+        ("[X1p,X6p]", "X1p", "X6p", [("omega2", "X6p")], "match"),
+        ("[X1p,X6p_printed]", "X1p", "X6p_printed", [("omega2", "X6p_printed")], "mismatch"),
+        ("[X2p,X5p]", "X2p", "X5p", _cc12_printed_x2x5, "mismatch"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.13", "exponential family, scaling row", [
+        ("[X2p,X6p]", "X2p", "X6p", _cc13_printed, "sign-flip"),
+    ], _RELATION_NOTE))
+    add(_bracket_case("cc.14", "exponential family, translation row", [
+        ("[X3p,X5p]", "X3p", "X5p", [], "match"),
+        ("[X3p,X6p]", "X3p", "X6p", [], "match"),
+        ("[X4p,X6p]", "X4p", "X6p", _cc14_printed, "mismatch"),
+    ], _RELATION_NOTE))
 
     # printed commutator tables
-    table1 = {}
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            table1[(i, j)] = []
-    table1[(0, 1)] = [(2, "X1p")]
-    table1[(1, 0)] = [(2, "X1p")]
-    table1[(1, 2)] = [(1, "X3p")]
-    table1[(2, 1)] = [(-1, "X3p")]
-    table1[(1, 3)] = [(Fraction(3, 2), "X3p")]
-    table1[(3, 1)] = [(Fraction(-3, 2), "X3p")]
-    add(_table_case("table-1", "printed commutator table of the constant family",
-                    ["X1p", "X2p", "X3p", "X4p"], table1,
-                    expected_anomalies={(1, 3), (3, 1)}))
-
-    table2 = {}
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                continue
-            table2[(i, j)] = []
-    table2[(0, 1)] = [(2, "Y1f"), ("alpha", "Y3f")]
-    table2[(1, 0)] = [(-2, "Y1f"), (("alpha_neg"), "Y3f")]
-    table2[(0, 4)] = [(2, "Y4f")]
-    table2[(4, 0)] = [(-2, "Y4f")]
-    table2[(1, 2)] = [(-1, "Y3f")]
-    table2[(2, 1)] = [(1, "Y3f")]
-    table2[(1, 3)] = [(Fraction(-3, 2), "Y4f")]
-    table2[(3, 1)] = [(Fraction(3, 2), "Y4f")]
-    table2[(1, 4)] = [(Fraction(1, 2), "Y5f")]
-    table2[(4, 1)] = [(Fraction(-1, 2), "Y5f")]
-    table2[(3, 4)] = [(-1, "Y3f")]
-    table2[(4, 3)] = [(1, "Y3f")]
-    add(Case("table-2", "commutators", "printed commutator table of the generalized family",
-             lambda doc: _run_table2(doc, table2)))
+    add(_bracket_case("table-1", "printed commutator table of the constant family", _table(
+        ["X1p", "X2p", "X3p", "X4p"],
+        {("X1p", "X2p"): [(2, "X1p")], ("X2p", "X1p"): [(2, "X1p")],
+         ("X2p", "X3p"): [(1, "X3p")], ("X3p", "X2p"): [(-1, "X3p")],
+         ("X2p", "X4p"): [(Fraction(3, 2), "X3p")], ("X4p", "X2p"): [(Fraction(-3, 2), "X3p")]},
+        {("X2p", "X1p"): "sign-flip", ("X2p", "X3p"): "sign-flip", ("X3p", "X2p"): "sign-flip",
+         ("X2p", "X4p"): "mismatch", ("X4p", "X2p"): "mismatch"}), _TABLE_NOTE))
+    add(_bracket_case("table-2", "printed commutator table of the generalized family", _table(
+        ["Y1f", "Yb2f", "Y3f", "Y4f", "Y5f"],
+        {("Y1f", "Yb2f"): [(2, "Y1f"), ("alpha", "Y3f")], ("Yb2f", "Y1f"): [(-2, "Y1f"), ("-alpha", "Y3f")],
+         ("Y1f", "Y5f"): [(2, "Y4f")], ("Y5f", "Y1f"): [(-2, "Y4f")],
+         ("Yb2f", "Y3f"): [(-1, "Y3f")], ("Y3f", "Yb2f"): [(1, "Y3f")],
+         ("Yb2f", "Y4f"): [(Fraction(-3, 2), "Y4f")], ("Y4f", "Yb2f"): [(Fraction(3, 2), "Y4f")],
+         ("Yb2f", "Y5f"): [(Fraction(1, 2), "Y5f")], ("Y5f", "Yb2f"): [(Fraction(-1, 2), "Y5f")],
+         ("Y4f", "Y5f"): [(-1, "Y3f")], ("Y5f", "Y4f"): [(1, "Y3f")]}, {}), _TABLE_NOTE))
 
     # closure analysis
     add(Case("proposition-closure", "closure", "five-field subalgebra closes", _run_prop_closure))
     add(Case("cc.11-closure", "closure", "six-field set does not close", _run_six_closure))
-    add(Case("table-2-closure", "closure", "generalized family closes", _run_table2_closure))
-    add(Case("cc.22", "closure", "sl(2,R) triple of the reduced equation", _run_sl2_closure))
+    add(_closure_case("table-2-closure", "generalized family closes", ["Y1f", "Yb2f", "Y3f", "Y4f", "Y5f"]))
+    add(_closure_case("cc.22", "sl(2,R) triple of the reduced equation", ["Z1", "Z2", "Z3"]))
     add(Case("cc.15", "closure", "closure constraints select constant translation speeds", _run_cc15))
     add(Case("cc.16", "closure", "closure constraints select an affine drift", _run_cc16))
     add(Case("cc.17", "closure", "cross constraints keep the mixed bracket decomposable", _run_cc17))
@@ -365,25 +390,29 @@ def build_cases() -> List[Case]:
     add(Case("sec3-determining", "determining", "determining system of cc", _run_determining))
 
     # reductions
+    h0_is_alpha = [("h0", "alpha")]
     add(Case("cc.18", "reduction", "invariants of the diagonal translation", _run_cc18_invariants))
-    add(Case("cc.19", "reduction", "reduction of cc under cc18", _run_red_cc19))
-    add(Case("eq.33", "reduction", "reduction of gcc under w = x - y", _run_red_eq33))
+    add(_red_case("cc.19", "reduction of cc under cc18", "cc", "cc18", "cc19", "under-substitution",
+                  "cc19d", h0_is_alpha))
+    add(_red_case("eq.33", "reduction of gcc under w = x - y", "gcc", "gccw", "eq33", "mismatch",
+                  "eq33d", h0_is_alpha))
     add(Case("chain", "reduction", "two-step reduction equals the composed one", _run_chain))
-    add(Case("cc.25", "reduction", "static reduction of the reduced equation", _run_red_cc25))
-    add(Case("cc.29", "reduction", "scaling reduction of the reduced equation", _run_red_cc29))
-    add(Case("cc.32", "reduction", "projective reduction recorded", _run_red_cc32))
-    add(Case("eq.34", "reduction", "travel-wave reduction of the generalized equation", _run_red_eq34))
+    add(_red_case("cc.25", "static reduction of the reduced equation", "cc19", "z1red", "cc25", "mismatch"))
+    add(_red_case("cc.29", "scaling reduction of the reduced equation", "cc19", "z2red", "cc29", "mismatch"))
+    add(_red_case("cc.32", "projective reduction recorded", "cc19", "z3red"))
+    add(_red_case("eq.34", "travel-wave reduction of the generalized equation", "eq33", "eq34red", "eq34",
+                  "mismatch"))
     add(Case("eq.36", "reduction", "scaling substitution recorded", _run_eq36))
 
     # first integrals
-    add(Case("cc.26", "first-integral", "quadrature of the static reduction", _fi_case("cc25", "cc26")))
-    add(Case("cc.31", "first-integral", "quadrature of the scaling reduction", _fi_case("cc30", "cc31")))
-    add(Case("eq.35", "first-integral", "quadrature of the travel-wave reduction", _fi_case("eq34", "eq35")))
+    add(_fi_case("quadrature of the static reduction", "cc25", "cc26"))
+    add(_fi_case("quadrature of the scaling reduction", "cc30", "cc31"))
+    add(_fi_case("quadrature of the travel-wave reduction", "eq34", "eq35"))
     add(Case("eq.38", "first-integral", "quadrature of the scaling reduction, both groupings", _run_fi_eq38))
-    add(Case("cc.30", "first-integral", "second-order quadrature of the scaling reduction", _fi_case("cc29", "cc30")))
+    add(_fi_case("second-order quadrature of the scaling reduction", "cc29", "cc30"))
 
     # closed forms
-    add(Case("cc.24", "solution", "rational-drift similarity solution", _sol_case("cc24")))
+    add(_sol_case("rational-drift similarity solution", "cc24"))
     add(Case("cc.27", "solution", "tanh front with amplitude constraint", _run_cc27))
     add(Case("cc.28", "solution", "first-order form compiles to a numeric system", _run_cc28))
     add(Case("cc.33", "solution", "projective first-order form compiles and certifies", _run_cc33))
@@ -394,27 +423,26 @@ def build_cases() -> List[Case]:
     return cases
 
 
-# -- helpers bound to the builtin document ---------------------------------------
+# -- printed fields and one-off cases bound to the builtin document ----------------
 
 
-def _t(doc: ModelDocument) -> Sym:
-    return doc.block(PdeBlock, "cc").ctx.independents[0]
+def _cc06_printed_x2x3(doc: ModelDocument) -> VectorField:
+    t, phi = _t(doc), _tfunc(doc, "phi")
+    return x3_of(doc, phi - 2 * Expr.atom(t) * phi.diff(t))
 
 
-def _phi(doc: ModelDocument) -> Expr:
-    return Expr.atom(Func("phi", (_t(doc),)))
+def _cc06_printed_x2x4(doc: ModelDocument) -> VectorField:
+    t, psi = _t(doc), _tfunc(doc, "psi")
+    return x4_of(doc, Expr.rational(Fraction(3, 4)) * psi - 2 * Expr.atom(t) * psi.diff(t))
 
 
-def _psi(doc: ModelDocument) -> Expr:
-    return Expr.atom(Func("psi", (_t(doc),)))
-
-
-def _chi(doc: ModelDocument) -> Expr:
-    return Expr.atom(Func("chi", (_t(doc),)))
+def _cc07_printed(doc: ModelDocument) -> VectorField:
+    t, psi, chi = _t(doc), _tfunc(doc, "psi"), _tfunc(doc, "chi")
+    return x3_of(doc, Expr.rational(Fraction(1, 2)) * (chi * psi.diff(t) - psi * chi.diff(t)))
 
 
 def _cc12_printed_x2x5(doc: ModelDocument) -> VectorField:
-    ctx = doc.block(PdeBlock, "cc").ctx
+    ctx = _cc(doc)
     t, x, y = ctx.independents
     o1 = Expr.atom(doc.params["omega1"])
     E = app("exp", o1 * Expr.atom(t))
@@ -427,7 +455,7 @@ def _cc12_printed_x2x5(doc: ModelDocument) -> VectorField:
 
 
 def _cc13_printed(doc: ModelDocument) -> VectorField:
-    ctx = doc.block(PdeBlock, "cc").ctx
+    ctx = _cc(doc)
     t, x, y = ctx.independents
     o2 = Expr.atom(doc.params["omega2"])
     T = Expr.atom(t)
@@ -447,7 +475,7 @@ def _cc13_printed(doc: ModelDocument) -> VectorField:
 
 
 def _cc14_printed(doc: ModelDocument) -> VectorField:
-    ctx = doc.block(PdeBlock, "cc").ctx
+    ctx = _cc(doc)
     t, x, y = ctx.independents
     o2 = Expr.atom(doc.params["omega2"])
     E = app("exp", o2 * Expr.atom(t))
@@ -493,26 +521,6 @@ def _run_zb3_printed(doc: ModelDocument) -> CaseResult:
     )
 
 
-def _run_table2(doc: ModelDocument, table2) -> CaseResult:
-    basis_names = ["Y1f", "Yb2f", "Y3f", "Y4f", "Y5f"]
-    fields = [_vf(doc, nm) for nm in basis_names]
-    detail = {}
-    ok = True
-    for (i, j), combo in table2.items():
-        Z = commutator(fields[i], fields[j])
-        pairs = []
-        for coeff, fname in combo:
-            if coeff == "alpha_neg":
-                pairs.append((-Expr.atom(doc.params["alpha"]), fname))
-            else:
-                pairs.append((coeff, fname))
-        printed = _combo(doc, pairs) if pairs else _zero_field(doc)
-        verdict = compare_fields(Z, printed)
-        detail["[%s,%s]" % (basis_names[i], basis_names[j])] = verdict
-        ok = ok and verdict == "match"
-    return CaseResult("table-2", "commutators", "pass" if ok else "fail", detail)
-
-
 def _run_prop_closure(doc: ModelDocument) -> CaseResult:
     rep = closure_table([_vf(doc, nm) for nm in ("X1", "X2", "X3p", "X4p", "X5")])
     rational_only = True
@@ -547,18 +555,6 @@ def _run_six_closure(doc: ModelDocument) -> CaseResult:
     )
 
 
-def _run_table2_closure(doc: ModelDocument) -> CaseResult:
-    rep = closure_table([_vf(doc, nm) for nm in ("Y1f", "Yb2f", "Y3f", "Y4f", "Y5f")])
-    return CaseResult(
-        "table-2-closure", "closure", "pass" if rep.closed else "fail", {"closed": rep.closed}
-    )
-
-
-def _run_sl2_closure(doc: ModelDocument) -> CaseResult:
-    rep = closure_table([_vf(doc, nm) for nm in ("Z1", "Z2", "Z3")])
-    return CaseResult("cc.22", "closure", "pass" if rep.closed else "fail", {"closed": rep.closed})
-
-
 def _run_cc15(doc: ModelDocument) -> CaseResult:
     # with phi constant the translation bracket [X1, X3(1)] vanishes
     Z = commutator(_vf(doc, "X1"), _vf(doc, "X3p"))
@@ -568,12 +564,8 @@ def _run_cc15(doc: ModelDocument) -> CaseResult:
 
 def _run_cc16(doc: ModelDocument) -> CaseResult:
     # psi affine in t keeps the scaling bracket inside the span {X4(1), X4(t)}
-    ctx = doc.block(PdeBlock, "cc").ctx
-    t = ctx.independents[0]
-    X4t = x4_of(doc, Expr.atom(t))
+    X4t = x4_of(doc, Expr.atom(_t(doc)))
     Z = commutator(_vf(doc, "X2"), X4t)
-    from .symmetry import decompose_field
-
     dec = decompose_field(Z, [_vf(doc, "X4p"), X4t, _vf(doc, "X3p")])
     return CaseResult("cc.16", "closure", "pass" if dec.ok else "fail",
                       {"decomposed": dec.ok, "coefficients": dec.coefficient_strings()})
@@ -581,11 +573,8 @@ def _run_cc16(doc: ModelDocument) -> CaseResult:
 
 def _run_cc17(doc: ModelDocument) -> CaseResult:
     # [X4(1), X4(t)] = -(1/2) X3(1) stays in the five-field span
-    ctx = doc.block(PdeBlock, "cc").ctx
-    t = ctx.independents[0]
-    Z = commutator(_vf(doc, "X4p"), x4_of(doc, Expr.atom(t)))
-    expected = _combo(doc, [(Fraction(-1, 2), "X3p")])
-    ok = Z == expected
+    Z = commutator(_vf(doc, "X4p"), x4_of(doc, Expr.atom(_t(doc))))
+    ok = Z == _combo(doc, [(Fraction(-1, 2), "X3p")])
     return CaseResult("cc.17", "closure", "pass" if ok else "fail", {"bracket": str(Z)})
 
 
@@ -598,11 +587,12 @@ def _run_determining(doc: ModelDocument) -> CaseResult:
     A = Expr.atom(doc.params["alpha"])
     C1, C2, C3, C4 = (Expr.atom(doc.params["c%d" % i]) for i in (1, 2, 3, 4))
     half = Expr.rational(Fraction(1, 2))
+    phi, psi = _tfunc(doc, "phi"), _tfunc(doc, "psi")
     rules = {
         "xi_t": C1 + 2 * C2 * T,
-        "xi_x": C2 * X_ + C3 * _phi(doc) - half * C4 * _psi(doc).diff(t) * Y_,
-        "xi_y": Expr.rational(Fraction(3, 2)) * C2 * Y_ + C4 * _psi(doc),
-        "eta": C2 * (A - Expr.atom(u)) - C3 * _phi(doc).diff(t) + half * C4 * _psi(doc).diff(t).diff(t) * Y_,
+        "xi_x": C2 * X_ + C3 * phi - half * C4 * psi.diff(t) * Y_,
+        "xi_y": Expr.rational(Fraction(3, 2)) * C2 * Y_ + C4 * psi,
+        "eta": C2 * (A - Expr.atom(u)) - C3 * phi.diff(t) + half * C4 * psi.diff(t).diff(t) * Y_,
     }
     vals = det.substitute_solution(rules)
     annihilated = all(v.is_zero for v in vals)
@@ -620,7 +610,7 @@ def _run_determining(doc: ModelDocument) -> CaseResult:
 
 
 def _run_cc18_invariants(doc: ModelDocument) -> CaseResult:
-    ctx = doc.block(PdeBlock, "cc").ctx
+    ctx = _cc(doc)
     t, x, y = ctx.independents
     X34 = VectorField(ctx, {x: ONE, y: ONE}, ZERO, "X3p+X4p")
     a = invariants_for(X34, names=["w"], dep_name="U")
@@ -633,63 +623,6 @@ def _run_cc18_invariants(doc: ModelDocument) -> CaseResult:
                        "generator annihilates invariants": annihilates})
 
 
-def _red_compare(doc, label, pde_name, ansatz_name, derived_name, printed_name, subs, expected_verdict):
-    pde = _pde(doc, pde_name)
-    a = doc.block(AnsatzBlock, ansatz_name).ansatz
-    red = pullback(pde, a)
-    oracle = doc.equation_of(doc.find(derived_name)) if derived_name else None
-    printed = doc.equation_of(doc.find(printed_name))
-    detail = {"derived": str(red.lhs)}
-    ok = True
-    if oracle is not None:
-        ok = red.lhs == oracle.normalized()
-        detail["matches hand-derived oracle"] = ok
-    rep = compare_reduced(red, printed, substitutions=subs)
-    detail["verdict vs printed"] = rep.verdict
-    # every comparison against a catalogued form is recorded, matched or not
-    if rep.verdict == "mismatch":
-        note = "printed reduced equation differs from the computed reduction"
-    elif rep.verdict == "under-substitution":
-        note = "matches under the identification " + ", ".join(
-            "%s = %s" % (s.name, v) for s, v in (subs or []))
-    else:
-        note = "matches the computed reduction (%s)" % rep.verdict
-    ledger = [LedgerEntry(label, "%s under %s" % (pde_name, ansatz_name),
-                          str(printed.lhs), str(red.lhs), str(rep.residual), note)]
-    ok = ok and (rep.verdict == expected_verdict)
-    verdict = "fail" if not ok else ("mismatch-recorded" if rep.verdict == "mismatch" else "pass")
-    return CaseResult(label, "reduction", verdict, detail, ledger)
-
-
-def _run_red_cc19(doc: ModelDocument) -> CaseResult:
-    subs = [(doc.params["h0"], Expr.atom(doc.params["alpha"]))]
-    return _red_compare(doc, "cc.19", "cc", "cc18", "cc19d", "cc19", subs, "under-substitution")
-
-
-def _run_red_eq33(doc: ModelDocument) -> CaseResult:
-    subs = [(doc.params["h0"], Expr.atom(doc.params["alpha"]))]
-    return _red_compare(doc, "eq.33", "gcc", "gccw", "eq33d", "eq33", subs, "mismatch")
-
-
-def _run_red_cc25(doc: ModelDocument) -> CaseResult:
-    return _red_compare(doc, "cc.25", "cc19", "z1red", None, "cc25", None, "mismatch")
-
-
-def _run_red_cc29(doc: ModelDocument) -> CaseResult:
-    return _red_compare(doc, "cc.29", "cc19", "z2red", None, "cc29", None, "mismatch")
-
-
-def _run_red_eq34(doc: ModelDocument) -> CaseResult:
-    return _red_compare(doc, "eq.34", "eq33", "eq34red", None, "eq34", None, "mismatch")
-
-
-def _run_red_cc32(doc: ModelDocument) -> CaseResult:
-    pde = _pde(doc, "cc19")
-    a = doc.block(AnsatzBlock, "z3red").ansatz
-    red = pullback(pde, a)
-    return CaseResult("cc.32", "reduction", "pass", {"derived": str(red.lhs)})
-
-
 def _run_chain(doc: ModelDocument) -> CaseResult:
     cc = _pde(doc, "cc")
     a1 = doc.block(AnsatzBlock, "cc18").ansatz
@@ -697,8 +630,6 @@ def _run_chain(doc: ModelDocument) -> CaseResult:
     alpha = Expr.atom(doc.params["alpha"])
     s = Sym("s", "reduced")
     fY = Func("Y", (s,))
-    from .reduction import Ansatz
-
     w = a1.new_independent[1][0]
     t = a1.new_independent[0][0]
     a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Sym("Y", "dependent"), fY,
@@ -721,24 +652,6 @@ def _run_eq36(doc: ModelDocument) -> CaseResult:
                       {"invariant": str(blk.ansatz.new_independent[0][1]), "note": blk.ansatz.note})
 
 
-def _fi_case(eq_name: str, fi_name: str):
-    """A printed quadrature pair that is expected to leave a nonzero residual."""
-
-    def run(doc: ModelDocument) -> CaseResult:
-        label = fi_name[:2] + "." + fi_name[2:]
-        eq = doc.equation_of(doc.find(eq_name))
-        fi = doc.block(IntegralBlock, fi_name).candidate
-        r = check_first_integral(eq, fi)
-        detail = {"residual": str(r)}
-        if r.is_zero:
-            return CaseResult(label, "first-integral", "fail", detail)
-        entry = LedgerEntry(label, "d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
-                            str(r), "printed quadrature pair leaves a nonzero residual")
-        return CaseResult(label, "first-integral", "mismatch-recorded", detail, [entry])
-
-    return run
-
-
 def _run_fi_eq38(doc: ModelDocument) -> CaseResult:
     eq = doc.equation_of(doc.find("eq37"))
     out = {}
@@ -752,20 +665,6 @@ def _run_fi_eq38(doc: ModelDocument) -> CaseResult:
                                       "grouping leaves a nonzero residual"))
     verdict = "mismatch-recorded" if ledger else "pass"
     return CaseResult("eq.38", "first-integral", verdict, out, ledger)
-
-
-def _sol_case(name: str):
-    """A closed-form solution that is expected to leave a zero residual."""
-
-    def run(doc: ModelDocument) -> CaseResult:
-        label = name[:2] + "." + name[2:]
-        blk = doc.block(SolutionBlock, name)
-        target = doc.equation_of(doc.find(blk.on))
-        res, _cons = verify_closed_form(target, blk.sol, blk.rules, blk.bindings)
-        return CaseResult(label, "solution", "pass" if res.is_zero else "fail",
-                          {"residual": str(res)})
-
-    return run
 
 
 def _run_cc27(doc: ModelDocument) -> CaseResult:
@@ -810,7 +709,7 @@ FIG1_RUNS = ("fig1n2", "fig1n3", "fig1n5")
 
 
 def fig1_trajectory(doc: ModelDocument, run_name: str, grouping: str = "default",
-                    span=None, method: Optional[str] = None, step: float = 1e-4):
+                    span=None, method: Optional[str] = None, step: Optional[float] = None):
     rb = doc.block(RunBlock, run_name)
     ode_name = rb.ode if grouping == "default" else rb.ode + "_alt"
     ob = doc.block(OdeBlock, ode_name)
@@ -822,7 +721,7 @@ def fig1_trajectory(doc: ModelDocument, run_name: str, grouping: str = "default"
         method=method or rb.method,
         abs_tol=float(rb.tol),
         rel_tol=float(rb.tol),
-        step=step,
+        step=float(rb.step) if step is None else step,
         span=tuple(float(v) for v in (span or rb.span)),
         dense=[1.0],
     )

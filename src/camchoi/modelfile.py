@@ -15,6 +15,7 @@ from .expr import (
     ExprError,
     Func,
     INDEPENDENT,
+    Jet,
     N_SYMBOL,
     PARAMETER,
     REDUCED,
@@ -36,6 +37,10 @@ class ParseError(ValueError):
         if self.expected:
             detail += " (expected one of: %s)" % ", ".join(self.expected)
         super().__init__(detail)
+
+
+class ModelLookupError(LookupError):
+    """A block name that names no block, or a block without the asked-for view."""
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -225,14 +230,14 @@ class ModelDocument:
         for b in self.blocks:
             if isinstance(b, kind) and _normalize_name(b.name) == key:
                 return b
-        raise KeyError("no %s named %r" % (kind.__name__, name))
+        raise ModelLookupError("no %s named %r" % (kind.__name__, name))
 
     def find(self, name: str):
         key = _normalize_name(name)
         for b in self.blocks:
             if _normalize_name(b.name) == key:
                 return b
-        raise KeyError("no block named %r" % name)
+        raise ModelLookupError("no block named %r" % name)
 
     def context_of(self, block) -> Context:
         if isinstance(block, PdeBlock) or isinstance(block, OdeBlock):
@@ -241,7 +246,7 @@ class ModelDocument:
             return block.equation.ctx
         if isinstance(block, IntegralBlock):
             return block.candidate.ctx
-        raise KeyError("block %r has no context" % block.name)
+        raise ModelLookupError("block %r has no context" % block.name)
 
     def equation_of(self, block):
         """A ReducedEquation view of pde, reduced, integral, or ode blocks."""
@@ -253,7 +258,7 @@ class ModelDocument:
             return ReducedEquation(block.candidate.ctx, block.candidate.lhs, block.name)
         if isinstance(block, OdeBlock):
             return ReducedEquation(block.ctx, block.lhs, block.name)
-        raise KeyError("block %r has no equation" % block.name)
+        raise ModelLookupError("block %r has no equation" % block.name)
 
 
 def _normalize_name(name: str) -> str:
@@ -385,7 +390,7 @@ class _Parser:
             if kind == "field":
                 return doc.block(PdeBlock, on.value).ctx
             return doc.context_of(doc.find(on.value))
-        except KeyError as e:
+        except ModelLookupError as e:
             raise ParseError(e.args[0], on.line, on.col) from None
 
     def _parse_namelist(self) -> List[str]:
@@ -458,6 +463,7 @@ class _Parser:
         eta = ZERO
         note = ""
         while self.peek().type != "}":
+            at = self.peek()
             key = self._clause_key()
             if key == "xi":
                 vname = self.expect("NAME").value
@@ -465,14 +471,14 @@ class _Parser:
                 if v is None:
                     self.error("%r is not an independent variable of %s" % (vname, on))
                 self.expect("=")
-                xi[v] = self.parse_expr(scope)
+                xi[v] = self._point_coefficient(scope, at)
             elif key == "eta":
                 if self.peek().type == "NAME":
                     dname = self.advance().value
                     if dname != ctx.dependent.name:
                         self.error("%r is not the dependent variable of %s" % (dname, on))
                 self.expect("=")
-                eta = self.parse_expr(scope)
+                eta = self._point_coefficient(scope, at)
             elif key == "note":
                 self.expect("=")
                 note = self.expect("STRING").value
@@ -480,6 +486,13 @@ class _Parser:
                 self.error("unknown clause %r" % key, expected={"xi", "eta", "note"})
             self._end_clause()
         return FieldBlock(name, on, VectorField(ctx, xi, eta, name=name), note)
+
+    def _point_coefficient(self, scope, at: Token) -> Expr:
+        """A field coefficient; a ParseError at the clause if it involves a jet."""
+        e = self.parse_expr(scope)
+        if any(isinstance(a, Jet) for a in e.atoms()):
+            raise ParseError("point-symmetry coefficients must be jet free", at.line, at.col)
+        return e
 
     def _clauses_ansatz(self, doc, name, on):
         src = self._on_context(doc, "ansatz", on)

@@ -90,7 +90,7 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
             if isinstance(a, RatPow):
                 continue
             if a not in allowed:
-                raise OdeError("unbound parameter %s" % a)
+                raise OdeError("unbound parameter %s" % Expr.atom(a))
     return OdeSystem(ctx, order, rhs, state_atoms, values, name=name)
 
 
@@ -148,8 +148,6 @@ class IntegratorConfig:
     method: str = "adaptive-rk45"  # or "fixed-rk4"
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    initial_step: float = 1e-3
-    max_step: float = 0.0  # 0 means span length
     step: float = 1e-4  # fixed-rk4 step
     span: Tuple[float, float] = (0.0, 1.0)
     dense: Optional[Sequence[float]] = None
@@ -196,6 +194,7 @@ _RKF_A = (
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
+_INITIAL_STEP = 1e-3  # adaptive steps are capped at the span length
 _UNDERFLOW_FRACTION = 1e-14
 _SAFETY = 0.7
 
@@ -250,8 +249,7 @@ def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
     a, b = cfg.span
     direction = 1.0 if b > a else -1.0
     span_len = abs(b - a)
-    hmax = cfg.max_step if cfg.max_step > 0 else span_len
-    h = direction * min(abs(cfg.initial_step), hmax)
+    h = direction * min(_INITIAL_STEP, span_len)
     t = a
     y = y0
     dense = sorted(cfg.dense, reverse=direction < 0) if cfg.dense else []
@@ -310,7 +308,7 @@ def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
                 samples.append((t, y))
             accepted += 1
             factor = 5.0 if norm == 0 else min(5.0, max(0.2, _SAFETY * norm ** -0.2))
-            h = direction * min(abs(h) * factor, hmax)
+            h = direction * min(abs(h) * factor, span_len)
         else:
             rejected += 1
             h = direction * max(abs(h) * max(0.2, _SAFETY * norm ** -0.2), 0.0)

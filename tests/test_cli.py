@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -99,6 +100,7 @@ def test_paper_suite_passes_and_is_stable(capsys, tmp_path):
     b1 = open(p1, "rb").read()
     b2 = open(p2, "rb").read()
     assert b1 == b2
+    assert hashlib.md5(b1).hexdigest() == "e92849c3257f7710794fe350a18fc9d5"
     data = json.loads(b1)
     assert data["schema"] == SCHEMA
     assert data["summary"]["fail"] == 0
@@ -202,3 +204,44 @@ def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     assert got == code
     for text in expect:
         assert text in out + err
+
+
+INTEGRATE = ("integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1")
+REDUCE = ("reduce", "builtin", "cc", "cc18", "--printed", "cc19")
+
+
+@pytest.mark.parametrize("argv, item", [
+    (INTEGRATE + ("--param", "Y0=abc", "--param", "Y1=0"), "--param Y0=abc"),
+    (INTEGRATE + ("--param", "Q=1", "--param", "Y1=0"), "--param Q=1: 'Q' is not a declared parameter"),
+    (INTEGRATE + ("--param", "Y0", "--param", "Y1=0"), "--param Y0: expected NAME=VALUE"),
+    (REDUCE + ("--identify", "h0"), "--identify h0: expected NAME=VALUE"),
+    (REDUCE + ("--identify", "zz=alpha"), "--identify zz=alpha: 'zz' is not a declared parameter"),
+    (REDUCE + ("--identify", "h0=zz"), "--identify h0=zz: 'zz' is not a declared parameter"),
+], ids=["non-numeric value", "undeclared param", "param without =", "identify without =",
+        "undeclared identify lhs", "undeclared identify rhs"])
+def test_bad_assignment_items_are_usage_errors(capsys, argv, item):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: " + item)
+    assert err.count("\n") == 1
+
+
+def test_unbound_parameter_is_named_in_model_text(capsys):
+    code, _, err = run(capsys, *INTEGRATE, "--param", "Y1=0")
+    assert (code, err) == (2, "error: unbound parameter Y0\n")
+
+
+def test_missing_block_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "check-symmetry", "builtin", "nosuch", "cc")
+    assert (code, err) == (2, "error: no FieldBlock named 'nosuch'\n")
+
+
+def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
+    from camchoi import cli
+
+    def broken(field, pde):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "check_symmetry", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["check-symmetry", "builtin", "X2", "cc"])

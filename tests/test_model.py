@@ -119,8 +119,9 @@ MINI_LINES = MINI.count("\n")
     ("ansatz A on X3 {\n  var w = x\n}", 1, 13),
     ("solution S on X3 {\n  sub u = 0\n}", 1, 15),
     ("ansatz A on cc {\n  var w = x\n  sub u = w\n}", 3, 7),
+    ("field F on cc {\n  xi x = 1\n  eta = u[x]\n}", 3, 3),
 ], ids=["field on unknown", "ansatz on unknown", "ansatz on field", "solution on field",
-        "ansatz without new function"])
+        "ansatz without new function", "jet-valued field coefficient"])
 def test_bad_block_references_are_parse_errors(block, line, col):
     with pytest.raises(ParseError) as err:
         parse_model(MINI + block + "\n")

@@ -186,6 +186,19 @@ def test_pinned_regression_values(doc):
         assert abs(tr.endpoint()[1][1] - end[1]) < 1e-6
 
 
+def test_fig1_fixed_step_defaults_to_the_run_block_step():
+    from fractions import Fraction
+
+    from camchoi.library import builtin_text
+    from camchoi.modelfile import RunBlock, parse_model
+
+    fresh = parse_model(builtin_text())
+    rb = fresh.block(RunBlock, "fig1n2")
+    rb.method, rb.step = "fixed-rk4", Fraction(1, 10)
+    _s, tr, _c = fig1_trajectory(fresh, "fig1n2", span=(0.0, 1.0))
+    assert len(tr.samples) == 11
+
+
 def test_svg_flat_line(tmp_path):
     path = os.path.join(tmp_path, "flat.svg")
     cfg = IntegratorConfig(span=(0.0, 1.0))

@@ -215,3 +215,22 @@ def test_prolongation_is_decomposition_independent(doc):
     last = prolong(X, 3, direction="last")
     first = prolong(X, 3, direction="first")
     assert last.eta_ext == first.eta_ext
+
+
+def test_bracket_case_fails_off_expectation_and_records_every_mismatch(doc):
+    from camchoi.library import _bracket_case
+
+    def outcome(relations):
+        res = _bracket_case("probe", "probe", relations, "note").run(doc)
+        return res.verdict, res.detail, [(e.subject, e.note) for e in res.ledger]
+
+    agree = ("[X1p,X2p]", "X1p", "X2p", [(2, "X1p")], "match")
+    known = ("[X2p,X4p]", "X2p", "X4p", [(Fraction(3, 2), "X3p")], "mismatch")
+    flipped = ("flipped", "X1p", "X2p", [(-2, "X1p")], "match")
+    surprise = ("surprise", "X2p", "X4p", [(Fraction(3, 2), "X3p")], "sign-flip")
+    assert outcome([agree]) == ("pass", {"[X1p,X2p]": "match"}, [])
+    assert outcome([agree, known]) == ("mismatch-recorded", {"[X1p,X2p]": "match", "[X2p,X4p]": "mismatch"},
+                                       [("[X2p,X4p]", "note")])
+    assert outcome([flipped]) == ("fail", {"flipped": "sign-flip"}, [])
+    assert outcome([known, surprise]) == ("fail", {"[X2p,X4p]": "mismatch", "surprise": "mismatch"},
+                                          [("[X2p,X4p]", "note"), ("surprise", "note")])
