@@ -146,6 +146,8 @@ def _cmd_determining(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.identify and not args.printed:
+        raise UsageError("--identify needs --printed")
     doc = _load_model(args.model)
     pde = doc.block(PdeBlock, args.pde).pde
     ansatz = doc.block(AnsatzBlock, args.ansatz).ansatz

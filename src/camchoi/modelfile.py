@@ -4,6 +4,7 @@ a canonical printer."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -23,7 +24,7 @@ from .expr import (
     ZERO,
     app,
 )
-from .jet import Context, Pde, expand_pde, total_derivative
+from .jet import Context, expand_pde, total_derivative
 from .reduction import Ansatz, FirstIntegralCandidate, ReducedEquation, SolutionRule
 from .symmetry import VectorField
 
@@ -46,6 +47,9 @@ class ModelLookupError(LookupError):
 # -- lexer ---------------------------------------------------------------------
 
 _PUNCT = "{}()[]=;,^+-*/"
+# digits with at most one '.', then an exponent only if it has a digit: every
+# NUMBER token is a valid Fraction literal
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -92,18 +96,11 @@ def tokenize(text: str) -> List[Token]:
             col += j - i + 1
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_exp = False
-            while j < n and (text[j].isdigit() or text[j] == "." or
-                             (text[j] in "eE" and j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-") and not seen_exp and any(c.isdigit() for c in text[i:j])) or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    seen_exp = True
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
+        m = _NUMBER.match(text, i) if ch in "0123456789." else None
+        if m:
+            tokens.append(Token("NUMBER", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -147,34 +144,39 @@ class FuncDecl:
 
 
 @dataclass
-class PdeBlock:
-    name: str
-    ctx: Context
-    lhs: Expr
-    pde: Pde
-    note: str = ""
+class EquationBlock:
+    """lhs = 0 in the jet context ctx: the record of every equation block kind."""
 
-
-@dataclass
-class ReducedBlock:
-    name: str
-    equation: ReducedEquation
-    note: str = ""
-
-
-@dataclass
-class IntegralBlock:
-    name: str
-    candidate: FirstIntegralCandidate
-    note: str = ""
-
-
-@dataclass
-class OdeBlock:
     name: str
     ctx: Context
     lhs: Expr
     note: str = ""
+    constants: Tuple[Sym, ...] = ()  # integral blocks only
+    var_kind = REDUCED
+
+
+@dataclass
+class PdeBlock(EquationBlock):
+    kind, var_kind = "pde", INDEPENDENT
+
+    def __post_init__(self):
+        self.pde = expand_pde(self.ctx, self.lhs, name=self.name)
+
+
+class ReducedBlock(EquationBlock):
+    kind = "reduced"
+
+
+class IntegralBlock(EquationBlock):
+    kind = "integral"
+
+    @property
+    def candidate(self) -> FirstIntegralCandidate:
+        return FirstIntegralCandidate(self.ctx, self.lhs, self.constants, self.name)
+
+
+class OdeBlock(EquationBlock):
+    kind = "ode"
 
 
 @dataclass
@@ -183,6 +185,7 @@ class FieldBlock:
     on: str
     vf: VectorField
     note: str = ""
+    kind = "field"
 
 
 @dataclass
@@ -191,6 +194,7 @@ class AnsatzBlock:
     on: str
     ansatz: Ansatz
     note: str = ""
+    kind = "ansatz"
 
 
 @dataclass
@@ -202,6 +206,7 @@ class SolutionBlock:
     rules: Tuple[SolutionRule, ...]
     bindings: List[Tuple[Sym, Expr]]
     note: str = ""
+    kind = "solution"
 
 
 @dataclass
@@ -216,6 +221,12 @@ class RunBlock:
     step: Fraction = Fraction(1, 10 ** 4)
     color: str = "black"
     note: str = ""
+    kind = "run"
+
+
+_BLOCKS = {cls.kind: cls for cls in (PdeBlock, ReducedBlock, IntegralBlock, OdeBlock,
+                                     FieldBlock, AnsatzBlock, SolutionBlock, RunBlock)}
+_TOP_LEVEL = set(_BLOCKS) | {"param", "exponent", "func"}
 
 
 @dataclass
@@ -239,26 +250,11 @@ class ModelDocument:
                 return b
         raise ModelLookupError("no block named %r" % name)
 
-    def context_of(self, block) -> Context:
-        if isinstance(block, PdeBlock) or isinstance(block, OdeBlock):
-            return block.ctx
-        if isinstance(block, ReducedBlock):
-            return block.equation.ctx
-        if isinstance(block, IntegralBlock):
-            return block.candidate.ctx
-        raise ModelLookupError("block %r has no context" % block.name)
-
-    def equation_of(self, block):
+    def equation_of(self, block) -> ReducedEquation:
         """A ReducedEquation view of pde, reduced, integral, or ode blocks."""
-        if isinstance(block, PdeBlock):
-            return block.pde.as_reduced()
-        if isinstance(block, ReducedBlock):
-            return block.equation
-        if isinstance(block, IntegralBlock):
-            return ReducedEquation(block.candidate.ctx, block.candidate.lhs, block.name)
-        if isinstance(block, OdeBlock):
-            return ReducedEquation(block.ctx, block.lhs, block.name)
-        raise ModelLookupError("block %r has no equation" % block.name)
+        if not isinstance(block, EquationBlock):
+            raise ModelLookupError("block %r has no equation" % block.name)
+        return ReducedEquation(block.ctx, block.lhs, block.name)
 
 
 def _normalize_name(name: str) -> str:
@@ -267,13 +263,12 @@ def _normalize_name(name: str) -> str:
 
 # -- parser -----------------------------------------------------------------------
 
-_BLOCK_KINDS = ("pde", "reduced", "integral", "ode", "field", "ansatz", "solution", "run")
-
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.block_keys: set = set()  # _normalize_name of every block name so far
 
     # token helpers
     def peek(self) -> Token:
@@ -319,7 +314,7 @@ class _Parser:
         while self.peek().type != "EOF":
             tok = self.peek()
             if tok.type != "NAME":
-                self.error("expected a declaration or block", expected=set(_BLOCK_KINDS) | {"param", "exponent", "func"})
+                self.error("expected a declaration or block", expected=_TOP_LEVEL)
             if tok.value == "param":
                 self.advance()
                 names = self._parse_namelist()
@@ -330,14 +325,14 @@ class _Parser:
                 decls.append(ParamDecl(names))
             elif tok.value == "exponent":
                 self.advance()
-                nm = self.expect("NAME").value
+                nm = self._name()
                 if nm != "n":
                     self.error("the exponent parameter must be named n")
                 params[nm] = N_SYMBOL
                 decls.append(ExponentDecl(nm))
             elif tok.value == "func":
                 self.advance()
-                nm = self.expect("NAME").value
+                nm = self._name()
                 self.expect("(")
                 args = self._parse_namelist()
                 self.expect(")")
@@ -345,147 +340,153 @@ class _Parser:
                     self.error("function %r declared twice" % nm)
                 funcs[nm] = tuple(args)  # resolved to Syms lazily per context
                 decls.append(FuncDecl(nm, tuple(args)))
-            elif tok.value in _BLOCK_KINDS:
+            elif tok.value in _BLOCKS:
                 blocks.append(self.parse_block(doc))
             else:
-                self.error(
-                    "unknown top-level keyword %r" % tok.value,
-                    expected=set(_BLOCK_KINDS) | {"param", "exponent", "func"},
-                )
+                self.error("unknown top-level keyword %r" % tok.value, expected=_TOP_LEVEL)
             self.skip_newlines()
         return doc
 
     def parse_block(self, doc: ModelDocument):
-        kind = self.expect("NAME").value
-        name = self.expect("NAME").value
+        cls = _BLOCKS[self._name()]
+        name = self.expect("NAME")
         on = self.expect("NAME") if self.accept("NAME", "on") else None
-        for b in doc.blocks:
-            if b.__class__.__name__.lower().startswith(kind) and b.name == name:
-                self.error("duplicate %s block %r" % (kind, name))
+        key = _normalize_name(name.value)
+        if key in self.block_keys:
+            raise ParseError("duplicate block name %r" % name.value, name.line, name.col)
+        self.block_keys.add(key)
         self.expect("{")
         self.skip_newlines()
-        handler = getattr(self, "_clauses_%s" % kind)
-        block = handler(doc, name, on)
+        read = self._equation_block if issubclass(cls, EquationBlock) else getattr(self, "_%s_block" % cls.kind)
+        block = read(doc, cls, name.value, on)
         self.skip_newlines()
         self.expect("}")
         return block
 
     # clause helpers
-    def _clause_key(self) -> str:
+    def _clauses(self, handlers: dict, got: Optional[dict] = None) -> dict:
+        """Read clauses up to the closing brace.
+
+        handlers[key](at) reads the rest of a clause whose key token is at; got
+        maps each key read, note included, to the value of its last clause.
+        """
+        got = {} if got is None else got
+        handlers = dict(handlers, note=lambda at: self._assigned(lambda: self.expect("STRING").value))
+        while self.peek().type != "}":
+            at = self.peek()
+            key = self._name()
+            if key not in handlers:
+                self.error("unknown clause %r" % key, expected=set(handlers))
+            got[key] = handlers[key](at)
+            tok = self.peek()
+            if tok.type in ("NEWLINE", ";"):
+                self.skip_newlines()
+            elif tok.type != "}":
+                self.error("expected end of clause", expected={";", "newline", "}"})
+        return got
+
+    def _name(self) -> str:
         return self.expect("NAME").value
 
-    def _end_clause(self):
-        tok = self.peek()
-        if tok.type in ("NEWLINE", ";"):
-            self.advance()
-            self.skip_newlines()
-        elif tok.type != "}":
-            self.error("expected end of clause", expected={";", "newline", "}"})
+    def _assigned(self, read):
+        self.expect("=")
+        return read()
 
-    def _on_context(self, doc, kind: str, on: Optional[Token]) -> Context:
+    def _parse_namelist(self) -> List[str]:
+        names = [self._name()]
+        while self.accept(","):
+            names.append(self._name())
+        return names
+
+    def _variable(self, ctx: Context, on: Token) -> Sym:
+        vname = self._name()
+        v = _lookup_var(ctx, vname)
+        if v is None:
+            self.error("%r is not an independent variable of %s" % (vname, on.value))
+        return v
+
+    def _dependent(self, ctx: Context, on: Token) -> Token:
+        tok = self.expect("NAME")
+        if tok.value != ctx.dependent.name:
+            self.error("%r is not the dependent variable of %s" % (tok.value, on.value))
+        return tok
+
+    def _built_at(self, at: Token, build, *args):
+        """build(*args), with an ExprError (a JetError too) as a ParseError at token at."""
+        try:
+            return build(*args)
+        except ExprError as e:
+            raise ParseError(str(e), at.line, at.col) from None
+
+    def _on_context(self, doc, cls, on: Optional[Token]) -> Context:
         """Context of the block named after 'on'; a ParseError at that name if it has none."""
         if on is None:
-            self.error("%s blocks need 'on %s'" % (kind, "EQUATION" if kind == "solution" else "PDE"))
+            self.error("%s blocks need 'on %s'" % (cls.kind, "EQUATION" if cls is SolutionBlock else "PDE"))
         try:
-            if kind == "field":
-                return doc.block(PdeBlock, on.value).ctx
-            return doc.context_of(doc.find(on.value))
+            target = doc.block(PdeBlock, on.value) if cls is FieldBlock else doc.find(on.value)
+            return doc.equation_of(target).ctx
         except ModelLookupError as e:
             raise ParseError(e.args[0], on.line, on.col) from None
 
-    def _parse_namelist(self) -> List[str]:
-        names = [self.expect("NAME").value]
-        while self.accept(","):
-            names.append(self.expect("NAME").value)
-        return names
-
-    def _equation_block_parts(self, doc, var_kind: str):
-        vars_: Optional[List[Sym]] = None
-        dep: Optional[Sym] = None
-        lhs: Optional[Expr] = None
+    # blocks
+    def _equation_block(self, doc, cls, name, on):
+        got: dict = {}
         constants: List[Sym] = []
-        note = ""
-        while self.peek().type != "}":
-            key = self._clause_key()
-            if key == "vars":
-                self.expect("=")
-                vars_ = [Sym(nm, var_kind) for nm in self._parse_namelist()]
-            elif key == "dep":
-                self.expect("=")
-                dep = Sym(self.expect("NAME").value, DEPENDENT)
-            elif key == "eq":
-                if vars_ is None or dep is None:
-                    self.error("vars and dep must come before eq")
-                ctx = Context(tuple(vars_), dep, tuple(sorted(doc.params.values(), key=lambda s: s.name)))
-                scope = _Scope(doc, ctx)
-                left = self.parse_expr(scope)
-                self.expect("=")
-                right = self.parse_expr(scope)
-                lhs = left - right
-            elif key == "constants":
-                self.expect("=")
-                for nm in self._parse_namelist():
-                    if nm not in doc.params:
-                        self.error("constant %r is not a declared parameter" % nm)
-                    constants.append(doc.params[nm])
-            elif key == "note":
-                self.expect("=")
-                note = self.expect("STRING").value
-            else:
-                self.error("unknown clause %r" % key, expected={"vars", "dep", "eq", "constants", "note"})
-            self._end_clause()
-        if vars_ is None or dep is None or lhs is None:
+
+        def context_part(read):
+            def clause(at):
+                if "eq" in got:
+                    raise ParseError("%s must come before eq" % at.value, at.line, at.col)
+                return self._assigned(read)
+            return clause
+
+        def eq(at):
+            if "vars" not in got or "dep" not in got:
+                self.error("vars and dep must come before eq")
+            params = tuple(sorted(doc.params.values(), key=lambda s: s.name))
+            ctx = self._built_at(at, Context, tuple(got["vars"]), got["dep"], params)
+            scope = _Scope(doc, ctx)
+            left = self.parse_expr(scope)
+            self.expect("=")
+            return at, ctx, left - self.parse_expr(scope)
+
+        def constant(at):
+            self.expect("=")
+            for nm in self._parse_namelist():
+                if nm not in doc.params:
+                    self.error("constant %r is not a declared parameter" % nm)
+                constants.append(doc.params[nm])
+
+        handlers = {
+            "vars": context_part(lambda: [Sym(nm, cls.var_kind) for nm in self._parse_namelist()]),
+            "dep": context_part(lambda: Sym(self._name(), DEPENDENT)),
+            "eq": eq,
+        }
+        if cls is IntegralBlock:
+            handlers["constants"] = constant
+        self._clauses(handlers, got)
+        if "eq" not in got:
             self.error("block needs vars, dep, and eq clauses")
-        ctx = Context(tuple(vars_), dep, tuple(sorted(doc.params.values(), key=lambda s: s.name)))
-        return ctx, lhs, constants, note
+        at, ctx, lhs = got["eq"]
+        return self._built_at(at, cls, name, ctx, lhs, got.get("note", ""), tuple(constants))
 
-    def _clauses_pde(self, doc, name, on):
-        ctx, lhs, _consts, note = self._equation_block_parts(doc, INDEPENDENT)
-        return PdeBlock(name, ctx, lhs, expand_pde(ctx, lhs, name=name), note)
-
-    def _clauses_reduced(self, doc, name, on):
-        ctx, lhs, _consts, note = self._equation_block_parts(doc, REDUCED)
-        return ReducedBlock(name, ReducedEquation(ctx, lhs, name), note)
-
-    def _clauses_integral(self, doc, name, on):
-        ctx, lhs, consts, note = self._equation_block_parts(doc, REDUCED)
-        return IntegralBlock(name, FirstIntegralCandidate(ctx, lhs, tuple(consts), name), note)
-
-    def _clauses_ode(self, doc, name, on):
-        ctx, lhs, _consts, note = self._equation_block_parts(doc, REDUCED)
-        return OdeBlock(name, ctx, lhs, note)
-
-    def _clauses_field(self, doc, name, on):
-        ctx = self._on_context(doc, "field", on)
-        on = on.value
+    def _field_block(self, doc, cls, name, on):
+        ctx = self._on_context(doc, cls, on)
         scope = _Scope(doc, ctx)
         xi: Dict[Sym, Expr] = {}
-        eta = ZERO
-        note = ""
-        while self.peek().type != "}":
-            at = self.peek()
-            key = self._clause_key()
-            if key == "xi":
-                vname = self.expect("NAME").value
-                v = _lookup_var(ctx, vname)
-                if v is None:
-                    self.error("%r is not an independent variable of %s" % (vname, on))
-                self.expect("=")
-                xi[v] = self._point_coefficient(scope, at)
-            elif key == "eta":
-                if self.peek().type == "NAME":
-                    dname = self.advance().value
-                    if dname != ctx.dependent.name:
-                        self.error("%r is not the dependent variable of %s" % (dname, on))
-                self.expect("=")
-                eta = self._point_coefficient(scope, at)
-            elif key == "note":
-                self.expect("=")
-                note = self.expect("STRING").value
-            else:
-                self.error("unknown clause %r" % key, expected={"xi", "eta", "note"})
-            self._end_clause()
-        return FieldBlock(name, on, VectorField(ctx, xi, eta, name=name), note)
+
+        def xi_clause(at):
+            v = self._variable(ctx, on)
+            xi[v] = self._assigned(lambda: self._point_coefficient(scope, at))
+
+        def eta(at):
+            if self.peek().type == "NAME":
+                self._dependent(ctx, on)
+            return self._assigned(lambda: self._point_coefficient(scope, at))
+
+        got = self._clauses({"xi": xi_clause, "eta": eta})
+        vf = VectorField(ctx, xi, got.get("eta", ZERO), name=name)
+        return FieldBlock(name, on.value, vf, got.get("note", ""))
 
     def _point_coefficient(self, scope, at: Token) -> Expr:
         """A field coefficient; a ParseError at the clause if it involves a jet."""
@@ -494,177 +495,123 @@ class _Parser:
             raise ParseError("point-symmetry coefficients must be jet free", at.line, at.col)
         return e
 
-    def _clauses_ansatz(self, doc, name, on):
-        src = self._on_context(doc, "ansatz", on)
-        on = on.value
+    def _ansatz_block(self, doc, cls, name, on):
+        src = self._on_context(doc, cls, on)
         new_vars: List[Tuple[Sym, Expr]] = []
-        rule: Optional[Expr] = None
         hints: List[Tuple[Sym, Expr]] = []
-        note = ""
-        while self.peek().type != "}":
-            key = self._clause_key()
-            if key == "var":
-                vname = self.expect("NAME").value
-                self.expect("=")
-                e = self.parse_expr(_Scope(doc, src))
-                existing = _lookup_var(src, vname)
-                if existing is not None and e == Expr.atom(existing):
-                    new_vars.append((existing, e))
-                else:
-                    new_vars.append((Sym(vname, REDUCED), e))
-            elif key == "sub":
-                sub = self.expect("NAME")
-                if sub.value != src.dependent.name:
-                    self.error("%r is not the dependent variable of %s" % (sub.value, on))
-                self.expect("=")
-                scope = _Scope(doc, src, extra_vars=[v for v, _ in new_vars])
-                rule = self.parse_expr(scope)
-            elif key == "inverse":
-                vname = self.expect("NAME").value
-                v = _lookup_var(src, vname)
-                if v is None:
-                    self.error("%r is not an independent variable of %s" % (vname, on))
-                self.expect("=")
-                scope = _Scope(doc, src, extra_vars=[vv for vv, _ in new_vars])
-                hints.append((v, self.parse_expr(scope)))
-            elif key == "note":
-                self.expect("=")
-                note = self.expect("STRING").value
-            else:
-                self.error("unknown clause %r" % key, expected={"var", "sub", "inverse", "note"})
-            self._end_clause()
+
+        def var(at):
+            vname = self._name()
+            e = self._assigned(lambda: self.parse_expr(_Scope(doc, src)))
+            existing = _lookup_var(src, vname)
+            keep = existing is not None and e == Expr.atom(existing)
+            new_vars.append((existing if keep else Sym(vname, REDUCED), e))
+
+        def with_new_vars():
+            return self.parse_expr(_Scope(doc, src, extra_vars=[v for v, _ in new_vars]))
+
+        def sub(at):
+            return self._dependent(src, on), self._assigned(with_new_vars)
+
+        def inverse(at):
+            v = self._variable(src, on)
+            hints.append((v, self._assigned(with_new_vars)))
+
+        got = self._clauses({"var": var, "sub": sub, "inverse": inverse})
         if not new_vars:
             self.error("ansatz needs at least one var clause")
-        func = None
-        dep = None
-        if rule is not None:
-            func, dep = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars), sub)
-        return AnsatzBlock(
-            name, on, Ansatz(src, new_vars, dep, func, rule, hints, name=name, note=note), note
-        )
+        func = dep = rule = None
+        if "sub" in got:
+            sub_tok, rule = got["sub"]
+            func, dep = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars), sub_tok)
+        note = got.get("note", "")
+        ansatz = Ansatz(src, new_vars, dep, func, rule, hints, name=name, note=note)
+        return AnsatzBlock(name, on.value, ansatz, note)
 
-    def _clauses_solution(self, doc, name, on):
-        ctx = self._on_context(doc, "solution", on)
-        on = on.value
-        sol: Optional[Expr] = None
+    def _solution_block(self, doc, cls, name, on):
+        ctx = self._on_context(doc, cls, on)
         rules: List[SolutionRule] = []
         bindings: List[Tuple[Sym, Expr]] = []
-        note = ""
         scope = _Scope(doc, ctx)
-        while self.peek().type != "}":
-            key = self._clause_key()
-            if key == "bind":
-                vname = self.expect("NAME").value
-                self.expect("=")
-                b = (Sym(vname, REDUCED), self.parse_expr(scope))
-                bindings.append(b)
-                scope.extra[b[0].name] = b[0]
-            elif key == "sub":
-                dname = self.expect("NAME").value
-                if dname != ctx.dependent.name:
-                    self.error("%r is not the dependent variable of %s" % (dname, on))
-                self.expect("=")
-                sol = self.parse_expr(scope)
-            elif key == "rule":
-                self.expect("NAME", "D")
-                self.expect("(")
-                fname = self.expect("NAME").value
-                self.expect(";")
-                dvars = self._parse_namelist()
-                self.expect(")")
-                self.expect("=")
-                rhs = self.parse_expr(scope)
-                fargs = scope.func_args(fname)
-                if fargs is None:
-                    self.error("unknown function %r in rule" % fname)
-                orders = [0] * len(fargs)
-                for dv in dvars:
-                    idx = next((i for i, a in enumerate(fargs) if a.name == dv), None)
-                    if idx is None:
-                        self.error("%r is not an argument of %s" % (dv, fname))
-                    orders[idx] += 1
-                rules.append(SolutionRule(Func(fname, fargs, tuple(orders)), rhs))
-            elif key == "note":
-                self.expect("=")
-                note = self.expect("STRING").value
-            else:
-                self.error("unknown clause %r" % key, expected={"sub", "rule", "bind", "note"})
-            self._end_clause()
-        if sol is None:
-            self.error("solution needs a sub clause")
-        return SolutionBlock(name, on, ctx.dependent.name, sol, tuple(rules), bindings, note)
 
-    def _clauses_run(self, doc, name, on):
-        ode = None
+        def bind(at):
+            v = Sym(self._name(), REDUCED)
+            bindings.append((v, self._assigned(lambda: self.parse_expr(scope))))
+            scope.extra[v.name] = v
+
+        def sub(at):
+            self._dependent(ctx, on)
+            return self._assigned(lambda: self.parse_expr(scope))
+
+        def rule(at):
+            self.expect("NAME", "D")
+            self.expect("(")
+            ftok = self.expect("NAME")
+            fname = ftok.value
+            self.expect(";")
+            dvars = self._parse_namelist()
+            self.expect(")")
+            rhs = self._assigned(lambda: self.parse_expr(scope))
+            fargs = self._built_at(ftok, scope.func_args, fname)
+            if fargs is None:
+                self.error("unknown function %r in rule" % fname)
+            orders = [0] * len(fargs)
+            for dv in dvars:
+                idx = next((i for i, a in enumerate(fargs) if a.name == dv), None)
+                if idx is None:
+                    self.error("%r is not an argument of %s" % (dv, fname))
+                orders[idx] += 1
+            rules.append(SolutionRule(Func(fname, fargs, tuple(orders)), rhs))
+
+        got = self._clauses({"bind": bind, "sub": sub, "rule": rule})
+        if "sub" not in got:
+            self.error("solution needs a sub clause")
+        return SolutionBlock(name, on.value, ctx.dependent.name, got["sub"], tuple(rules), bindings,
+                             got.get("note", ""))
+
+    def _run_block(self, doc, cls, name, on):
         settings: List[Tuple[str, Fraction]] = []
-        ic: List[Fraction] = []
-        span: Optional[Tuple[Fraction, Fraction]] = None
-        method = "adaptive-rk45"
-        tol = Fraction(1, 10 ** 9)
-        step = Fraction(1, 10 ** 4)
-        color = "black"
-        note = ""
-        while self.peek().type != "}":
-            key = self._clause_key()
-            if key == "ode":
-                self.expect("=")
-                ode = self.expect("NAME").value
-            elif key == "set":
-                pname = self.expect("NAME").value
-                self.expect("=")
-                settings.append((pname, self._parse_number()))
-            elif key == "ic":
-                self.expect("=")
-                ic = [self._parse_number()]
-                while self.accept(","):
-                    ic.append(self._parse_number())
-            elif key == "span":
-                self.expect("=")
-                a = self._parse_number()
-                self.expect(",")
-                b = self._parse_number()
-                span = (a, b)
-            elif key == "method":
-                self.expect("=")
-                method = self.expect("NAME").value
-                if self.accept("-"):
-                    method += "-" + self.expect("NAME").value
-            elif key == "tol":
-                self.expect("=")
-                tol = self._parse_number()
-            elif key == "step":
-                self.expect("=")
-                step = self._parse_number()
-            elif key == "color":
-                self.expect("=")
-                color = self.expect("NAME").value
-            elif key == "note":
-                self.expect("=")
-                note = self.expect("STRING").value
-            else:
-                self.error(
-                    "unknown clause %r" % key,
-                    expected={"ode", "set", "ic", "span", "method", "tol", "step", "color", "note"},
-                )
-            self._end_clause()
-        if ode is None or span is None or not ic:
+        got = self._clauses({
+            "ode": lambda at: self._assigned(self._name),
+            "set": lambda at: settings.append((self._name(), self._assigned(self._parse_number))),
+            "ic": lambda at: self._assigned(self._numbers),
+            "span": lambda at: self._assigned(self._span),
+            "method": lambda at: self._assigned(self._method),
+            "tol": lambda at: self._assigned(self._parse_number),
+            "step": lambda at: self._assigned(self._parse_number),
+            "color": lambda at: self._assigned(self._name),
+        })
+        if not {"ode", "ic", "span"} <= got.keys():
             self.error("run blocks need ode, ic, and span clauses")
-        return RunBlock(name, ode, settings, ic, span, method, tol, step, color, note)
+        got.pop("set", None)
+        return RunBlock(name, settings=settings, **got)
+
+    def _numbers(self) -> List[Fraction]:
+        out = [self._parse_number()]
+        while self.accept(","):
+            out.append(self._parse_number())
+        return out
+
+    def _span(self) -> Tuple[Fraction, Fraction]:
+        a = self._parse_number()
+        self.expect(",")
+        return a, self._parse_number()
+
+    def _method(self) -> str:
+        method = self._name()
+        return method + "-" + self._name() if self.accept("-") else method
 
     def _parse_number(self) -> Fraction:
-        sign = Fraction(1)
-        while True:
-            if self.accept("-"):
+        sign = 1
+        while self.peek().type in ("+", "-"):
+            if self.advance().type == "-":
                 sign = -sign
-                continue
-            if self.accept("+"):
-                continue
-            break
-        tok = self.expect("NUMBER")
-        val = Fraction(tok.value)
+        val = Fraction(self.expect("NUMBER").value)
         if self.accept("/"):
-            tok2 = self.expect("NUMBER")
-            val = val / Fraction(tok2.value)
+            den = self.expect("NUMBER")
+            if Fraction(den.value) == 0:
+                raise ParseError("division by zero", den.line, den.col)
+            val /= Fraction(den.value)
         return sign * val
 
     # expressions
@@ -915,84 +862,37 @@ def print_model(doc: ModelDocument) -> str:
     if out:
         out.append("")
     for b in doc.blocks:
-        out.extend(_print_block(b))
-        out.append("")
+        on = " on " + b.on if hasattr(b, "on") else ""
+        note = ['note = "%s"' % b.note] if b.note else []
+        out.append("%s %s%s {" % (b.kind, b.name, on))
+        out.extend("  " + c for c in _clause_lines(b) + note)
+        out.extend(["}", ""])
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-def _ctx_lines(ctx: Context) -> List[str]:
-    return [
-        "  vars = " + ", ".join(v.name for v in ctx.independents),
-        "  dep = " + ctx.dependent.name,
-    ]
-
-
-def _note_line(note: str) -> List[str]:
-    return ['  note = "%s"' % note] if note else []
-
-
-def _print_block(b) -> List[str]:
-    if isinstance(b, PdeBlock):
-        return (["pde %s {" % b.name] + _ctx_lines(b.ctx)
-                + ["  eq %s = 0" % b.lhs] + _note_line(b.note) + ["}"])
-    if isinstance(b, ReducedBlock):
-        eq = b.equation
-        return (["reduced %s {" % b.name] + _ctx_lines(eq.ctx)
-                + ["  eq %s = 0" % eq.lhs] + _note_line(b.note) + ["}"])
-    if isinstance(b, IntegralBlock):
-        c = b.candidate
-        lines = ["integral %s {" % b.name] + _ctx_lines(c.ctx)
-        if c.constants:
-            lines.append("  constants = " + ", ".join(s.name for s in c.constants))
-        lines += ["  eq %s = 0" % c.lhs] + _note_line(b.note) + ["}"]
-        return lines
-    if isinstance(b, OdeBlock):
-        return (["ode %s {" % b.name] + _ctx_lines(b.ctx)
-                + ["  eq %s = 0" % b.lhs] + _note_line(b.note) + ["}"])
+def _clause_lines(b) -> List[str]:
+    """The clauses of block b but its note, in canonical order."""
+    if isinstance(b, EquationBlock):
+        lines = ["vars = " + ", ".join(v.name for v in b.ctx.independents), "dep = " + b.ctx.dependent.name]
+        if b.constants:
+            lines.append("constants = " + ", ".join(s.name for s in b.constants))
+        return lines + ["eq %s = 0" % b.lhs]
     if isinstance(b, FieldBlock):
-        lines = ["field %s on %s {" % (b.name, b.on)]
-        for v in b.vf.ctx.independents:
-            c = b.vf.coefficient(v)
-            if not c.is_zero:
-                lines.append("  xi %s = %s" % (v.name, c))
-        if not b.vf.eta.is_zero:
-            lines.append("  eta = %s" % b.vf.eta)
-        lines += _note_line(b.note) + ["}"]
-        return lines
+        xi = [(v, b.vf.coefficient(v)) for v in b.vf.ctx.independents]
+        return (["xi %s = %s" % (v.name, c) for v, c in xi if not c.is_zero]
+                + (["eta = %s" % b.vf.eta] if not b.vf.eta.is_zero else []))
     if isinstance(b, AnsatzBlock):
         a = b.ansatz
-        lines = ["ansatz %s on %s {" % (b.name, b.on)]
-        for v, e in a.new_independent:
-            lines.append("  var %s = %s" % (v.name, e))
-        if a.dependent_rule is not None:
-            lines.append("  sub %s = %s" % (a.src.dependent.name, a.dependent_rule))
-        for v, e in a.inverse_hints:
-            lines.append("  inverse %s = %s" % (v.name, e))
-        lines += _note_line(b.note) + ["}"]
-        return lines
+        sub = [] if a.dependent_rule is None else ["sub %s = %s" % (a.src.dependent.name, a.dependent_rule)]
+        return (["var %s = %s" % (v.name, e) for v, e in a.new_independent] + sub
+                + ["inverse %s = %s" % (v.name, e) for v, e in a.inverse_hints])
     if isinstance(b, SolutionBlock):
-        lines = ["solution %s on %s {" % (b.name, b.on)]
-        for v, e in b.bindings:
-            lines.append("  bind %s = %s" % (v.name, e))
-        lines.append("  sub %s = %s" % (b.dep_name, b.sol))
-        for r in b.rules:
-            names = []
-            for v, o in zip(r.func.args, r.func.orders):
-                names.extend([v.name] * o)
-            lines.append("  rule D(%s;%s) = %s" % (r.func.name, ",".join(names), r.expr))
-        lines += _note_line(b.note) + ["}"]
-        return lines
-    if isinstance(b, RunBlock):
-        lines = ["run %s {" % b.name, "  ode = %s" % b.ode]
-        for k, v in b.settings:
-            lines.append("  set %s = %s" % (k, v))
-        lines.append("  ic = " + ", ".join(str(v) for v in b.ic))
-        lines.append("  span = %s, %s" % b.span)
-        lines.append("  method = %s" % b.method)
-        lines.append("  tol = %s" % b.tol)
-        lines.append("  step = %s" % b.step)
-        lines.append("  color = %s" % b.color)
-        lines += _note_line(b.note) + ["}"]
-        return lines
-    raise TypeError(b)
+        return (["bind %s = %s" % (v.name, e) for v, e in b.bindings] + ["sub %s = %s" % (b.dep_name, b.sol)]
+                + ["rule D(%s;%s) = %s" % (r.func.name, _derivative_word(r.func), r.expr) for r in b.rules])
+    return (["ode = " + b.ode] + ["set %s = %s" % kv for kv in b.settings]
+            + ["ic = " + ", ".join(str(v) for v in b.ic), "span = %s, %s" % b.span, "method = " + b.method,
+               "tol = %s" % b.tol, "step = %s" % b.step, "color = " + b.color])
 
+
+def _derivative_word(f: Func) -> str:
+    return ",".join(v.name for v, o in zip(f.args, f.orders) for _ in range(o))

@@ -217,8 +217,9 @@ REDUCE = ("reduce", "builtin", "cc", "cc18", "--printed", "cc19")
     (REDUCE + ("--identify", "h0"), "--identify h0: expected NAME=VALUE"),
     (REDUCE + ("--identify", "zz=alpha"), "--identify zz=alpha: 'zz' is not a declared parameter"),
     (REDUCE + ("--identify", "h0=zz"), "--identify h0=zz: 'zz' is not a declared parameter"),
+    (REDUCE[:4] + ("--identify", "zz"), "--identify needs --printed"),
 ], ids=["non-numeric value", "undeclared param", "param without =", "identify without =",
-        "undeclared identify lhs", "undeclared identify rhs"])
+        "undeclared identify lhs", "undeclared identify rhs", "identify without printed"])
 def test_bad_assignment_items_are_usage_errors(capsys, argv, item):
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from camchoi.expr import Expr
@@ -6,6 +9,7 @@ from camchoi.modelfile import (
     FieldBlock,
     ParseError,
     PdeBlock,
+    ReducedBlock,
     parse_expression,
     parse_model,
     print_model,
@@ -89,10 +93,9 @@ def test_duplicate_parameter_rejected():
 
 
 def test_nonlinear_leading_rejected_at_parse():
-    from camchoi.jet import JetError
-
-    with pytest.raises(JetError, match="nonlinear in leading"):
+    with pytest.raises(ParseError, match="nonlinear in leading") as err:
         parse_model("pde p {\n  vars = t\n  dep = u\n  eq u[t]^2 + u = 0\n}")
+    assert (err.value.line, err.value.col) == (4, 3)
 
 
 def test_jet_shorthand_only_for_dependent():
@@ -126,6 +129,138 @@ def test_bad_block_references_are_parse_errors(block, line, col):
     with pytest.raises(ParseError) as err:
         parse_model(MINI + block + "\n")
     assert (err.value.line, err.value.col) == (MINI_LINES + line, col)
+
+
+def _block(clauses, kind="pde"):
+    return "%s p {\n%s\n}\n" % (kind, "\n".join("  " + c for c in clauses))
+
+
+EQ_HEAD = ["vars = t", "dep = u"]
+
+
+RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n  span = %s\n}\n"
+
+
+# an error while building an equation block is reported at its eq clause
+@pytest.mark.parametrize("text, line, col, match", [
+    (_block(["vars = t, t", "dep = u", "eq u[t] = 0"]), 4, 3, "unique"),
+    (_block(["vars = t", "dep = t", "eq t = 0"]), 4, 3, "unique"),
+    (_block(EQ_HEAD + ["eq u + 1 = 0"]), 4, 3, "no jet variables"),
+    (_block(EQ_HEAD + ["eq (1 + u)*u[t] = 0"]), 4, 3, "nonlinear in leading"),
+    (_block(EQ_HEAD + ["eq t*u[t] + u = 0"]), 4, 3, "not a parameter monomial"),
+    (_block(EQ_HEAD + ["eq u[t] + u = 0", "vars = s"], "reduced"), 5, 3, "vars must come before eq"),
+    (_block(EQ_HEAD + ["eq u[t] + u = 0", "dep = v"], "ode"), 5, 3, "dep must come before eq"),
+    ("param a\n" + _block(EQ_HEAD + ["constants = a", "eq u[t] = 0"]), 5, 13, "unknown clause"),
+    (_block(EQ_HEAD + ["eq u[t] + 1.2.3 = 0"]), 4, 16, "found '.3'"),
+    (_block(EQ_HEAD + ["eq u[t] + 1e- = 0"]), 4, 14, "found 'e'"),
+    (_block(EQ_HEAD + ["eq u[t] + 1/0 = 0"]), 4, 17, "division by zero"),
+    (RUN % ("1/0", "0, 1"), 4, 10, "division by zero"),
+    (RUN % ("1", "0, 1e-"), 5, 14, "expected end of clause"),
+], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
+        "leading coefficient with a variable", "vars after eq", "dep after eq", "constants in a pde",
+        "two decimal points", "exponent without digits", "zero divisor in an equation",
+        "zero divisor in ic", "exponent without digits in span"])
+def test_malformed_blocks_are_parse_errors(text, line, col, match):
+    with pytest.raises(ParseError, match=match) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_numbers_read_as_fractions(doc):
+    ctx = doc.block(PdeBlock, "cc").ctx
+    for text, value in [("1.", 1), (".5", "1/2"), ("1.5e-3", "3/2000"), ("2E+2", 200), ("00.10", "1/10")]:
+        assert parse_expression(doc, ctx, text) == Expr.rational(Fraction(value))
+
+
+def test_block_names_are_unique_under_lookup():
+    eq = "{ vars = t; dep = u; eq u[t] + u = 0 }\n"
+    with pytest.raises(ParseError, match="duplicate block name 'Fa'") as err:
+        parse_model(MINI + "field fa on cc { xi t = 1 }\nfield Fa on cc { xi x = 1 }\n")
+    assert (err.value.line, err.value.col) == (MINI_LINES + 2, 7)
+    with pytest.raises(ParseError, match="duplicate block name 'p'"):
+        parse_model("pde p " + eq + "reduced p " + eq)
+    assert isinstance(parse_model("reduced p " + eq + "reduced q " + eq).find("Q"), ReducedBlock)
+
+
+# one block of each kind, with the number forms, a note and a rule
+FUZZ_SEED = """param alpha, h0, Y0, Y1
+exponent n
+func phi(t)
+pde cc {
+  vars = t, x, y
+  dep = u
+  eq D( D(u;t) + alpha*D(u;x) - u^n*D(u;x) + D(u;x,x) ; x ) + D(u;y,y) = 0
+}
+field X3 on cc { xi x = phi(t); eta = -D(phi;t) }
+ansatz cc18 on cc {
+  var t = t
+  var w = y - x
+  sub u = U(t,w)
+}
+pde cc19 {
+  vars = t, w
+  dep = U
+  eq U[w,w,w] + U[w]^2 - (1 - U + h0)*U[w,w] + U[w,t] = 0
+}
+ansatz z2red on cc19 {
+  var sigma = w*t^(-1/2)
+  sub U = 1 + h0 + t^(-1/2)*Y(sigma)
+  inverse w = sigma*t^(1/2)
+}
+reduced cc25 { vars = w; dep = Y; eq Y[w,w,w] + Y[w]^2 - Y*Y[w,w] = 0 }
+integral cc28 {
+  vars = w
+  dep = Y
+  constants = Y0, Y1
+  eq Y[w] + (1/2)*Y^2 + Y0*w + Y1 = 0
+}
+solution cc32 on cc19 {
+  bind lam = w*t^(-1)
+  sub U = w*t^(-1) + h0 + 1 + t^(-1)*Yp(lam)
+  rule D(Yp;lam) = -((1/2)*Yp(lam)^2 + Y0*lam + Y1)
+  note = "a note"
+}
+ode fig1ode {
+  vars = s
+  dep = H
+  eq H[s,s] - H/(2*n) + (H^n - (s/2)*H)*H[s] + 1.5e-3 = 0
+}
+run fig1n2 {
+  ode = fig1ode
+  set n = 2
+  ic = 1, -1/2
+  span = 0, 10
+  method = adaptive-rk45
+  tol = 1e-9
+  step = 0.001
+  color = red
+}
+"""
+
+
+def test_mutated_models_parse_or_raise_parse_error():
+    parse_model(FUZZ_SEED)
+    alphabet = sorted(set(FUZZ_SEED) | set("0123456789.eE+-/;,=()[]{}^*"))
+    rng = random.Random(20211)
+    leaks = []
+    for _ in range(1000):
+        text = list(FUZZ_SEED)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            op = rng.random()
+            if op < 0.4:
+                text[i] = rng.choice(alphabet)
+            elif op < 0.7:
+                del text[i]
+            else:
+                text.insert(i, rng.choice(alphabet))
+        try:
+            parse_model("".join(text))
+        except ParseError:
+            pass
+        except Exception as e:  # anything else is a leak; collect them all
+            leaks.append("%s: %s" % (type(e).__name__, e))
+    assert leaks == []
 
 
 def test_manifest_covers_required_labels():
