@@ -4,6 +4,7 @@ a canonical printer."""
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,6 +225,7 @@ class RunBlock:
     kind = "run"
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _BLOCKS = {cls.kind: cls for cls in (PdeBlock, ReducedBlock, IntegralBlock, OdeBlock,
                                      FieldBlock, AnsatzBlock, SolutionBlock, RunBlock)}
 _TOP_LEVEL = set(_BLOCKS) | {"param", "exponent", "func"}
@@ -350,7 +352,11 @@ class _Parser:
     def parse_block(self, doc: ModelDocument):
         cls = _BLOCKS[self._name()]
         name = self.expect("NAME")
-        on = self.expect("NAME") if self.accept("NAME", "on") else None
+        on = self.accept("NAME", "on")
+        if on is not None:
+            if "on" not in cls.__dataclass_fields__:
+                raise ParseError("%s blocks take no 'on'" % cls.kind, on.line, on.col)
+            on = self.expect("NAME")
         key = _normalize_name(name.value)
         if key in self.block_keys:
             raise ParseError("duplicate block name %r" % name.value, name.line, name.col)
@@ -614,33 +620,25 @@ class _Parser:
             val /= Fraction(den.value)
         return sign * val
 
-    # expressions
+    # expressions: an ExprError while combining sub-expressions is a
+    # ParseError at the first token of the sub-expression that made it fail
     def parse_expr(self, scope: "_Scope") -> Expr:
-        try:
-            return self._expr(scope)
-        except ExprError as e:
-            tok = self.peek()
-            raise ParseError(str(e), tok.line, tok.col) from e
-
-    def _expr(self, scope) -> Expr:
         e = self._term(scope)
         while True:
-            if self.accept("+"):
-                e = e + self._term(scope)
-            elif self.accept("-"):
-                e = e - self._term(scope)
-            else:
+            op = self.accept("+") or self.accept("-")
+            if op is None:
                 return e
+            at = self.peek()
+            e = self._built_at(at, _BINARY[op.type], e, self._term(scope))
 
     def _term(self, scope) -> Expr:
         e = self._unary(scope)
         while True:
-            if self.accept("*"):
-                e = e * self._unary(scope)
-            elif self.accept("/"):
-                e = e / self._unary(scope)
-            else:
+            op = self.accept("*") or self.accept("/")
+            if op is None:
                 return e
+            at = self.peek()
+            e = self._built_at(at, _BINARY[op.type], e, self._unary(scope))
 
     def _unary(self, scope) -> Expr:
         if self.accept("-"):
@@ -652,13 +650,13 @@ class _Parser:
     def _power(self, scope) -> Expr:
         base = self._primary(scope)
         if self.accept("^"):
-            expexpr = self._exponent_operand(scope)
-            return _apply_power(base, expexpr)
+            at = self.peek()
+            return self._built_at(at, _apply_power, base, self._exponent_operand(scope))
         return base
 
     def _exponent_operand(self, scope) -> Expr:
         if self.accept("("):
-            e = self._expr(scope)
+            e = self.parse_expr(scope)
             self.expect(")")
             return e
         if self.peek().type == "NUMBER":
@@ -674,14 +672,14 @@ class _Parser:
             return Expr.rational(Fraction(tok.value))
         if tok.type == "(":
             self.advance()
-            e = self._expr(scope)
+            e = self.parse_expr(scope)
             self.expect(")")
             return e
         if tok.type == "NAME":
             name = self.advance().value
             if name == "D" and self.peek().type == "(":
                 self.advance()
-                inner = self._expr(scope)
+                inner = self.parse_expr(scope)
                 self.expect(";")
                 dvars = self._parse_namelist()
                 self.expect(")")
@@ -689,24 +687,24 @@ class _Parser:
                     v = scope.variable(dv)
                     if v is None:
                         self.error("unknown derivative variable %r" % dv)
-                    inner = total_derivative(inner, v, scope.ctx)
+                    inner = self._built_at(tok, total_derivative, inner, v, scope.ctx)
                 return inner
             if name in ("exp", "tanh") and self.peek().type == "(":
                 self.advance()
-                inner = self._expr(scope)
+                inner = self.parse_expr(scope)
                 self.expect(")")
-                return app(name, inner)
+                return self._built_at(tok, app, name, inner)
             if self.peek().type == "(":
                 self.advance()
                 argnames = self._parse_namelist()
                 self.expect(")")
-                return scope.apply_function(self, name, argnames)
+                return self._built_at(tok, scope.apply_function, self, name, argnames)
             if self.peek().type == "[":
                 self.advance()
                 idxnames = self._parse_namelist()
                 self.expect("]")
-                return scope.jet(self, name, idxnames)
-            return scope.symbol(self, name)
+                return self._built_at(tok, scope.jet, self, name, idxnames)
+            return self._built_at(tok, scope.symbol, self, name)
         self.error("expected an expression", expected={"NUMBER", "NAME", "("})
 
 

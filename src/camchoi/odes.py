@@ -3,6 +3,7 @@ an embedded adaptive Runge-Kutta pair or classic fixed-step RK4."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,9 +139,14 @@ def _compile_callable(sys: OdeSystem) -> Callable:
     src = ("def _rhs(%s):\n    try:\n        return (%s,)\n"
            "    except (ArithmeticError, ValueError):\n        return (%s)\n"
            % (args, body, "nan, " * sys.order))
-    ns: Dict[str, object] = {"math": math, "nan": math.nan}
+    return _define(src, "_rhs")
+
+
+def _define(src: str, name: str) -> Callable:
+    """Execute generated source and return the function it defines as name."""
+    ns: Dict[str, object] = {"math": math, "nan": math.nan, "isfinite": math.isfinite}
     exec(src, ns)
-    return ns["_rhs"]
+    return ns[name]
 
 
 @dataclass
@@ -222,27 +228,11 @@ def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
     a, b = cfg.span
     nsteps = max(1, int(math.ceil(abs(b - a) / cfg.step)))
     h = (b - a) / nsteps
-    t = a
-    y = y0
-    samples = [(t, y)]
-    for _ in range(nsteps):
-        y = _rk4_step(f, t, y, h)
-        t += h
-        samples.append((t, y))
-    samples[-1] = (b, samples[-1][1])
+    samples = _rk4_loop(len(y0))(f, a, h, nsteps, *y0)
+    y = samples[-1][1]
+    samples[-1] = (b, y)
     flag = "" if all(math.isfinite(v) for v in y) else "non-finite"
     return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
-
-
-def _rk4_step(f, t, y, h):
-    k1 = f(t, *y)
-    k2 = f(t + h / 2, *(yi + h / 2 * ki for yi, ki in zip(y, k1)))
-    k3 = f(t + h / 2, *(yi + h / 2 * ki for yi, ki in zip(y, k2)))
-    k4 = f(t + h, *(yi + h * ki for yi, ki in zip(y, k3)))
-    return tuple(
-        yi + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
-    )
 
 
 def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -258,6 +248,7 @@ def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
     accepted = 0
     rejected = 0
     flag = ""
+    stages = _rkf45_stages(len(y0))
     fnow = f(t, *y)
     while (t - b) * direction < 0:
         if abs(h) < _UNDERFLOW_FRACTION * span_len:
@@ -265,28 +256,12 @@ def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
             break
         if (t + h - b) * direction > 0:
             h = b - t
-        ks = [fnow]
-        failed = False
-        for i in range(1, 6):
-            ti = t + _RKF_C[i] * h
-            yi = tuple(
-                yv + h * sum(_RKF_A[i][j] * ks[j][m] for j in range(i))
-                for m, yv in enumerate(y)
-            )
-            ki = f(ti, *yi)
-            if any(not math.isfinite(v) for v in ki):
-                failed = True
-                break
-            ks.append(ki)
-        if failed:
+        step = stages(f, t, h, *y, *fnow)
+        if step is None:
             h *= 0.5
             rejected += 1
             continue
-        ynew = tuple(
-            yv + h * sum(_RKF_B5[j] * ks[j][m] for j in range(6))
-            for m, yv in enumerate(y)
-        )
-        err = [h * sum(_RKF_ERR[j] * ks[j][m] for j in range(6)) for m in range(len(y))]
+        ynew, err = step
         norm = 0.0
         for m in range(len(y)):
             sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[m]), abs(ynew[m]))
@@ -316,6 +291,81 @@ def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
         if abs(samples[-1][0] - b) < 1e-9 * span_len:
             samples[-1] = (b, samples[-1][1])
     return Trajectory(samples, "adaptive-rk45", cfg, {}, accepted, rejected, flag)
+
+
+# The steppers are generated code, unrolled over the scalar state y0, y1, ...
+# Their source depends only on the state dimension and takes the right-hand
+# side as f, so each is generated once per dimension, on first use.  Their
+# float operations follow the order their docstrings state, which the tests
+# hold to a tuple-based reference bit for bit.
+
+
+def _names(prefix: str, dim: int) -> str:
+    """'y0, y1,' for prefix y: a tuple display, unpacking target or argument list."""
+    return ", ".join("%s%d" % (prefix, m) for m in range(dim)) + ","
+
+
+@functools.cache
+def _rk4_loop(dim: int) -> Callable:
+    """loop(f, t, h, nsteps, *y) -> the samples (t, y) before and after each
+    of nsteps classic RK4 steps of size h.
+
+    A step evaluates the stages at y + h / 2 * k1, y + h / 2 * k2 and
+    y + h * k3 and updates y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4).
+    """
+    def stage(k: str, scale: str) -> str:
+        return ", ".join("y%d + %s * %s%d" % (m, scale, k, m) for m in range(dim))
+
+    lines = [
+        "def loop(f, t, h, nsteps, %s):" % _names("y", dim),
+        "    h2 = h / 2",
+        "    h6 = h / 6",
+        "    samples = [(t, (%s))]" % _names("y", dim),
+        "    append = samples.append",
+        "    for _ in range(nsteps):",
+        "        %s = f(t, %s)" % (_names("a", dim), _names("y", dim)),
+        "        th = t + h2",
+        "        %s = f(th, %s)" % (_names("b", dim), stage("a", "h2")),
+        "        %s = f(th, %s)" % (_names("c", dim), stage("b", "h2")),
+        "        %s = f(t + h, %s)" % (_names("d", dim), stage("c", "h")),
+    ]
+    lines += ["        y{0} = y{0} + h6 * (a{0} + 2 * b{0} + 2 * c{0} + d{0})".format(m)
+              for m in range(dim)]
+    lines += [
+        "        t += h",
+        "        append((t, (%s)))" % _names("y", dim),
+        "    return samples",
+    ]
+    return _define("\n".join(lines) + "\n", "loop")
+
+
+@functools.cache
+def _rkf45_stages(dim: int) -> Callable:
+    """stages(f, t, h, *y, *k0) -> (ynew, err) for one Fehlberg 4(5) step.
+
+    k0 is f(t, *y).  The result is None when a stage evaluation is not
+    finite.  Each weighted sum starts from the integer 0 and adds every term
+    in table order, zero weights included, as sum() over the table does:
+    0 + -0.0 is 0.0, and a zero weight times NaN or inf is still NaN.
+    """
+    def wsum(weights, m: int) -> str:
+        return "(0%s)" % "".join(" + %r * k%d_%d" % (w, j, m) for j, w in enumerate(weights))
+
+    def ks(j: int) -> str:
+        return _names("k%d_" % j, dim)
+
+    lines = ["def stages(f, t, h, %s %s):" % (_names("y", dim), ks(0))]
+    for i in range(1, 6):
+        args = ", ".join("y%d + h * %s" % (m, wsum(_RKF_A[i], m)) for m in range(dim))
+        lines += [
+            "    %s = f(t + %r * h, %s)" % (ks(i), _RKF_C[i], args),
+            "    if not (%s):" % " and ".join("isfinite(k%d_%d)" % (i, m) for m in range(dim)),
+            "        return None",
+        ]
+    ynew = ", ".join("y%d + h * %s" % (m, wsum(_RKF_B5, m)) for m in range(dim))
+    err = ", ".join("h * %s" % wsum(_RKF_ERR, m) for m in range(dim))
+    lines.append("    return (%s,), (%s,)" % (ynew, err))
+    return _define("\n".join(lines) + "\n", "stages")
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, xq):

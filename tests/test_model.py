@@ -153,13 +153,17 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     ("param a\n" + _block(EQ_HEAD + ["constants = a", "eq u[t] = 0"]), 5, 13, "unknown clause"),
     (_block(EQ_HEAD + ["eq u[t] + 1.2.3 = 0"]), 4, 16, "found '.3'"),
     (_block(EQ_HEAD + ["eq u[t] + 1e- = 0"]), 4, 14, "found 'e'"),
-    (_block(EQ_HEAD + ["eq u[t] + 1/0 = 0"]), 4, 17, "division by zero"),
+    (_block(EQ_HEAD + ["eq u[t] + 1/0 = 0"]), 4, 15, "division by zero"),
     (RUN % ("1/0", "0, 1"), 4, 10, "division by zero"),
     (RUN % ("1", "0, 1e-"), 5, 14, "expected end of clause"),
+    ("pde p { vars = t; dep = u; eq u[t] = 0 }\node q on p { vars = s; dep = H; eq H[s] = 0 }\n",
+     2, 7, "ode blocks take no 'on'"),
+    (RUN.replace("run r {", "run r on o {") % ("1", "0, 1"), 2, 7, "run blocks take no 'on'"),
 ], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
         "leading coefficient with a variable", "vars after eq", "dep after eq", "constants in a pde",
         "two decimal points", "exponent without digits", "zero divisor in an equation",
-        "zero divisor in ic", "exponent without digits in span"])
+        "zero divisor in ic", "exponent without digits in span", "on in an ode block",
+        "on in a run block"])
 def test_malformed_blocks_are_parse_errors(text, line, col, match):
     with pytest.raises(ParseError, match=match) as err:
         parse_model(text)

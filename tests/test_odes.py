@@ -1,9 +1,12 @@
 import math
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
-from camchoi.expr import DEPENDENT, EXP_N, Expr, N_SYMBOL, PARAMETER, REDUCED, Sym
+from camchoi import odes
+from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, REDUCED, Sym
 from camchoi.jet import Context
 from camchoi.library import FIG1_RUNS, fig1_trajectory
 from camchoi.odes import (
@@ -187,8 +190,6 @@ def test_pinned_regression_values(doc):
 
 
 def test_fig1_fixed_step_defaults_to_the_run_block_step():
-    from fractions import Fraction
-
     from camchoi.library import builtin_text
     from camchoi.modelfile import RunBlock, parse_model
 
@@ -212,3 +213,144 @@ def test_svg_records_description(tmp_path):
     path = os.path.join(tmp_path, "d.svg")
     write_svg([], [], path, description="damping-factor grouping: default")
     assert "<desc>damping-factor grouping: default</desc>" in open(path).read()
+
+
+# -- the generated steppers against the generic tuple code they replaced -------
+
+
+def _reference_rk4_step(f, t, y, h):
+    k1 = f(t, *y)
+    k2 = f(t + h / 2, *(yi + h / 2 * ki for yi, ki in zip(y, k1)))
+    k3 = f(t + h / 2, *(yi + h / 2 * ki for yi, ki in zip(y, k2)))
+    k4 = f(t + h, *(yi + h * ki for yi, ki in zip(y, k3)))
+    return tuple(
+        yi + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _reference_rk4_loop(dim):
+    def loop(f, t, h, nsteps, *y):
+        samples = [(t, y)]
+        for _ in range(nsteps):
+            y = _reference_rk4_step(f, t, y, h)
+            t += h
+            samples.append((t, y))
+        return samples
+
+    return loop
+
+
+def _sum(terms):
+    """sum() of floats as Python 3.11 computes it: 0 + t0 + t1 + ..., in order.
+
+    Python 3.12's sum() compensates rounding, so the fold is spelled out.
+    """
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _reference_rkf45_stages(dim):
+    def stages(f, t, h, *args):
+        y, ks = args[:dim], [args[dim:]]
+        for i in range(1, 6):
+            ti = t + odes._RKF_C[i] * h
+            yi = tuple(
+                yv + h * _sum(odes._RKF_A[i][j] * ks[j][m] for j in range(i))
+                for m, yv in enumerate(y)
+            )
+            ki = f(ti, *yi)
+            if any(not math.isfinite(v) for v in ki):
+                return None
+            ks.append(ki)
+        ynew = tuple(
+            yv + h * _sum(odes._RKF_B5[j] * ks[j][m] for j in range(6))
+            for m, yv in enumerate(y)
+        )
+        err = [h * _sum(odes._RKF_ERR[j] * ks[j][m] for j in range(6)) for m in range(len(y))]
+        return ynew, err
+
+    return stages
+
+
+def _same_as_reference(monkeypatch, sys, ic, cfg):
+    """Integrate with the generated and with the reference steppers.
+
+    Both must evaluate the right-hand side at the same arguments and give the
+    same trajectory, compared by repr: it tells -0.0 from 0.0, matches NaNs,
+    and a float repr round-trips.  Returns (trajectory, calls) for each.
+    """
+    f = sys.compiled()
+    runs = []
+    for loop, stages in [(odes._rk4_loop, odes._rkf45_stages),
+                         (_reference_rk4_loop, _reference_rkf45_stages)]:
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return f(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(sys, "_fn", recorded)
+            m.setattr(odes, "_rk4_loop", loop)
+            m.setattr(odes, "_rkf45_stages", stages)
+            runs.append((integrate(sys, ic, cfg), calls))
+    (got, got_calls), (want, want_calls) = runs
+    assert repr(got_calls) == repr(want_calls)
+    assert repr(got.samples) == repr(want.samples)
+    assert (got.accepted, got.rejected, got.flag) == (want.accepted, want.rejected, want.flag)
+    return runs
+
+
+def test_generated_steppers_match_the_reference(doc, monkeypatch):
+    from camchoi.modelfile import OdeBlock
+
+    rng = random.Random(20210)
+    flags = set()
+    for i in range(40):
+        if i % 2:
+            ob = doc.block(OdeBlock, "cc33ode")
+            params = {doc.params["Y0"]: Fraction(rng.randint(-10, 10), 10),
+                      doc.params["Y1"]: Fraction(rng.randint(-10, 10), 10)}
+            ic = [rng.uniform(-1.0, 1.0)]
+        else:
+            ob = doc.block(OdeBlock, "fig1ode")
+            params = {N_SYMBOL: rng.choice([2, 3, 5]), doc.params["H1"]: Fraction(rng.randint(-5, 5), 10)}
+            ic = [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 0.5)]
+        sys = compile_rhs(ob.ctx, ob.lhs, params)
+        a = rng.uniform(-1.0, 1.0)
+        b = a + rng.uniform(0.05, 4.0)
+        span = (a, b) if i % 4 < 2 else (b, a)
+        dense = [rng.uniform(a, b) for _ in range(rng.randint(0, 3))]
+        tol = 10 ** rng.uniform(-10.0, -6.0)
+        for cfg in (IntegratorConfig(abs_tol=tol, rel_tol=tol, span=span, dense=dense),
+                    IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.01, 0.05), span=span)):
+            (got, _), _ = _same_as_reference(monkeypatch, sys, ic, cfg)
+            flags.add(got.flag)
+    assert flags == {"", "non-finite", "step-underflow"}
+
+
+@pytest.mark.parametrize("method", ["adaptive-rk45", "fixed-rk4"])
+def test_generated_steppers_keep_signed_zeros(monkeypatch, method):
+    # H'' = 0 from (-0.0, -0.0): the slopes are -0.0 and 0.0, and a weighted
+    # sum that starts from the integer 0 turns -0.0 into 0.0
+    sys = compile_rhs(zctx, zj((2,)), {})
+    cfg = IntegratorConfig(method=method, step=0.25, span=(0.0, 1.0))
+    (got, got_calls), (want, want_calls) = _same_as_reference(monkeypatch, sys, [-0.0, -0.0], cfg)
+
+    def signs(rows):
+        return [[math.copysign(1.0, v) for v in row] for row in rows]
+
+    assert signs(got_calls) == signs(want_calls)
+    assert signs((t,) + y for t, y in got.samples) == signs((t,) + y for t, y in want.samples)
+
+
+@pytest.mark.parametrize("method, flag", [("adaptive-rk45", "step-underflow"), ("fixed-rk4", "non-finite")])
+def test_generated_steppers_flag_domain_errors(monkeypatch, method, flag):
+    # H' = -H^(1/2) - 1 reaches H < 0 before s = 1, where the square root fails
+    sys = compile_rhs(zctx, zj((1,)) + Expr.atom(H).pow_exponent(Exponent(1, 0)) + 1, {})
+    cfg = IntegratorConfig(method=method, step=0.01, span=(0.0, 3.0))
+    (got, _), _ = _same_as_reference(monkeypatch, sys, [1.0], cfg)
+    assert got.flag == flag
