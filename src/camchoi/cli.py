@@ -5,12 +5,13 @@ three-curve figure, and the consolidated verification suite."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .expr import Expr, ExprError
+from .expr import ExprError
 from .library import (
     CaseResult,
     FIG1_RUNS,
@@ -18,30 +19,17 @@ from .library import (
     build_cases,
     fig1_trajectory,
     load_builtin,
+    observe_closed_form,
+    observe_first_integral,
+    observe_reduction,
+    observe_symmetry,
     run_case,
 )
-from .modelfile import (
-    AnsatzBlock,
-    FieldBlock,
-    IntegralBlock,
-    ModelDocument,
-    ModelLookupError,
-    OdeBlock,
-    PdeBlock,
-    ParseError,
-    SolutionBlock,
-    parse_model,
-)
+from .modelfile import FieldBlock, ModelDocument, ModelLookupError, OdeBlock, PdeBlock, ParseError, parse_model
 from .odes import IntegratorConfig, compile_rhs, integrate, write_csv
 from .report import Report
-from .reduction import (
-    check_first_integral,
-    compare_reduced,
-    pullback,
-    verify_closed_form,
-)
 from .svgplot import write_svg
-from .symmetry import check_symmetry, closure_table, commutator, determining_equations
+from .symmetry import closure_table, commutator, determining_equations
 
 
 def _load_model(spec: str) -> ModelDocument:
@@ -75,133 +63,76 @@ def _assignments(doc: ModelDocument, items, option: str, value) -> list:
     return out
 
 
-def _print_report(rep: Report, json_path: Optional[str]) -> int:
-    sys.stdout.write(rep.human_text())
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+def _report(args, results, extra: str = "") -> int:
+    """Print the report of results, then extra, and write it to --json;
+    exit 1 when a result fails."""
+    rep = Report(args.command)
+    for r in results:
+        rep.add(r)
+    sys.stdout.write(rep.human_text() + extra)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(rep.machine_text())
     return 1 if rep.failed else 0
 
 
 def _cmd_check_symmetry(args) -> int:
-    doc = _load_model(args.model)
-    field = doc.block(FieldBlock, args.field).vf
-    pde = doc.block(PdeBlock, args.pde).pde
-    residual = check_symmetry(field, pde)
-    rep = Report("check-symmetry")
-    verdict = "pass" if residual.is_zero else "fail"
-    rep.add(CaseResult("%s on %s" % (args.field, args.pde), "symmetry", verdict,
-                       {"residual": str(residual)}))
-    code = _print_report(rep, args.json)
-    if not residual.is_zero:
-        sys.stdout.write("residual: %s\n" % residual)
-    return code
+    label = "%s on %s" % (args.field, args.pde)
+    result = observe_symmetry(_load_model(args.model), label, [(args.field, args.pde)])
+    residual = result.detail["residuals"][label]
+    return _report(args, [result], "" if result.verdict == "pass" else "residual: %s\n" % residual)
 
 
 def _cmd_commutators(args) -> int:
     doc = _load_model(args.model)
-    fields = [doc.block(FieldBlock, nm).vf for nm in args.fields]
-    rep = Report("commutators")
-    for i, X in enumerate(fields):
-        for j, Y in enumerate(fields):
-            if j <= i:
-                continue
-            Z = commutator(X, Y)
-            rep.add(CaseResult("[%s,%s]" % (args.fields[i], args.fields[j]), "commutators",
-                               "pass", {"bracket": str(Z)}))
-    return _print_report(rep, args.json)
+    named = [(nm, doc.block(FieldBlock, nm).vf) for nm in args.fields]
+    return _report(args, [CaseResult("[%s,%s]" % (a, b), "commutators", "pass", {"bracket": str(commutator(X, Y))})
+                          for (a, X), (b, Y) in itertools.combinations(named, 2)])
 
 
 def _cmd_closure(args) -> int:
     doc = _load_model(args.model)
-    fields = [doc.block(FieldBlock, nm).vf for nm in args.fields]
-    table = closure_table(fields)
-    rep = Report("closure")
+    table = closure_table([doc.block(FieldBlock, nm).vf for nm in args.fields])
     detail = {}
     for (i, j), (Z, dec) in sorted(table.table.items()):
         key = "[%s,%s]" % (args.fields[i], args.fields[j])
-        if dec.ok:
-            detail[key] = dec.coefficient_strings()
-        else:
-            detail[key] = "not decomposable: " + str(Z)
+        detail[key] = dec.coefficient_strings() if dec.ok else "not decomposable: " + str(Z)
     ledger = [LedgerEntry("closure", "[%s,%s]" % (args.fields[i], args.fields[j]),
                           "", str(Z), "", "outside the span")
               for i, j, Z in table.witnesses]
-    rep.add(CaseResult("closure", "closure", "pass" if table.closed else "mismatch-recorded",
-                       {"closed": table.closed, "table": detail}, ledger))
-    return _print_report(rep, args.json)
+    return _report(args, [CaseResult("closure", "closure", "pass" if table.closed else "mismatch-recorded",
+                                     {"closed": table.closed, "table": detail}, ledger)])
 
 
 def _cmd_determining(args) -> int:
     doc = _load_model(args.model)
-    pde = doc.block(PdeBlock, args.pde).pde
-    det = determining_equations(pde)
-    rep = Report("determining")
-    rep.add(CaseResult(args.pde, "determining", "pass",
-                       {"equations": [str(e) for e in det.equations]}))
-    code = _print_report(rep, args.json)
-    for e in det.equations:
-        sys.stdout.write("  %s = 0\n" % e)
-    return code
+    equations = [str(e) for e in determining_equations(doc.block(PdeBlock, args.pde).pde).equations]
+    return _report(args, [CaseResult(args.pde, "determining", "pass", {"equations": equations})],
+                   "".join("  %s = 0\n" % e for e in equations))
 
 
 def _cmd_reduce(args) -> int:
     if args.identify and not args.printed:
         raise UsageError("--identify needs --printed")
     doc = _load_model(args.model)
-    pde = doc.block(PdeBlock, args.pde).pde
-    ansatz = doc.block(AnsatzBlock, args.ansatz).ansatz
-    red = pullback(pde, ansatz)
-    rep = Report("reduce")
-    detail = {"reduced": str(red.lhs)}
-    ledger = []
-    verdict = "pass"
+    identify = [(a.name, b.name) for a, b in
+                _assignments(doc, args.identify, "--identify", lambda s: _declared(doc, s))]
+    result = observe_reduction(doc, "%s under %s" % (args.pde, args.ansatz), args.pde, args.ansatz,
+                               args.printed, identify)
+    extra = "reduced: %s\n" % result.detail["derived"]
     if args.printed:
-        printed = doc.equation_of(doc.find(args.printed))
-        subs = _assignments(doc, args.identify, "--identify", lambda s: Expr.atom(_declared(doc, s)))
-        cmp_rep = compare_reduced(red, printed, substitutions=subs or None)
-        detail["verdict vs %s" % args.printed] = cmp_rep.verdict
-        if cmp_rep.verdict == "mismatch":
-            verdict = "mismatch-recorded"
-            ledger.append(LedgerEntry("reduce", "%s under %s" % (args.pde, args.ansatz),
-                                      str(printed.lhs), str(red.lhs), str(cmp_rep.residual), ""))
-    rep.add(CaseResult("%s under %s" % (args.pde, args.ansatz), "reduction", verdict, detail, ledger))
-    code = _print_report(rep, args.json)
-    for key, val in detail.items():
-        sys.stdout.write("%s: %s\n" % (key, val))
-    return code
+        extra += "verdict vs %s: %s\n" % (args.printed, result.detail["verdict vs printed"])
+    return _report(args, [result], extra)
 
 
 def _cmd_first_integral(args) -> int:
-    doc = _load_model(args.model)
-    eq = doc.equation_of(doc.find(args.equation))
-    fi = doc.block(IntegralBlock, args.candidate).candidate
-    residual = check_first_integral(eq, fi)
-    rep = Report("first-integral")
-    if residual.is_zero:
-        rep.add(CaseResult("%s integrates %s" % (args.candidate, args.equation),
-                           "first-integral", "pass", {"residual": "0"}))
-    else:
-        entry = LedgerEntry("first-integral", "d(%s) against %s" % (args.candidate, args.equation),
-                            args.candidate, args.equation, str(residual), "")
-        rep.add(CaseResult("%s integrates %s" % (args.candidate, args.equation),
-                           "first-integral", "mismatch-recorded",
-                           {"residual": str(residual)}, [entry]))
-    return _print_report(rep, args.json)
+    label = "%s integrates %s" % (args.candidate, args.equation)
+    return _report(args, [observe_first_integral(_load_model(args.model), label, args.equation, args.candidate)])
 
 
 def _cmd_solution_check(args) -> int:
-    doc = _load_model(args.model)
-    eq = doc.equation_of(doc.find(args.equation))
-    blk = doc.block(SolutionBlock, args.solution)
-    residual, constraints = verify_closed_form(eq, blk.sol, blk.rules, blk.bindings)
-    rep = Report("solution-check")
-    detail = {"residual": str(residual)}
-    if constraints and not residual.is_zero:
-        detail["constraints"] = {str(k): str(v) for k, v in constraints.items()}
-    verdict = "pass" if residual.is_zero else "mismatch-recorded"
-    rep.add(CaseResult("%s into %s" % (args.solution, args.equation), "solution", verdict, detail))
-    return _print_report(rep, args.json)
+    label = "%s into %s" % (args.solution, args.equation)
+    return _report(args, [observe_closed_form(_load_model(args.model), label, args.equation, args.solution)])
 
 
 def _cmd_integrate(args) -> int:
@@ -256,10 +187,7 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_paper_suite(args) -> int:
     doc = _load_model("builtin")
-    rep = Report("paper-suite")
-    for c in build_cases():
-        rep.add(run_case(c, doc))
-    return _print_report(rep, args.json)
+    return _report(args, [run_case(c, doc) for c in build_cases()])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, report=True, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", help="write the machine-readable report here")
+        if report:
+            sp.add_argument("--json", help="write the machine-readable report here")
         return sp
 
     sp = add("check-symmetry", _cmd_check_symmetry, help="symmetry residual of a field on a pde")
@@ -311,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("equation")
     sp.add_argument("solution")
 
-    sp = add("integrate", _cmd_integrate, help="integrate an ode block")
+    sp = add("integrate", _cmd_integrate, report=False, help="integrate an ode block")
     sp.add_argument("model")
     sp.add_argument("ode")
     sp.add_argument("--ic", type=float, nargs="+", required=True)
@@ -324,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv")
     sp.add_argument("--svg")
 
-    sp = add("fig1", _cmd_fig1, help="reproduce the three-curve figure")
+    sp = add("fig1", _cmd_fig1, report=False, help="reproduce the three-curve figure")
     sp.add_argument("--out", default="fig1-out")
     sp.add_argument("--grouping", default="default", choices=["default", "alt"])
     sp.add_argument("--span", type=float, nargs=2)

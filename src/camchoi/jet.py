@@ -32,6 +32,18 @@ class Context:
         if len(set(names)) != len(names):
             raise JetError("variable names must be unique within a context")
 
+    def __str__(self) -> str:
+        return "(%s; %s)" % (", ".join(v.name for v in self.independents), self.dependent.name)
+
+    def same_space(self, other: "Context") -> bool:
+        """Same independents and dependent, so the same jet space; parameters may differ."""
+        return self.independents == other.independents and self.dependent == other.dependent
+
+    def check_same_space(self, other: "Context", error, mine: str, theirs: str) -> None:
+        """Raise error naming both sides unless other is the same jet space."""
+        if not self.same_space(other):
+            raise error("%s is on %s but %s is on %s" % (mine, self, theirs, other))
+
     def jet(self, counts) -> object:
         counts = tuple(counts)
         if len(counts) != len(self.independents):

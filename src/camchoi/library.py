@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import importlib.resources as resources
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -169,21 +169,98 @@ def _combo(doc: ModelDocument, pairs: List[Tuple[object, str]]) -> VectorField:
     return field_lincomb(terms, terms[0][1].ctx if terms else _cc(doc))
 
 
-# -- case builders: one per check kind ---------------------------------------------
+# -- observations: one per check kind, shared with the subcommands ------------------
+#
+# An observation's verdict is what the computation found: pass when the check
+# comes out clean, otherwise the kind's discrepancy verdict, which is fail for
+# a symmetry residual and mismatch-recorded, with a ledger entry, for the rest.
+
+
+def observe_symmetry(doc: ModelDocument, label: str, pairs: List[Tuple[str, str]]) -> CaseResult:
+    """Symmetry residual of each (field, pde) pair of block names."""
+    residuals = {"%s on %s" % (f, p): check_symmetry(_vf(doc, f), _pde(doc, p)) for f, p in pairs}
+    ok = all(r.is_zero for r in residuals.values())
+    return CaseResult(label, "symmetry", "pass" if ok else "fail",
+                      {"residuals": {k: str(r) for k, r in residuals.items()}})
+
+
+def observe_reduction(doc: ModelDocument, label: str, pde_name: str, ansatz_name: str,
+                      printed_name: Optional[str] = None, identify=()) -> CaseResult:
+    """Pull pde_name back under ansatz_name.  With printed_name the result is
+    compared with that catalogued equation, after the parameter
+    identifications (pairs of names) in identify, and the comparison goes to
+    the ledger."""
+    red = pullback(_pde(doc, pde_name), doc.block(AnsatzBlock, ansatz_name).ansatz)
+    detail = {"derived": str(red.lhs)}
+    if printed_name is None:
+        return CaseResult(label, "reduction", "pass", detail)
+    printed = doc.equation_of(doc.find(printed_name))
+    subs = [(doc.params[a], Expr.atom(doc.params[b])) for a, b in identify]
+    rep = compare_reduced(red, printed, substitutions=subs or None)
+    detail["verdict vs printed"] = rep.verdict
+    if rep.verdict == "mismatch":
+        note = "printed reduced equation differs from the computed reduction"
+    elif rep.verdict == "under-substitution":
+        note = "matches under the identification " + ", ".join("%s = %s" % (s.name, v) for s, v in subs)
+    else:
+        note = "matches the computed reduction (%s)" % rep.verdict
+    ledger = [LedgerEntry(label, "%s under %s" % (pde_name, ansatz_name),
+                          str(printed.lhs), str(red.lhs), str(rep.residual), note)]
+    verdict = "mismatch-recorded" if rep.verdict == "mismatch" else "pass"
+    return CaseResult(label, "reduction", verdict, detail, ledger)
+
+
+def observe_first_integral(doc: ModelDocument, label: str, eq_name: str, fi_name: str) -> CaseResult:
+    """Residual of the quadrature candidate fi_name against equation eq_name."""
+    eq = doc.equation_of(doc.find(eq_name))
+    r = check_first_integral(eq, doc.block(IntegralBlock, fi_name).candidate)
+    detail = {"residual": str(r)}
+    if r.is_zero:
+        return CaseResult(label, "first-integral", "pass", detail)
+    entry = LedgerEntry(label, "d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
+                        str(r), "printed quadrature pair leaves a nonzero residual")
+    return CaseResult(label, "first-integral", "mismatch-recorded", detail, [entry])
+
+
+def observe_closed_form(doc: ModelDocument, label: str, eq_name: str, sol_name: str) -> CaseResult:
+    """Residual of closed form sol_name substituted into equation eq_name;
+    a nonzero one comes with its constraints, the coefficients that must
+    vanish."""
+    eq = doc.equation_of(doc.find(eq_name))
+    blk = doc.block(SolutionBlock, sol_name)
+    res, cons = verify_closed_form(eq, blk.sol, blk.rules, blk.bindings)
+    detail = {"residual": str(res)}
+    if res.is_zero:
+        return CaseResult(label, "solution", "pass", detail)
+    detail["constraints"] = cons = {str(k): str(v) for k, v in cons.items()}
+    note = "closed form leaves a nonzero residual; constraints: " + ", ".join(
+        "%s = 0" % v for _k, v in sorted(cons.items()))
+    entry = LedgerEntry(label, "%s into %s" % (sol_name, eq_name), str(blk.sol), "", str(res), note)
+    return CaseResult(label, "solution", "mismatch-recorded", detail, [entry])
+
+
+# -- case builders: an observation and what the case expects of it -------------------
+
+
+def _expect(result: CaseResult, ok: bool) -> CaseResult:
+    """The suite's verdict: the observation when ok (it is what the case
+    expects), fail otherwise."""
+    if not ok:
+        result.verdict = "fail"
+    return result
+
+
+def _at_alpha_zero(doc: ModelDocument) -> ModelDocument:
+    """doc with alpha = 0 substituted into every pde block."""
+    alpha = doc.params["alpha"]
+    return replace(doc, blocks=[replace(b, lhs=b.lhs.subst(alpha, ZERO)) if isinstance(b, PdeBlock) else b
+                                for b in doc.blocks])
 
 
 def _sym_case(label: str, title: str, pairs: List[Tuple[str, str]], alpha_zero: bool = False) -> Case:
+    """Each pair is expected to be a symmetry, which is the pass observation."""
     def run(doc: ModelDocument) -> CaseResult:
-        residuals = {}
-        ok = True
-        for fname, pname in pairs:
-            pde = _pde(doc, pname)
-            if alpha_zero:
-                pde = pde.with_parameter(doc.params["alpha"], 0)
-            r = check_symmetry(_vf(doc, fname), pde)
-            residuals["%s on %s" % (fname, pname)] = str(r)
-            ok = ok and r.is_zero
-        return CaseResult(label, "symmetry", "pass" if ok else "fail", {"residuals": residuals})
+        return observe_symmetry(_at_alpha_zero(doc) if alpha_zero else doc, label, pairs)
 
     return Case(label, "symmetry", title, run)
 
@@ -228,34 +305,19 @@ def _closure_case(label: str, title: str, names: List[str]) -> Case:
 
 def _red_case(label: str, title: str, pde_name: str, ansatz_name: str, printed_name: Optional[str] = None,
               expected: str = "", derived_name: Optional[str] = None, identify=()) -> Case:
-    """Pull pde_name back under ansatz_name.  With printed_name the result is
-    compared with that catalogued equation (after the parameter
-    identifications in identify) and the comparison goes to the ledger."""
+    """A reduction whose comparison with printed_name is expected to give the
+    compare verdict expected, and whose derived equation, with derived_name,
+    is expected to equal that hand-derived oracle."""
 
     def run(doc: ModelDocument) -> CaseResult:
-        red = pullback(_pde(doc, pde_name), doc.block(AnsatzBlock, ansatz_name).ansatz)
-        detail = {"derived": str(red.lhs)}
-        if printed_name is None:
-            return CaseResult(label, "reduction", "pass", detail)
-        ok = True
+        result = observe_reduction(doc, label, pde_name, ansatz_name, printed_name, identify)
+        ok = result.detail.get("verdict vs printed", "") == expected
         if derived_name:
-            ok = red.lhs == doc.equation_of(doc.find(derived_name)).normalized()
-            detail["matches hand-derived oracle"] = ok
-        printed = doc.equation_of(doc.find(printed_name))
-        subs = [(doc.params[a], Expr.atom(doc.params[b])) for a, b in identify]
-        rep = compare_reduced(red, printed, substitutions=subs or None)
-        detail["verdict vs printed"] = rep.verdict
-        if rep.verdict == "mismatch":
-            note = "printed reduced equation differs from the computed reduction"
-        elif rep.verdict == "under-substitution":
-            note = "matches under the identification " + ", ".join("%s = %s" % (s.name, v) for s, v in subs)
-        else:
-            note = "matches the computed reduction (%s)" % rep.verdict
-        ledger = [LedgerEntry(label, "%s under %s" % (pde_name, ansatz_name),
-                              str(printed.lhs), str(red.lhs), str(rep.residual), note)]
-        ok = ok and rep.verdict == expected
-        verdict = "fail" if not ok else ("mismatch-recorded" if rep.verdict == "mismatch" else "pass")
-        return CaseResult(label, "reduction", verdict, detail, ledger)
+            # printed forms are canonical, so equal strings are equal equations
+            oracle = str(doc.equation_of(doc.find(derived_name)).normalized())
+            result.detail["matches hand-derived oracle"] = same = result.detail["derived"] == oracle
+            ok = ok and same
+        return _expect(result, ok)
 
     return Case(label, "reduction", title, run)
 
@@ -265,14 +327,8 @@ def _fi_case(title: str, eq_name: str, fi_name: str) -> Case:
     label = fi_name[:2] + "." + fi_name[2:]
 
     def run(doc: ModelDocument) -> CaseResult:
-        eq = doc.equation_of(doc.find(eq_name))
-        r = check_first_integral(eq, doc.block(IntegralBlock, fi_name).candidate)
-        detail = {"residual": str(r)}
-        if r.is_zero:
-            return CaseResult(label, "first-integral", "fail", detail)
-        entry = LedgerEntry(label, "d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
-                            str(r), "printed quadrature pair leaves a nonzero residual")
-        return CaseResult(label, "first-integral", "mismatch-recorded", detail, [entry])
+        result = observe_first_integral(doc, label, eq_name, fi_name)
+        return _expect(result, result.verdict == "mismatch-recorded")
 
     return Case(label, "first-integral", title, run)
 
@@ -282,9 +338,8 @@ def _sol_case(title: str, name: str) -> Case:
     label = name[:2] + "." + name[2:]
 
     def run(doc: ModelDocument) -> CaseResult:
-        blk = doc.block(SolutionBlock, name)
-        res, _cons = verify_closed_form(doc.equation_of(doc.find(blk.on)), blk.sol, blk.rules, blk.bindings)
-        return CaseResult(label, "solution", "pass" if res.is_zero else "fail", {"residual": str(res)})
+        result = observe_closed_form(doc, label, doc.block(SolutionBlock, name).on, name)
+        return _expect(result, result.verdict == "pass")
 
     return Case(label, "solution", title, run)
 

@@ -309,6 +309,7 @@ def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
 
 def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
     """Rewrite pde.lhs under the ansatz and cancel the overall monomial factor."""
+    pde.ctx.check_same_space(a.src, ReductionError, "pde " + pde.name, "ansatz " + a.name)
     if a.dependent_rule is None:
         raise ReductionError("ansatz %s has no dependent rule; cannot pull back" % a.name)
     if not jacobian_rank_ok(a):

@@ -70,8 +70,7 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         return (
-            self.ctx.independents == other.ctx.independents
-            and self.ctx.dependent == other.ctx.dependent
+            self.ctx.same_space(other.ctx)
             and self.eta == other.eta
             and all(self.coefficient(v) == other.coefficient(v) for v in self.ctx.independents)
         )
@@ -162,6 +161,7 @@ def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
 
 def check_symmetry(X: VectorField, pde: Pde) -> Expr:
     """Symmetry residual on the solution manifold; zero certifies a symmetry."""
+    X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
     order = max(pde.lhs.max_jet_order(), 1)
     cond = apply_prolonged(prolong(X, order), pde.lhs)
     return on_manifold(cond, pde)
@@ -221,6 +221,7 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
 
 def commutator(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] acting componentwise as first-order operators on the base space."""
+    X.ctx.check_same_space(Y.ctx, SymmetryError, "field " + X.name, "field " + Y.name)
     ctx = X.ctx
     xi = {}
     for v in ctx.independents:

@@ -238,11 +238,23 @@ def test_missing_block_is_a_usage_error(capsys):
 
 
 def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
-    from camchoi import cli
+    from camchoi import library
 
     def broken(field, pde):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "check_symmetry", broken)
+    monkeypatch.setattr(library, "check_symmetry", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["check-symmetry", "builtin", "X2", "cc"])
+
+
+# Z3, Z1 and the eq33 equation live on (t, w; U); X1, X2, cc and cc18 on (t, x, y; u).
+@pytest.mark.parametrize("argv, message", [
+    (("check-symmetry", "builtin", "Z3", "cc"), "field Z3 is on (t, w; U) but pde cc is on (t, x, y; u)"),
+    (("check-symmetry", "builtin", "X2", "cc19"), "field X2 is on (t, x, y; u) but pde cc19 is on (t, w; U)"),
+    (("commutators", "builtin", "X1", "Z1"), "field X1 is on (t, x, y; u) but field Z1 is on (t, w; U)"),
+    (("reduce", "builtin", "eq33", "cc18"), "pde eq33 is on (t, w; U) but ansatz cc18 is on (t, x, y; u)"),
+], ids=["field off the pde", "field off the reduced pde", "bracket across spaces", "ansatz off the pde"])
+def test_mixed_jet_spaces_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
