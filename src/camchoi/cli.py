@@ -258,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grouping", default="default", choices=["default", "alt"])
     sp.add_argument("--span", type=float, nargs=2)
 
-    sp = add("paper-suite", _cmd_paper_suite,
-             help="run every built-in check and write one consolidated report")
-    sp.add_argument("--serial", action="store_true",
-                    help="accepted for compatibility; the cases always run serially")
+    add("paper-suite", _cmd_paper_suite,
+        help="run every built-in check and write one consolidated report")
 
     return p
 

@@ -21,7 +21,7 @@ from .expr import (
     ZERO,
 )
 from .jet import Context, Pde, expand_pde, total_derivative
-from .symmetry import VectorField
+from .symmetry import VectorField, eliminate
 
 
 class ReductionError(ExprError):
@@ -80,33 +80,10 @@ class Ansatz:
 
 
 def jacobian_rank_ok(a: Ansatz) -> bool:
-    """Full row rank of d(new)/d(old), certified by a nonzero maximal minor."""
-    rows = []
-    for _, e in a.new_independent:
-        rows.append([e.diff(v) for v in a.src.independents])
-    m = len(rows)
-    k = len(a.src.independents)
-    if m > k:
-        return False
-    import itertools
-
-    for cols in itertools.combinations(range(k), m):
-        det = _det([[rows[i][j] for j in cols] for i in range(m)])
-        if not det.is_zero:
-            return True
-    return False
-
-
-def _det(mat: List[List[Expr]]) -> Expr:
-    if len(mat) == 1:
-        return mat[0][0]
-    out = ZERO
-    sign = 1
-    for j in range(len(mat)):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        out = out + Expr.rational(sign) * mat[0][j] * _det(minor)
-        sign = -sign
-    return out
+    """Full row rank of d(new)/d(old), by exact elimination; an ansatz with no
+    new variable reduces nothing and fails."""
+    rows = [[e.diff(v) for v in a.src.independents] for _, e in a.new_independent]
+    return 0 < len(rows) == len(eliminate(rows, len(a.src.independents)))
 
 
 @dataclass

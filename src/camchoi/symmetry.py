@@ -230,30 +230,34 @@ def commutator(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(ctx, xi, eta, name="[%s,%s]" % (X.name or "X", Y.name or "Y"))
 
 
-# -- exact linear solving over expression fractions ---------------------------
+# -- exact linear algebra over the expression ring -----------------------------
 
 
-class _Frac:
-    """num/den pair of Exprs; division-free elimination over the Expr domain."""
+def eliminate(a: List[List[Expr]], ncols: int) -> List[int]:
+    """Gauss-Jordan elimination on the first ncols columns of a, in place and
+    without division; returns the pivot columns, pivot i sitting in row i.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr = ONE):
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def mul(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def sub(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def div(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den, self.den * other.num)
+    Each row update is piv * row - entry * pivot_row.  It keeps the row space
+    over the fraction field, and the expression ring is an integral domain,
+    so the zero tests, and hence the pivots and the rank, are those of
+    elimination over fractions.  Rows past the pivots end up zero in the
+    first ncols columns; later columns (a right-hand side) ride along.
+    """
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((rr for rr in range(r, len(a)) if not a[rr][c].is_zero), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        piv = prow[c]
+        for rr, row in enumerate(a):
+            e = row[c]
+            if rr != r and not e.is_zero:
+                a[rr] = [piv * x - e * y for x, y in zip(row, prow)]
+        pivots.append(c)
+    return pivots
 
 
 def solve_linear_exprs(rows: List[List[Expr]], rhs: List[Expr]) -> Optional[List[Tuple[Expr, Expr]]]:
@@ -262,40 +266,14 @@ def solve_linear_exprs(rows: List[List[Expr]], rhs: List[Expr]) -> Optional[List
     Free unknowns are set to zero.  Works over the fraction field of the
     expression domain, so no divisibility assumptions are needed.
     """
-    m = len(rows)
     ncols = len(rows[0]) if rows else 0
-    a = [[_Frac(x) for x in row] + [_Frac(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, m):
-            if not a[rr][c].is_zero:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        for rr in range(m):
-            if rr == r or a[rr][c].is_zero:
-                continue
-            factor = a[rr][c].div(piv)
-            a[rr] = [a[rr][k].sub(factor.mul(a[r][k])) for k in range(ncols + 1)]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    # inconsistent if a zero row has nonzero rhs
-    pivot_rows = {pr for pr, _ in pivots}
-    for rr in range(m):
-        if rr not in pivot_rows and not a[rr][ncols].is_zero:
-            if all(a[rr][k].is_zero for k in range(ncols)):
-                return None
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = eliminate(a, ncols)
+    if any(not row[ncols].is_zero for row in a[len(pivots):]):
+        return None
     sol: List[Tuple[Expr, Expr]] = [(ZERO, ONE)] * ncols
-    for pr, pc in pivots:
-        val = a[pr][ncols].div(a[pr][pc])
-        sol[pc] = (val.num, val.den)
+    for r, c in enumerate(pivots):
+        sol[c] = (a[r][ncols], a[r][c])
     return sol
 
 
@@ -309,12 +287,12 @@ class Decomposition:
         for num, den in self.coefficients or []:
             if num.is_zero:
                 out.append("0")
-            elif den == ONE:
-                out.append(str(num))
             elif den.is_monomial():
                 out.append(str(num / den))
             else:
-                out.append("(%s)/(%s)" % (num, den))
+                # a monomial quotient is the ratio of the leading terms
+                m = Expr(num.terms[:1]) / Expr(den.terms[:1])
+                out.append(str(m) if num == m * den else "(%s)/(%s)" % (num, den))
         return out
 
 
@@ -351,6 +329,8 @@ def _split_by_nonparameters(e: Expr) -> dict:
 
 def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposition:
     """Write target as a constant combination of the basis, parameters allowed."""
+    for f in basis:
+        target.ctx.check_same_space(f.ctx, SymmetryError, "field " + target.name, "field " + f.name)
     rows, rhs = _component_rows(basis, target)
     sol = solve_linear_exprs(rows, rhs)
     if sol is None:

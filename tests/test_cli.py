@@ -37,6 +37,16 @@ def test_closure_command(capsys):
     assert code == 0
 
 
+def test_closure_prints_exact_quotients_as_monomials(capsys, tmp_path):
+    path = os.path.join(tmp_path, "closure.json")
+    code, _, _ = run(capsys, "closure", "builtin", "Z1", "Z2", "Z3", "Zb3", "--json", path)
+    assert code == 0
+    table = json.load(open(path))["cases"][0]["detail"]["table"]
+    # [Z1,Z3] = Z2, whose coefficient the solver returns as (2*alpha + 2)/(2*alpha + 2)
+    assert table["[Z1,Z3]"] == ["0", "1", "0", "0"]
+    assert table["[Z2,Z3]"] == ["0", "0", "2", "0"]
+
+
 def test_determining_command(capsys):
     code, out, _ = run(capsys, "determining", "builtin", "cc")
     assert code == 0
@@ -107,14 +117,6 @@ def test_paper_suite_passes_and_is_stable(capsys, tmp_path):
     assert data["summary"]["mismatch_recorded"] > 0
     assert all(c["verdict"] in ("pass", "fail", "mismatch-recorded", "unsupported")
                for c in data["cases"])
-
-
-def test_paper_suite_serial_matches_threaded(capsys, tmp_path):
-    p1 = os.path.join(tmp_path, "themed.json")
-    p2 = os.path.join(tmp_path, "serial.json")
-    run(capsys, "paper-suite", "--json", p1)
-    run(capsys, "paper-suite", "--serial", "--json", p2)
-    assert open(p1).read() == open(p2).read()
 
 
 def test_paper_suite_reports_the_other_cases_when_one_raises(capsys, tmp_path, monkeypatch):
@@ -246,6 +248,30 @@ def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(library, "check_symmetry", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["check-symmetry", "builtin", "X2", "cc"])
+
+
+RANK_DEFICIENT_MODEL = """param alpha
+
+pde cc {
+  vars = t, x, y
+  dep = u
+  eq D( D(u;t) + alpha*D(u;x) - u*D(u;x) + D(u;x,x) ; x ) + D(u;y,y) = 0
+}
+
+ansatz flat on cc {
+  var s = x - y
+  var r = 2*x - 2*y
+  sub u = U(s,r)
+}
+"""
+
+
+def test_reduce_rejects_a_rank_deficient_ansatz(capsys, tmp_path):
+    path = os.path.join(tmp_path, "flat.model")
+    with open(path, "w") as fh:
+        fh.write(RANK_DEFICIENT_MODEL)
+    code, _, err = run(capsys, "reduce", path, "cc", "flat")
+    assert (code, err) == (2, "error: ansatz flat has a rank-deficient Jacobian\n")
 
 
 # Z3, Z1 and the eq33 equation live on (t, w; U); X1, X2, cc and cc18 on (t, x, y; u).

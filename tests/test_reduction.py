@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from camchoi.reduction import (
     compare_reduced,
     compose_ansatz,
     invariants_for,
+    jacobian_rank_ok,
     pullback,
     verify_closed_form,
 )
@@ -158,6 +161,59 @@ def test_pullback_rank_deficient_rejected(doc):
     )
     with pytest.raises(ReductionError, match="Jacobian"):
         pullback(cc, bad)
+
+
+def _det(mat):
+    """Cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    out = ZERO
+    for j in range(len(mat)):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        out = out + (-1) ** j * mat[0][j] * _det(minor)
+    return out
+
+
+def _rank_ok_by_minors(a):
+    """The reference rank test: some maximal minor of d(new)/d(old) is nonzero."""
+    rows = [[e.diff(v) for v in a.src.independents] for _, e in a.new_independent]
+    k = len(a.src.independents)
+    return len(rows) <= k and any(not _det([[row[j] for j in cols] for row in rows]).is_zero
+                                  for cols in itertools.combinations(range(k), len(rows)))
+
+
+def _random_poly(rng, atoms):
+    out = ZERO
+    for _ in range(rng.randint(1, 3)):
+        term = Expr.rational(rng.choice([-2, -1, 1, 3]))
+        for s in atoms:
+            term = term * Expr.atom(s) ** rng.randint(0, 2)
+        out = out + term
+    return out
+
+
+def test_jacobian_rank_ok_matches_cofactor_minors(doc):
+    ctx = pde(doc, "cc").ctx
+    alpha = doc.params["alpha"]
+    atoms = list(ctx.independents) + [alpha]
+    rng = random.Random(1729)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        exprs = []
+        for _ in range(rng.randint(1, 4)):
+            if exprs and rng.random() < 0.3:
+                # a function of an earlier variable: its gradient is parallel
+                g = rng.choice(exprs)
+                exprs.append(Expr.rational(rng.choice([-1, 2])) * g * g + Expr.atom(alpha) * g)
+            else:
+                exprs.append(_random_poly(rng, atoms))
+        ws = [Sym("w%d" % i, REDUCED) for i in range(len(exprs))]
+        fn = Func("F", tuple(ws))
+        a = Ansatz(ctx, list(zip(ws, exprs)), Sym("F", DEPENDENT), fn, Expr.atom(fn))
+        expected = _rank_ok_by_minors(a)
+        assert jacobian_rank_ok(a) == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 30
 
 
 def test_pullback_residual_old_variable(doc):

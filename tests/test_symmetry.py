@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from camchoi.jet import Context, expand_pde
 from camchoi.library import x3_of
 from camchoi.modelfile import FieldBlock, PdeBlock
 from camchoi.symmetry import (
+    Decomposition,
+    SymmetryError,
     VectorField,
     apply_prolonged,
     check_symmetry,
@@ -125,6 +129,105 @@ def test_solve_linear_exprs_inconsistent():
     rows = [[ONE], [ONE]]
     rhs = [Expr.atom(a), Expr.atom(a) + 1]
     assert solve_linear_exprs(rows, rhs) is None
+
+
+def test_decompose_field_rejects_basis_on_another_jet_space(doc):
+    # X1 lives on (t, x, y; u), Z1 and Z2 on (t, w; U)
+    message = "field X1 is on (t, x, y; u) but field Z1 is on (t, w; U)"
+    with pytest.raises(SymmetryError, match=re.escape(message)):
+        decompose_field(vf(doc, "X1"), [vf(doc, "Z1"), vf(doc, "Z2")])
+
+
+def test_coefficient_strings_print_exact_quotients_as_monomials():
+    a = Expr.atom(Sym("alpha"))
+    den = 2 * a * a + 4 * a + 2
+    dec = Decomposition(True, [
+        (den, den), (-3 * a * den, den), (ZERO, den), (a * a + a, a),
+        (a + 2, a + 1), (a * a - 1, a + 1),
+    ])
+    # a quotient that is not a monomial keeps its fraction form
+    assert dec.coefficient_strings() == [
+        "1", "-3*alpha", "0", "alpha + 1", "(alpha + 2)/(alpha + 1)", "(alpha^2 - 1)/(alpha + 1)",
+    ]
+
+
+def _poly(rng, alpha):
+    """A random element of Q[alpha] of degree at most 2; may be zero."""
+    out = ZERO
+    for d in range(rng.randint(1, 3)):
+        out = out + Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * Expr.atom(alpha) ** d
+    return out
+
+
+def _dot(row, xs):
+    out = ZERO
+    for a, x in zip(row, xs):
+        out = out + a * x
+    return out
+
+
+def _rank_at(rows, alpha, value):
+    """Rank over Q with alpha specialised to value: at most the rank over Q(alpha)."""
+    m = [[e.eval_fraction({alpha: value}) for e in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        p = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _solves(rows, rhs, sol):
+    """sum_j a_ij num_j/den_j == b_i, cross multiplied by every den."""
+    nums = []
+    total = ONE
+    for j, (num, den) in enumerate(sol):
+        total = total * den
+        for k, (_n, other) in enumerate(sol):
+            if k != j:
+                num = num * other
+        nums.append(num)
+    return all((_dot(row, nums) - b * total).is_zero for row, b in zip(rows, rhs))
+
+
+def test_solve_linear_exprs_planted_solutions():
+    """Systems over Q[alpha] with a planted solution c: a unique solution comes
+    back as num_i == c_i * den_i, a free unknown as zero, and an extra row that
+    contradicts the others makes the system inconsistent."""
+    alpha = Sym("alpha")
+    rng = random.Random(2021)
+    unique = 0
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        rows = [[_poly(rng, alpha) for _ in range(n)] for _ in range(n + rng.randint(0, 1))]
+        c = [_poly(rng, alpha) for _ in range(n)]
+        rhs = [_dot(row, c) for row in rows]
+        sol = solve_linear_exprs(rows, rhs)
+        assert sol is not None and _solves(rows, rhs, sol)
+        if _rank_at(rows, alpha, Fraction(7, 3)) == n:
+            unique += 1
+            assert all(num == ci * den for (num, den), ci in zip(sol, c))
+
+        # a copy of column k as a last unknown: that unknown is free
+        k = rng.randrange(n)
+        wide = [row + [row[k]] for row in rows]
+        wide_rhs = [b + row[k] * c[k] for row, b in zip(rows, rhs)]
+        sol = solve_linear_exprs(wide, wide_rhs)
+        assert sol is not None and _solves(wide, wide_rhs, sol)
+        assert sol[-1] == (ZERO, ONE)
+
+        # a combination of the rows with its right-hand side shifted
+        ws = [_poly(rng, alpha) for _ in rows]
+        extra = [_dot(ws, col) for col in zip(*rows)]
+        shift = Expr.rational(rng.choice([-2, -1, 1, 3]))
+        assert solve_linear_exprs(rows + [extra], rhs + [_dot(ws, rhs) + shift]) is None
+    assert unique >= 50
 
 
 def test_determining_equations_cc(doc, case_results):
