@@ -95,11 +95,7 @@ def field_lincomb(pairs, ctx: Context, name: str = "") -> VectorField:
     return VectorField(ctx, xi, eta, name=name)
 
 
-@dataclass
-class ProlongedField:
-    base: VectorField
-    order: int
-    eta_ext: Dict[tuple, Expr]
+MAX_PROLONG_ORDER = 3
 
 
 def _indices_up_to(nvars: int, order: int):
@@ -111,39 +107,60 @@ def _indices_up_to(nvars: int, order: int):
             yield tuple(counts)
 
 
-def prolong(X: VectorField, order: int, direction: str = "last") -> ProlongedField:
-    """Extend a point generator to jet space through the usual recursion.
+class ProlongedField:
+    """The prolongation of a point generator up to ``order``, built on demand.
 
+    ``eta(J)`` computes eta^[J] through the usual recursion and memoises it
+    with every prefix it passed through:
     eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j.  The result does not
     depend on the decomposition of J; ``direction`` picks which variable is
     peeled off first and exists so tests can exercise that independence.
     """
-    if order > 3:
-        raise SymmetryError("prolongation beyond order 3 is not needed")
-    ctx = X.ctx
-    nvars = len(ctx.independents)
-    ext: Dict[tuple, Expr] = {tuple(0 for _ in range(nvars)): X.eta}
-    dxi: Dict[Tuple[Sym, Sym], Expr] = {}
-    for i, vi in enumerate(ctx.independents):
-        for vj in ctx.independents:
-            dxi[(vi, vj)] = total_derivative(X.coefficient(vj), vi, ctx)
 
-    for counts in _indices_up_to(nvars, order):
+    def __init__(self, base: VectorField, order: int, direction: str):
+        self.base = base
+        self.order = order
+        self.direction = direction
+        self._eta: Dict[tuple, Expr] = {(0,) * len(base.ctx.independents): base.eta}
+        self._dxi: Dict[int, List[Expr]] = {}
+
+    def eta(self, counts: tuple) -> Expr:
+        e = self._eta.get(counts)
+        if e is not None:
+            return e
+        ctx = self.base.ctx
         nz = [i for i, c in enumerate(counts) if c > 0]
-        pick = nz[-1] if direction == "last" else nz[0]
+        pick = nz[-1] if self.direction == "last" else nz[0]
         prev = tuple(c - (1 if i == pick else 0) for i, c in enumerate(counts))
         vi = ctx.independents[pick]
-        e = total_derivative(ext[prev], vi, ctx)
-        for j, vj in enumerate(ctx.independents):
-            bump = tuple(c + (1 if k == j else 0) for k, c in enumerate(prev))
-            e = e - ctx.jet_expr(bump) * dxi[(vi, vj)]
-        ext[counts] = e
-    del ext[tuple(0 for _ in range(nvars))]
-    return ProlongedField(X, order, ext)
+        dxi = self._dxi.get(pick)
+        if dxi is None:
+            dxi = self._dxi[pick] = [total_derivative(self.base.coefficient(vj), vi, ctx)
+                                     for vj in ctx.independents]
+        e = total_derivative(self.eta(prev), vi, ctx)
+        for j, d in enumerate(dxi):
+            if not d.is_zero:
+                bump = tuple(c + (1 if k == j else 0) for k, c in enumerate(prev))
+                e = e - ctx.jet_expr(bump) * d
+        self._eta[counts] = e
+        return e
+
+    @property
+    def eta_ext(self) -> Dict[tuple, Expr]:
+        """Every eta^[J] with 1 <= |J| <= order."""
+        return {counts: self.eta(counts)
+                for counts in _indices_up_to(len(self.base.ctx.independents), self.order)}
+
+
+def prolong(X: VectorField, order: int, direction: str = "last") -> ProlongedField:
+    """Extend a point generator to jet space up to ``order``; see ProlongedField."""
+    if order > MAX_PROLONG_ORDER:
+        raise SymmetryError("prolongation is implemented up to order %d, not %d" % (MAX_PROLONG_ORDER, order))
+    return ProlongedField(X, order, direction)
 
 
 def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
-    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J."""
+    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J over the jets u_J of e."""
     e = as_expr(e)
     ctx = P.base.ctx
     out = P.base.eta * e.diff(ctx.dependent)
@@ -151,11 +168,15 @@ def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
         c = P.base.coefficient(v)
         if not c.is_zero:
             out = out + c * e.diff(v)
-    for counts, coeff in P.eta_ext.items():
-        target = ctx.jet(counts)
-        d = e.diff(target)
+    for a in ctx.jets_present(e)[0]:
+        if a.ivars != ctx.independents:  # a jet of another space: d e / d u_J is zero for every J here
+            continue
+        if a.order > P.order:
+            raise SymmetryError("%s is of order %d, beyond the prolongation order %d"
+                                % (Expr.atom(a), a.order, P.order))
+        d = e.diff(a)
         if not d.is_zero:
-            out = out + coeff * d
+            out = out + P.eta(a.counts) * d
     return out
 
 
@@ -163,6 +184,9 @@ def check_symmetry(X: VectorField, pde: Pde) -> Expr:
     """Symmetry residual on the solution manifold; zero certifies a symmetry."""
     X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
     order = max(pde.lhs.max_jet_order(), 1)
+    if order > MAX_PROLONG_ORDER:
+        raise SymmetryError("pde %s is of order %d; prolongation is implemented up to order %d"
+                            % (pde.name, order, MAX_PROLONG_ORDER))
     cond = apply_prolonged(prolong(X, order), pde.lhs)
     return on_manifold(cond, pde)
 

@@ -53,6 +53,30 @@ def test_determining_command(capsys):
     assert "D(xi_t;u) = 0" in out
 
 
+@pytest.mark.parametrize("pde, digest", [
+    ("cc", "1924453b64d5df2c007f57d45d851b09"),
+    ("gcc", "cdf344192e943c7b0ae308bc505807cc"),
+    ("cc19", "a0e841452213ebb5a540271bd4b065a2"),
+    ("eq33", "1ae5e945e4b6dd67335974a5b2ee771b"),
+])
+def test_determining_output_is_pinned(capsys, pde, digest):
+    # the report md5 covers only the verdict of the cc system, not its equations
+    code, out, _ = run(capsys, "determining", "builtin", pde)
+    assert code == 0
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [["check-symmetry", "T", "kdv4"], ["determining", "kdv4"]])
+def test_fourth_order_pde_names_the_prolongation_limit(capsys, tmp_path, command):
+    path = os.path.join(tmp_path, "kdv4.model")
+    with open(path, "w") as fh:
+        fh.write("pde kdv4 {\n  vars = t, x\n  dep = u\n  eq D(u;t) + D(u;x,x,x,x) = 0\n}\n"
+                 "field T on kdv4 { xi t = 1 }\n")
+    code, _, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert err == "error: pde kdv4 is of order 4; prolongation is implemented up to order 3\n"
+
+
 def test_reduce_command_with_comparison(capsys):
     code, out, _ = run(
         capsys, "reduce", "builtin", "cc", "cc18",

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -14,7 +16,7 @@ from camchoi.expr import (
     ONE,
     ZERO,
 )
-from camchoi.jet import Context, expand_pde
+from camchoi.jet import Context, expand_pde, on_manifold, total_derivative
 from camchoi.library import x3_of
 from camchoi.modelfile import FieldBlock, PdeBlock
 from camchoi.symmetry import (
@@ -62,6 +64,94 @@ def test_apply_prolonged_du_gives_single_term(doc):
     cc = pde(doc, "cc")
     P = prolong(vf(doc, "du_field"), 3)
     assert str(apply_prolonged(P, cc.lhs)) == "-u[x,x]"
+
+
+def test_apply_prolonged_rejects_jets_beyond_the_prolongation_order(doc):
+    # a first-order prolongation cannot see u[x,x], u[x,x,x], u[t,x] or u[y,y]
+    with pytest.raises(SymmetryError, match=re.escape("u[x,x] is of order 2, beyond the prolongation order 1")):
+        apply_prolonged(prolong(vf(doc, "X2"), 1), pde(doc, "cc").lhs)
+
+
+def test_prolong_names_the_implemented_order(doc):
+    with pytest.raises(SymmetryError, match="prolongation is implemented up to order 3, not 4"):
+        prolong(vf(doc, "X2"), 4)
+
+
+def _reference_apply_prolonged(X, order, e, direction="last"):
+    """The eager prolongation that on-demand eta^[J] replaced: the full table of
+    eta^[J] up to order, then a sum over every entry of it."""
+    ctx = X.ctx
+    n = len(ctx.independents)
+    ext = {(0,) * n: X.eta}
+    dxi = {(vi, vj): total_derivative(X.coefficient(vj), vi, ctx)
+           for vi in ctx.independents for vj in ctx.independents}
+    for total in range(1, order + 1):
+        for combo in itertools.combinations_with_replacement(range(n), total):
+            counts = tuple(combo.count(i) for i in range(n))
+            nz = [i for i, c in enumerate(counts) if c > 0]
+            pick = nz[-1] if direction == "last" else nz[0]
+            prev = tuple(c - (i == pick) for i, c in enumerate(counts))
+            vi = ctx.independents[pick]
+            eta = total_derivative(ext[prev], vi, ctx)
+            for j, vj in enumerate(ctx.independents):
+                bump = tuple(c + (k == j) for k, c in enumerate(prev))
+                eta = eta - ctx.jet_expr(bump) * dxi[(vi, vj)]
+            ext[counts] = eta
+    del ext[(0,) * n]
+    out = X.eta * e.diff(ctx.dependent)
+    for v in ctx.independents:
+        out = out + X.coefficient(v) * e.diff(v)
+    for counts, eta in ext.items():
+        out = out + eta * e.diff(ctx.jet(counts))
+    return out
+
+
+# pde, fields on its jet space (X3, X4 and Z4 carry function symbols), parameter bindings
+REFERENCE_CASES = [
+    ("cc", ("X1", "X2", "X3", "X4", "X5", "du_field"), [("alpha", 0)]),
+    ("gcc", ("Y1f", "Y2f", "Yb2f", "Y5f", "X3", "X4", "du_field"),
+     [("alpha", 0), ("n", 1), ("beta", Fraction(5, 2))]),
+    ("cc19", ("Z1", "Z2", "Z3", "Z4"), [("h0", 0)]),
+    ("eq33", ("Zb1", "Zb2", "Zb3_printed", "Z4"), [("alpha", -1), ("n", 2)]),
+]
+
+
+def _reference_pdes(doc):
+    for name, fields, bindings in REFERENCE_CASES:
+        base = pde(doc, name)
+        for p in [base] + [base.with_parameter(doc.params[q], v) for q, v in bindings]:
+            yield p, fields
+
+
+@pytest.mark.parametrize("direction", ["last", "first"])
+def test_check_symmetry_matches_the_eager_reference(doc, direction):
+    rng = random.Random(2021)
+    nonzero = drawn = 0
+    for p, fields in _reference_pdes(doc):
+        order = max(p.lhs.max_jet_order(), 1)
+        for _ in range(6):
+            pairs = [(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)), vf(doc, f))
+                     for f in rng.sample(fields, rng.randint(1, 3))]
+            X = field_lincomb(pairs, p.ctx, name="lincomb")
+            ref = on_manifold(_reference_apply_prolonged(X, order, p.lhs, direction), p)
+            assert on_manifold(apply_prolonged(prolong(X, order, direction), p.lhs), p) == ref
+            assert check_symmetry(X, p) == ref
+            nonzero += not ref.is_zero
+            drawn += 1
+    # both symmetries and non-symmetries are drawn
+    assert 10 <= nonzero <= drawn - 10
+
+
+@pytest.mark.parametrize("direction", ["last", "first"])
+def test_determining_equations_match_the_eager_reference(doc, monkeypatch, direction):
+    from camchoi import symmetry
+
+    pdes = [p for p, _fields in _reference_pdes(doc)]
+    monkeypatch.setattr(symmetry, "prolong", functools.partial(prolong, direction=direction))
+    got = [determining_equations(p).equations for p in pdes]
+    monkeypatch.setattr(symmetry, "apply_prolonged",
+                        lambda P, e: _reference_apply_prolonged(P.base, P.order, e, P.direction))
+    assert [determining_equations(p).equations for p in pdes] == got
 
 
 def test_check_symmetry_x4_exact(doc):
