@@ -501,12 +501,12 @@ class Expr:
             return ONE
         if k < 0:
             return _invert_monomial(self) ** (-k)
-        out = ONE
+        out = None
         base = self
         e = k
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if e > 1 else base
             e >>= 1
         return out
@@ -565,48 +565,17 @@ class Expr:
     # -- substitution --------------------------------------------------------
 
     def subst(self, target: Atom, repl) -> "Expr":
-        """Replace every occurrence of an atom, including inside exp/tanh arguments."""
-        repl = as_expr(repl)
-        if target is N_SYMBOL and any(e.n for mono, _ in self.terms for _, e in mono):
-            return self._subst_exponent_param(repl)
-        out = ZERO
-        for mono, coeff in self.terms:
-            factor = Expr.rational(coeff)
-            for a, e in mono:
-                if a == target:
-                    factor = factor * _power_of(repl, e)
-                    continue
-                if isinstance(a, App) and a.arg.contains(target):
-                    factor = factor * _power_of(app(a.fn, a.arg.subst(target, repl)), e)
-                    continue
-                factor = factor * Expr.atom(a, e)
-            out = out + factor
-        return out
+        """Replace every occurrence of an atom, including inside exp/tanh arguments.
 
-    def _subst_exponent_param(self, repl: "Expr") -> "Expr":
-        if not repl.is_rational():
-            raise ExprError("exponent parameter must bind to an integer")
-        q = repl.as_rational()
-        if q.denominator != 1:
-            raise ExprError("exponent parameter must bind to an integer")
-        k = q.numerator
-        out = ZERO
-        for mono, coeff in self.terms:
-            factor = Expr.rational(coeff)
-            for a, e in mono:
-                e2 = Exponent(e.num2 + 2 * k * e.n, 0)
-                if a == N_SYMBOL:
-                    factor = factor * _power_of(Expr.rational(k), e2)
-                elif isinstance(a, RatPow):
-                    factor = factor * _power_of(Expr.rational(a.base), e2)
-                elif isinstance(a, App) and a.arg.contains(N_SYMBOL):
-                    factor = factor * _power_of(app(a.fn, a.arg.subst(N_SYMBOL, repl)), e2)
-                else:
-                    if e2.is_zero():
-                        continue
-                    factor = factor * Expr.atom(a, e2)
-            out = out + factor
-        return out
+        Where the exponent parameter n occurs in an exponent, binding it needs
+        an integer and rebinds every exponent and rational power such as 2^n.
+        """
+        repl = as_expr(repl)
+        if target is N_SYMBOL and self._n_in_exponent():
+            if not repl.is_rational() or repl.as_rational().denominator != 1:
+                raise ExprError("exponent parameter must bind to an integer")
+            return self._rebuild(_bind_exponent_param(repl.as_rational().numerator))
+        return self._rebuild(lambda a, e: _power_of(repl, e) if a == target else None)
 
     def subst_func(self, name: str, args: tuple, rule: "Expr", base_orders: Optional[tuple] = None) -> "Expr":
         """Replace derivative instances of a named function symbol.
@@ -614,40 +583,65 @@ class Expr:
         An atom Func(name, args, J) with J >= base_orders componentwise is
         replaced by the (J - base_orders)-fold derivative of ``rule``.
         """
+        args = tuple(args)
         if base_orders is None:
             base_orders = tuple(0 for _ in args)
         cache: dict = {}
 
-        def value_for(orders: tuple) -> Expr:
-            if orders in cache:
-                return cache[orders]
-            delta = tuple(o - b for o, b in zip(orders, base_orders))
-            e = rule
-            for arg, d in zip(args, delta):
-                for _ in range(d):
-                    e = e.diff(arg)
-            cache[orders] = e
-            return e
+        def replace(a, e):
+            if not (a.__class__ is Func and a.name == name and a.args == args
+                    and all(o >= b for o, b in zip(a.orders, base_orders))):
+                return None
+            value = cache.get(a.orders)
+            if value is None:
+                value = rule
+                for arg, o, b in zip(args, a.orders, base_orders):
+                    for _ in range(o - b):
+                        value = value.diff(arg)
+                cache[a.orders] = value
+            return _power_of(value, e)
 
-        out = ZERO
-        for mono, coeff in self.terms:
-            factor = Expr.rational(coeff)
+        return self._rebuild(replace)
+
+    def _n_in_exponent(self) -> bool:
+        return any(e.n or (a.__class__ is App and a.arg._n_in_exponent())
+                   for mono, _ in self.terms for a, e in mono)
+
+    def _rebuild(self, replace: Callable) -> "Expr":
+        """The one substitution pass behind ``subst`` and ``subst_func``.
+
+        ``replace(atom, exponent)`` returns the Expr that replaces a factor,
+        or None to keep it; exp/tanh arguments are rebuilt through the same
+        rule.  A monomial with no replaced factor is copied as it is, and the
+        product of its replaced factors is multiplied into its kept part
+        once.  Returns self when nothing is replaced.
+        """
+        kept, changed = [], {}
+        for i, (mono, coeff) in enumerate(self.terms):
+            rest, product = [], None
             for a, e in mono:
-                if (
-                    isinstance(a, Func)
-                    and a.name == name
-                    and len(a.args) == len(args)
-                    and all(x == y for x, y in zip(a.args, args))
-                    and all(o >= b for o, b in zip(a.orders, base_orders))
-                ):
-                    factor = factor * _power_of(value_for(a.orders), e)
-                elif isinstance(a, App):
-                    inner = a.arg.subst_func(name, args, rule, base_orders)
-                    factor = factor * _power_of(app(a.fn, inner), e)
+                r = replace(a, e)
+                if r is None and a.__class__ is App:
+                    arg = a.arg._rebuild(replace)
+                    if arg is not a.arg:
+                        r = _power_of(app(a.fn, arg), e)
+                if r is None:
+                    rest.append((a, e))
                 else:
-                    factor = factor * Expr.atom(a, e)
-            out = out + factor
-        return out
+                    product = r if product is None else product * r
+            if product is None:
+                kept.append(i)
+                continue
+            rest = tuple(rest)
+            for mono2, c2 in product.terms:
+                m, extra = _mul_monos(rest, mono2)
+                c = coeff * c2 if extra == 1 else coeff * c2 * extra
+                prev = changed.get(m)
+                changed[m] = c if prev is None else prev + c
+        if len(kept) == len(self.terms):
+            return self
+        terms, keys = self.terms, self._mono_keys()
+        return Expr(tuple([terms[i] for i in kept]), [keys[i] for i in kept]) + Expr._from_map(changed)
 
     # -- structure -----------------------------------------------------------
 
@@ -830,6 +824,22 @@ def _power_of(base: Expr, e: Exponent) -> Expr:
     if e.is_integer():
         return base ** e.int_value()
     return base.pow_exponent(e)
+
+
+def _bind_exponent_param(k: int) -> Callable:
+    """The ``_rebuild`` rule that binds the exponent parameter n to the integer k."""
+
+    def bind(a, e):
+        if a is N_SYMBOL or a.__class__ is RatPow or e.n:
+            bound = Exponent(e.num2 + 2 * k * e.n, 0)
+            if a is N_SYMBOL:
+                return _power_of(Expr.rational(k), bound)
+            if a.__class__ is RatPow:
+                return _power_of(Expr.rational(a.base), bound)
+            return _power_of(Expr.atom(a)._rebuild(bind), bound)
+        return None
+
+    return bind
 
 
 def _exponent_expr(e: Exponent) -> Expr:

@@ -149,12 +149,9 @@ def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
 
 
 def on_manifold(e: Expr, pde: Pde) -> Expr:
-    """Replace the leading derivative by its solved form until absent."""
-    e = as_expr(e)
-    guard = 0
-    while e.contains(pde.leading):
-        e = e.subst(pde.leading, pde.leading_rhs)
-        guard += 1
-        if guard > 8:
-            raise JetError("manifold restriction did not terminate")
-    return e
+    """Replace the leading derivative by its solved form.
+
+    One substitution suffices: expand_pde takes the solved form from
+    affine_in, so it never holds the leading derivative.
+    """
+    return as_expr(e).subst(pde.leading, pde.leading_rhs)

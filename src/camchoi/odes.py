@@ -55,7 +55,7 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
         raise OdeError("ODE compilation needs a single independent variable")
     var = ctx.independents[0]
     e = as_expr(lhs)
-    if e.contains(N_SYMBOL):
+    if e.contains(N_SYMBOL) or any(x.n for mono, _ in e.terms for _a, x in mono):
         if N_SYMBOL not in params:
             raise OdeError("unbound parameter n")
         nval = Fraction(params[N_SYMBOL])
@@ -159,8 +159,12 @@ class IntegratorConfig:
     dense: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise OdeError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise OdeError("tolerances must be positive and finite")
+        if not 0 < self.step < math.inf:
+            raise OdeError("step must be positive and finite")
+        if not (math.isfinite(self.span[0]) and math.isfinite(self.span[1])):
+            raise OdeError("integration span must be finite")
         if self.span[0] == self.span[1]:
             raise OdeError("degenerate integration span")
 

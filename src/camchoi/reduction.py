@@ -429,18 +429,14 @@ def _top_jet_coeff(e: Expr, ctx: Context, order: int) -> Expr:
 
 
 def _solve_for_top(fi: FirstIntegralCandidate) -> Optional[Tuple[Jet, Expr]]:
-    ctx = fi.ctx
     order = fi.lhs.max_jet_order()
     if order == 0:
         return None
-    jet = ctx.jet((order,))
-    try:
-        coeff = _top_jet_coeff(fi.lhs, ctx, order)
-    except ReductionError:
+    jet = fi.ctx.jet((order,))
+    split = fi.lhs.affine_in(jet)
+    if split is None or split[0].is_zero or not split[0].is_monomial():
         return None  # nonlinear in its own top derivative; skip elimination
-    if coeff.is_zero or not coeff.is_monomial():
-        return None
-    rest = fi.lhs - coeff * Expr.atom(jet)
+    coeff, rest = split
     return jet, (-rest) / coeff
 
 
@@ -467,13 +463,7 @@ def check_first_integral(eq, fi: FirstIntegralCandidate) -> Expr:
     raw = c_eq * r - c_r * eq_lhs
     solved = _solve_for_top(fi)
     if solved is not None:
-        jet, rhs = solved
-        guard = 0
-        while raw.contains(jet):
-            raw = raw.subst(jet, rhs)
-            guard += 1
-            if guard > 10:
-                raise ReductionError("first-integral reduction did not terminate")
+        raw = raw.subst(*solved)  # the solved form is free of the top jet it replaces
     return raw.content_normalized()
 
 

@@ -3,7 +3,6 @@ commutators, and Lie-algebra closure analysis."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -98,29 +97,18 @@ def field_lincomb(pairs, ctx: Context, name: str = "") -> VectorField:
 MAX_PROLONG_ORDER = 3
 
 
-def _indices_up_to(nvars: int, order: int):
-    for total in range(1, order + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), total):
-            counts = [0] * nvars
-            for i in combo:
-                counts[i] += 1
-            yield tuple(counts)
-
-
 class ProlongedField:
     """The prolongation of a point generator up to ``order``, built on demand.
 
     ``eta(J)`` computes eta^[J] through the usual recursion and memoises it
     with every prefix it passed through:
-    eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j.  The result does not
-    depend on the decomposition of J; ``direction`` picks which variable is
-    peeled off first and exists so tests can exercise that independence.
+    eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off the last
+    variable of J.  The result does not depend on the decomposition of J.
     """
 
-    def __init__(self, base: VectorField, order: int, direction: str):
+    def __init__(self, base: VectorField, order: int):
         self.base = base
         self.order = order
-        self.direction = direction
         self._eta: Dict[tuple, Expr] = {(0,) * len(base.ctx.independents): base.eta}
         self._dxi: Dict[int, List[Expr]] = {}
 
@@ -129,8 +117,7 @@ class ProlongedField:
         if e is not None:
             return e
         ctx = self.base.ctx
-        nz = [i for i, c in enumerate(counts) if c > 0]
-        pick = nz[-1] if self.direction == "last" else nz[0]
+        pick = max(i for i, c in enumerate(counts) if c > 0)
         prev = tuple(c - (1 if i == pick else 0) for i, c in enumerate(counts))
         vi = ctx.independents[pick]
         dxi = self._dxi.get(pick)
@@ -145,18 +132,12 @@ class ProlongedField:
         self._eta[counts] = e
         return e
 
-    @property
-    def eta_ext(self) -> Dict[tuple, Expr]:
-        """Every eta^[J] with 1 <= |J| <= order."""
-        return {counts: self.eta(counts)
-                for counts in _indices_up_to(len(self.base.ctx.independents), self.order)}
 
-
-def prolong(X: VectorField, order: int, direction: str = "last") -> ProlongedField:
+def prolong(X: VectorField, order: int) -> ProlongedField:
     """Extend a point generator to jet space up to ``order``; see ProlongedField."""
     if order > MAX_PROLONG_ORDER:
         raise SymmetryError("prolongation is implemented up to order %d, not %d" % (MAX_PROLONG_ORDER, order))
-    return ProlongedField(X, order, direction)
+    return ProlongedField(X, order)
 
 
 def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:

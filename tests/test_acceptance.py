@@ -257,7 +257,7 @@ def test_criterion_7_numerics(doc):
     _announce(7, "figure reproduction and integrator checks in %.2fs" % elapsed, ok)
 
 
-def test_criterion_8_kernel_properties():
+def test_criterion_8_kernel_properties(eager_eta_table):
     # the randomized property suites are the evidence; re-run them here so the
     # acceptance module is self-contained
     from test_properties import (
@@ -273,7 +273,7 @@ def test_criterion_8_kernel_properties():
     test_leibniz_rule()
     test_mixed_partials_commute()
     test_jacobi_identity()
-    test_prolongation_decomposition_independence()
+    test_prolongation_decomposition_independence(eager_eta_table)
     test_parser_round_trip_random()
     _announce(8, "randomized kernel properties, 100+ instances each", True)
 

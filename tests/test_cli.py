@@ -125,6 +125,33 @@ def test_fig1_command(capsys, tmp_path):
     assert header == "zeta,H,Hp"
 
 
+FIG1_DIGESTS = {
+    "default": {
+        "fig1.svg": "bbce3beac84f718aa396872882fa1d87",
+        "fig1_n2.csv": "0f7d269215a6f2a19f2b0d0fe5f3e45c",
+        "fig1_n3.csv": "e2e3fe0645f3549c6c48faeb46d06d1f",
+        "fig1_n5.csv": "a0fd17477844694c346ee158afff8312",
+    },
+    "alt": {
+        "fig1.svg": "851595ecc103df95ff2f8111d2c41348",
+        "fig1_n2.csv": "e5d8af78e4a1a3e7a7980223ac194a36",
+        "fig1_n3.csv": "430fec344bc1862ce2a60a6329a66425",
+        "fig1_n5.csv": "b78cd139dbb05b70017ba5f501b30574",
+    },
+}
+
+
+@pytest.mark.parametrize("grouping", ["default", "alt"])
+def test_fig1_output_is_pinned(capsys, tmp_path, grouping):
+    # fig1 compiles its ODEs through the binding of the exponent parameter n
+    out_dir = os.path.join(tmp_path, "fig")
+    code, _, _ = run(capsys, "fig1", "--out", out_dir, "--grouping", grouping)
+    assert code == 0
+    got = {name: hashlib.md5(open(os.path.join(out_dir, name), "rb").read()).hexdigest()
+           for name in os.listdir(out_dir)}
+    assert got == FIG1_DIGESTS[grouping]
+
+
 def test_paper_suite_passes_and_is_stable(capsys, tmp_path):
     p1 = os.path.join(tmp_path, "r1.json")
     p2 = os.path.join(tmp_path, "r2.json")
@@ -221,7 +248,16 @@ ode root {
     (["root", "--ic", "1", "--span", "0", "3"], 1, ["endpoint 0.6137", "[step-underflow]"]),
     (["root", "--ic", "1", "--span", "0", "3", "--method", "fixed-rk4", "--step", "0.01"], 1,
      ["endpoint 3 -> nan [non-finite]"]),
-], ids=["initial point", "adaptive", "fixed-rk4"])
+    (["root", "--ic", "1", "--span", "0", "1", "--method", "fixed-rk4", "--step", "0"], 2,
+     ["error: step must be positive and finite"]),
+    (["root", "--ic", "1", "--span", "0", "1", "--method", "fixed-rk4", "--step", "nan"], 2,
+     ["error: step must be positive and finite"]),
+    (["root", "--ic", "1", "--span", "0", "1", "--method", "fixed-rk4", "--step", "-0.1"], 2,
+     ["error: step must be positive and finite"]),
+    (["root", "--ic", "1", "--span", "0", "1", "--tol", "nan"], 2, ["error: tolerances must be positive and finite"]),
+    (["root", "--ic", "1", "--span", "0", "nan"], 2, ["error: integration span must be finite"]),
+], ids=["initial point", "adaptive", "fixed-rk4", "zero step", "nan step", "negative step", "nan tol",
+        "nan span"])
 def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     path = os.path.join(tmp_path, "domain.model")
     with open(path, "w") as fh:
@@ -230,6 +266,22 @@ def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     assert got == code
     for text in expect:
         assert text in out + err
+
+
+EXPONENT_MODEL = "exponent n\node q { vars = z; dep = H; eq H[z,z] + H^n = 0 }\n"
+
+
+@pytest.mark.parametrize("params, code, expect", [
+    (["--param", "n=2"], 0, "q: 31 samples, endpoint 1 -> 0.571185491782, -0.736500326687\n"),
+    ([], 2, "error: unbound parameter n\n"),
+], ids=["bound", "unbound"])
+def test_exponent_only_parameter_is_bound(capsys, tmp_path, params, code, expect):
+    # n occurs in an exponent and nowhere as an atom
+    path = os.path.join(tmp_path, "exponent.model")
+    with open(path, "w") as fh:
+        fh.write(EXPONENT_MODEL)
+    got, out, err = run(capsys, "integrate", path, "q", "--ic", "1", "0", "--span", "0", "1", *params)
+    assert (got, out + err) == (code, expect)
 
 
 INTEGRATE = ("integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1")

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from camchoi.expr import Expr
-from camchoi.library import builtin_text, MANIFEST, manifest_resolves
+from camchoi.library import builtin_text, load_builtin, MANIFEST, manifest_resolves
 from camchoi.modelfile import (
     FieldBlock,
     ParseError,
@@ -57,6 +58,11 @@ def test_round_trip_builtin_model():
     doc2 = parse_model(text1)
     assert doc1 == doc2
     assert print_model(doc2) == text1
+
+
+def test_printed_builtin_model_is_pinned():
+    text = print_model(load_builtin())
+    assert hashlib.md5(text.encode("utf-8")).hexdigest() == "90d0d44705a0674e149e144da72b32e3"
 
 
 def test_print_expr_reparses_to_same_expr(doc):

@@ -3,27 +3,33 @@
 Each property runs on at least 100 seeded random instances.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from camchoi.expr import (
+    App,
     DEPENDENT,
     EXP_ONE,
     EXP_N,
     Exponent,
     Expr,
+    ExprError,
     Func,
     INDEPENDENT,
     Jet,
+    N_SYMBOL,
     PARAMETER,
     RatPow,
     Sym,
     ONE,
     ZERO,
     _mono_sort_key,
+    _power_of,
     app,
+    as_expr,
 )
-from camchoi.jet import Context, total_derivative
+from camchoi.jet import Context, on_manifold, total_derivative
 from camchoi.library import load_builtin
 from camchoi.modelfile import PdeBlock, parse_expression
 from camchoi.reduction import FirstIntegralCandidate, ReducedEquation, check_first_integral
@@ -210,6 +216,183 @@ def test_substitute_self_is_identity():
         assert e.subst(s, Expr.atom(s)) == e
 
 
+# The factor-wise substitution that the one traversal in Expr._rebuild
+# replaced: every monomial rebuilt factor by factor with full Expr
+# multiplications, the binding of n and the function-symbol substitution as
+# separate copies of the loop.
+def _reference_subst(e, target, repl):
+    repl = as_expr(repl)
+    if target is N_SYMBOL and any(x.n for mono, _ in e.terms for _, x in mono):
+        return _reference_subst_exponent_param(e, repl)
+    out = ZERO
+    for mono, coeff in e.terms:
+        factor = Expr.rational(coeff)
+        for a, x in mono:
+            if a == target:
+                factor = factor * _power_of(repl, x)
+                continue
+            if isinstance(a, App) and a.arg.contains(target):
+                factor = factor * _power_of(app(a.fn, _reference_subst(a.arg, target, repl)), x)
+                continue
+            factor = factor * Expr.atom(a, x)
+        out = out + factor
+    return out
+
+
+def _reference_subst_exponent_param(e, repl):
+    if not repl.is_rational():
+        raise ExprError("exponent parameter must bind to an integer")
+    q = repl.as_rational()
+    if q.denominator != 1:
+        raise ExprError("exponent parameter must bind to an integer")
+    k = q.numerator
+    out = ZERO
+    for mono, coeff in e.terms:
+        factor = Expr.rational(coeff)
+        for a, x in mono:
+            x2 = Exponent(x.num2 + 2 * k * x.n, 0)
+            if a == N_SYMBOL:
+                factor = factor * _power_of(Expr.rational(k), x2)
+            elif isinstance(a, RatPow):
+                factor = factor * _power_of(Expr.rational(a.base), x2)
+            elif isinstance(a, App) and a.arg.contains(N_SYMBOL):
+                factor = factor * _power_of(app(a.fn, _reference_subst(a.arg, N_SYMBOL, repl)), x2)
+            else:
+                if x2.is_zero():
+                    continue
+                factor = factor * Expr.atom(a, x2)
+        out = out + factor
+    return out
+
+
+def _reference_subst_func(e, name, args, rule, base_orders=None):
+    if base_orders is None:
+        base_orders = tuple(0 for _ in args)
+    cache = {}
+
+    def value_for(orders):
+        if orders in cache:
+            return cache[orders]
+        delta = tuple(o - b for o, b in zip(orders, base_orders))
+        v = rule
+        for arg, d in zip(args, delta):
+            for _ in range(d):
+                v = v.diff(arg)
+        cache[orders] = v
+        return v
+
+    out = ZERO
+    for mono, coeff in e.terms:
+        factor = Expr.rational(coeff)
+        for a, x in mono:
+            if (
+                isinstance(a, Func)
+                and a.name == name
+                and len(a.args) == len(args)
+                and all(p == q for p, q in zip(a.args, args))
+                and all(o >= b for o, b in zip(a.orders, base_orders))
+            ):
+                factor = factor * _power_of(value_for(a.orders), x)
+            elif isinstance(a, App):
+                factor = factor * _power_of(app(a.fn, _reference_subst_func(a.arg, name, args, rule, base_orders)), x)
+            else:
+                factor = factor * Expr.atom(a, x)
+        out = out + factor
+    return out
+
+
+def test_substitution_matches_the_factorwise_reference():
+    rng = random.Random(67)
+    in_app = 0
+    for _ in range(150):
+        target = rng.choice(ATOM_POOL)
+        e = random_expr(rng, 3)
+        if rng.random() < 0.3:
+            e = e + app(rng.choice(["exp", "tanh"]), random_expr(rng, 1, apps=False) * Expr.atom(target))
+        repl = random_expr(rng, 2)
+        got = e.subst(target, repl)
+        assert got == _reference_subst(e, target, repl)
+        _assert_canonical(got)
+        in_app += any(isinstance(at, App) and at.arg.contains(target) for at in e.atoms())
+    assert in_app >= 30
+
+
+# Factors carrying the exponent parameter n: as an atom, in exponents, under
+# a rational power and inside exp/tanh arguments.
+N_FACTORS = [
+    Expr.atom(N_SYMBOL),
+    Expr.atom(RatPow(2), EXP_N),
+    Expr.atom(RatPow(Fraction(1, 3)), Exponent(2, 1)),
+    Expr.atom(t, EXP_N),
+    Expr.atom(Jet(u, (t, x), (0, 1)), Exponent(-2, 1)),
+    Expr.atom(u, Exponent(4, 2)),
+    Expr.atom(Func("phi", (t,)), Exponent(0, -1)),
+    app("exp", Expr.atom(N_SYMBOL) * Expr.atom(x)),
+    app("tanh", Expr.atom(N_SYMBOL) + Expr.atom(t)).pow_exponent(EXP_N),
+]
+
+
+def test_exponent_parameter_binding_matches_the_factorwise_reference():
+    rng = random.Random(71)
+    for _ in range(150):
+        e = random_expr(rng, 2)
+        for _k in range(rng.randint(1, 3)):
+            e = e + random_expr(rng, 1) * rng.choice(N_FACTORS) * rng.choice(N_FACTORS)
+        k = rng.randint(-2, 3)
+        got = e.subst(N_SYMBOL, k)
+        assert got == _reference_subst(e, N_SYMBOL, k)
+        _assert_canonical(got)
+        assert not got.contains(N_SYMBOL) and not any(
+            isinstance(at, RatPow) or any(f.n for _a, f in mono)
+            for mono, _c in got.terms for at, _f in mono)
+
+
+def test_exponent_parameter_inside_an_application_is_bound():
+    # the factor-wise reference left n unbound here: the argument holds n only in an exponent
+    e = app("exp", Expr.atom(t, EXP_N)) + Expr.atom(x, EXP_N)
+    assert e.subst(N_SYMBOL, 2) == app("exp", Expr.atom(t) ** 2) + Expr.atom(x) ** 2
+
+
+def test_function_substitution_matches_the_factorwise_reference():
+    rng = random.Random(73)
+    for _ in range(150):
+        e = random_expr(rng, 3)
+        base = rng.choice([(0,), (1,)])
+        rule = random_expr(rng, 2, apps=False)
+        got = e.subst_func("phi", (t,), rule, base)
+        assert got == _reference_subst_func(e, "phi", (t,), rule, base)
+        _assert_canonical(got)
+
+
+def test_substitution_without_a_target_returns_the_expression():
+    rng = random.Random(79)
+    for _ in range(100):
+        e = random_expr(rng, 3, apps=rng.random() < 0.5)
+        assert e.subst(Sym("absent", PARAMETER), random_expr(rng, 1)) is e
+        assert e.subst_func("absent", (t,), ONE) is e
+        assert e.subst(N_SYMBOL, 2) is e
+
+
+def test_on_manifold_eliminates_the_leading_derivative():
+    rng = random.Random(83)
+    doc = load_builtin()
+    pdes = [b.pde for b in doc.blocks if isinstance(b, PdeBlock)]
+    assert len(pdes) >= 4
+    for pde in pdes:
+        ctx = pde.ctx
+        nvars = len(ctx.independents)
+        jets = [pde.leading] + [ctx.jet(J) for J in itertools.product(range(4), repeat=nvars) if 0 < sum(J) <= 3]
+        pool = [Expr.atom(a) for a in jets + list(ctx.independents) + [ctx.dependent]]
+        for _ in range(25):
+            e = ZERO
+            for _term in range(rng.randint(1, 4)):
+                m = Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                for _f in range(rng.randint(1, 3)):
+                    m = m * rng.choice(pool)
+                e = e + m * Expr.atom(pde.leading) ** rng.randint(0, 2)
+            assert not on_manifold(e, pde).contains(pde.leading)
+
+
 def test_collect_reexpansion():
     rng = random.Random(23)
     for _ in range(100):
@@ -287,13 +470,14 @@ def test_jacobi_identity():
         assert total.is_zero_field()
 
 
-def test_prolongation_decomposition_independence():
+def test_prolongation_decomposition_independence(eager_eta_table):
     rng = random.Random(41)
     for _ in range(100):
         X = _random_poly_field(rng, ctx2)
-        last = prolong(X, 3, direction="last")
-        first = prolong(X, 3, direction="first")
-        assert last.eta_ext == first.eta_ext
+        P = prolong(X, 3)
+        for direction in ("last", "first"):
+            table = eager_eta_table(X, 3, direction)
+            assert {J: P.eta(J) for J in table} == table
 
 
 def test_parser_round_trip_random():
