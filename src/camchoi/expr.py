@@ -21,6 +21,12 @@ Kernel invariants:
   zero coefficient; a monomial's factors are strictly ascending by atom sort
   key, and a RatPow never carries an integer exponent.  Sums merge the two
   term tuples; each atom computes its sort key once.
+* A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
+  atoms, ``ONE``, ``collect`` keys and ``content_normalized`` store an int
+  where the value is integral, and arithmetic may leave an integral Fraction.
+  Equal values compare and hash equal (``1 == Fraction(1)``), so term tuples,
+  ``key()``, ``str()`` and term order never depend on the type;
+  ``as_rational`` always returns a Fraction.
 """
 
 from __future__ import annotations
@@ -356,7 +362,10 @@ class Expr:
 
     @staticmethod
     def rational(q) -> "Expr":
-        q = Fraction(q)
+        if q.__class__ is not int:
+            q = Fraction(q)
+            if q.denominator == 1:
+                q = q.numerator
         if q == 0:
             return ZERO
         return Expr((((), q),))
@@ -367,7 +376,7 @@ class Expr:
             return ONE
         if a.__class__ is RatPow and exp.is_integer():
             return Expr.rational(a.base ** exp.int_value())
-        return Expr(((((a, exp),), Fraction(1)),))
+        return Expr(((((a, exp),), 1),))
 
     # -- basic queries -------------------------------------------------------
 
@@ -383,7 +392,7 @@ class Expr:
             return Fraction(0)
         if not self.is_rational():
             raise ExprError("expression %s is not a rational constant" % self)
-        return self.terms[0][1]
+        return Fraction(self.terms[0][1])
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -544,23 +553,64 @@ class Expr:
 
     def diff(self, s: Atom) -> "Expr":
         """Partial derivative treating all other atoms as independent."""
-        if s == N_SYMBOL:
-            for mono, _ in self.terms:
-                if any(e.n for _, e in mono):
-                    raise ExprError("cannot differentiate by the exponent parameter")
-        out = ZERO
+        if s is N_SYMBOL and self._n_in_exponent():
+            raise ExprError("cannot differentiate by the exponent parameter")
+        return self.derive(lambda a: ONE if a == s else ZERO)
+
+    def derive(self, d: Callable) -> "Expr":
+        """The one derivation pass behind ``diff``, total derivatives, the
+        pullback chain rule and the action of a (prolonged) vector field.
+
+        ``d(atom)`` gives the derivative of a Sym or a Jet.  A Func follows by
+        the chain rule over its arguments, exp and tanh recurse into their
+        argument, and a RatPow is constant.  Each term contributes
+        ``c*e*a^(e-1)*rest*da`` straight into one term map; only an exponent
+        holding n takes the general ``_exponent_expr`` product.
+        """
+        cache: dict = {}
+
+        def of(a):
+            r = cache.get(a)
+            if r is None:
+                cls = a.__class__
+                if cls is Func:
+                    r = ZERO
+                    for s in dict.fromkeys(a.args):  # once per distinct argument, as bump() finds it
+                        ds = of(s)
+                        if ds.terms:
+                            r = r + Expr.atom(a.bump(s)) * ds
+                elif cls is App:
+                    outer = Expr.atom(a) if a.fn == "exp" else ONE - Expr.atom(a, Exponent(4, 0))
+                    r = outer * a.arg.derive(d)
+                elif cls is RatPow:
+                    r = ZERO
+                else:
+                    r = d(a)
+                cache[a] = r
+            return r
+
+        m: dict = {}
         for mono, coeff in self.terms:
             for i, (a, e) in enumerate(mono):
-                da = _atom_diff(a, s)
-                if da.is_zero:
+                da = of(a).terms
+                if not da:
                     continue
-                rest = mono[:i] + mono[i + 1 :]
                 down = e.minus_int(1)
-                piece = Expr(((rest, coeff),)) * _exponent_expr(e) * da
-                if not down.is_zero():
-                    piece = piece * Expr.atom(a, down)
-                out = out + piece
-        return out
+                if down.is_zero():
+                    rest = mono[:i] + mono[i + 1 :]
+                else:
+                    rest = mono[:i] + ((a, down),) + mono[i + 1 :]
+                if e.n:
+                    scaled = (Expr(((rest, coeff),)) * _exponent_expr(e)).terms
+                else:
+                    scaled = ((rest, coeff * (e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2))),)
+                for mono1, c1 in scaled:
+                    for mono2, c2 in da:
+                        mono3, extra = _mul_monos(mono1, mono2)
+                        c = c1 * c2 if extra == 1 else c1 * c2 * extra
+                        prev = m.get(mono3)
+                        m[mono3] = c if prev is None else prev + c
+        return Expr._from_map(m)
 
     # -- substitution --------------------------------------------------------
 
@@ -662,10 +712,10 @@ class Expr:
                 if isinstance(a, App) and any(a.arg.contains(t) for t in atomset):
                     raise ExprError("collect atom occurs inside an opaque application")
             g = groups.setdefault(keypart, {})
-            g[rest] = g.get(rest, Fraction(0)) + coeff
+            g[rest] = g.get(rest, 0) + coeff
         out = {}
         for keypart, restmap in groups.items():
-            keyexpr = Expr(((keypart, Fraction(1)),))
+            keyexpr = Expr(((keypart, 1),))
             val = Expr._from_map(restmap)
             if not val.is_zero:
                 out[keyexpr] = val
@@ -696,7 +746,11 @@ class Expr:
         content = Fraction(num, den) if num else Fraction(1)
         if self.terms[0][1] < 0:
             content = -content
-        return Expr(tuple((mono, c / content) for mono, c in self.terms))
+        terms = []
+        for mono, c in self.terms:
+            q = c / content
+            terms.append((mono, q.numerator if q.denominator == 1 else q))
+        return Expr(tuple(terms))
 
     def max_jet_order(self) -> int:
         best = 0
@@ -741,7 +795,7 @@ class Expr:
 
 
 ZERO = Expr(())
-ONE = Expr((((), Fraction(1)),))
+ONE = Expr((((), 1),))
 
 
 def as_expr(x) -> Expr:
@@ -850,26 +904,6 @@ def _exponent_expr(e: Exponent) -> Expr:
     if e.n:
         out = out + Expr.rational(e.n) * Expr.atom(N_SYMBOL)
     return out
-
-
-def _atom_diff(a: Atom, s: Atom) -> Expr:
-    if isinstance(a, Sym) or isinstance(a, Jet):
-        return ONE if a == s else ZERO
-    if isinstance(a, Func):
-        if isinstance(s, Sym) and any(x == s for x in a.args):
-            return Expr.atom(a.bump(s))
-        return ZERO
-    if isinstance(a, App):
-        inner = a.arg.diff(s)
-        if inner.is_zero:
-            return ZERO
-        if a.fn == "exp":
-            return Expr.atom(a) * inner
-        self_sq = Expr.atom(a, Exponent(4, 0))
-        return (ONE - self_sq) * inner
-    if isinstance(a, RatPow):
-        return ZERO
-    raise ExprError("cannot differentiate atom %r" % (a,))
 
 
 def app(fn: str, arg) -> Expr:

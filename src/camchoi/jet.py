@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from .expr import (
     Expr,
     ExprError,
-    Func,
     Jet,
+    ONE,
     Sym,
+    ZERO,
     as_expr,
 )
 
@@ -68,39 +69,25 @@ class Context:
         i = self.var_index(v)
         return tuple(1 if j == i else 0 for j in range(len(self.independents)))
 
-    def jets_present(self, e: Expr):
-        """Jet atoms of this context occurring in e, plus the dependent if used."""
-        seen = []
-        found = set()
-        dep_used = False
-        for a in e.atoms():
-            if isinstance(a, Jet) and a.dep == self.dependent and a not in found:
-                found.add(a)
-                seen.append(a)
-            elif isinstance(a, Sym) and a == self.dependent:
-                dep_used = True
-            elif isinstance(a, Func) and any(x == self.dependent for x in a.args):
-                dep_used = True
-        return seen, dep_used
-
 
 def total_derivative(e: Expr, v: Sym, ctx: Context) -> Expr:
-    """D_v e = d_v e + sum over jets u_J of u_{J+v} * d e / d u_J."""
-    e = as_expr(e)
-    out = e.diff(v)
-    jets, dep_used = ctx.jets_present(e)
+    """D_v e = d_v e + sum over u and the jets u_J of ctx.dependent of u_{J+v} * d e / d u_J.
+
+    One ``Expr.derive`` pass: v goes to 1, u to u_v and u_J to u_{J+v}; every
+    other Sym or Jet is constant.
+    """
     unit = ctx.unit(v)
-    if dep_used:
-        d = e.diff(ctx.dependent)
-        if not d.is_zero:
-            out = out + ctx.jet_expr(unit) * d
-    for a in jets:
-        d = e.diff(a)
-        if d.is_zero:
-            continue
-        bumped = tuple(c + u for c, u in zip(a.counts, unit))
-        out = out + ctx.jet_expr(bumped) * d
-    return out
+
+    def d(a):
+        if a == v:
+            return ONE
+        if a == ctx.dependent:
+            return ctx.jet_expr(unit)
+        if a.__class__ is Jet and a.dep == ctx.dependent:
+            return ctx.jet_expr(tuple(c + k for c, k in zip(a.counts, unit)))
+        return ZERO
+
+    return as_expr(e).derive(d)
 
 
 @dataclass

@@ -214,6 +214,8 @@ def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Tra
         raise OdeError("initial condition dimension mismatch")
     f = sys.compiled()
     y0 = tuple(float(v) for v in ic)
+    if not all(math.isfinite(v) for v in y0):
+        raise OdeError("initial condition not finite")
     start = float(cfg.span[0])
     for v in f(start, *y0):
         if not math.isfinite(v):

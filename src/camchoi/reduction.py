@@ -251,17 +251,9 @@ def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
     """
 
     def chain_derivative(e: Expr, v: Sym) -> Expr:
-        out = e.diff(v)
-        for w, wexpr in links:
-            if w == v:
-                continue  # pass-through variable, already covered by the direct term
-            dw = wexpr.diff(v)
-            if dw.is_zero:
-                continue
-            d = e.diff(w)
-            if not d.is_zero:
-                out = out + d * dw
-        return out
+        # a pass-through variable w == v is covered by the direct term
+        dws = {w: wexpr.diff(v) for w, wexpr in links if w != v}
+        return e.derive(lambda a: ONE if a == v else dws.get(a, ZERO))
 
     express: Dict[tuple, Expr] = {tuple(0 for _ in ctx.independents): value}
 

@@ -54,13 +54,9 @@ class VectorField:
         return out
 
     def apply_to(self, f: Expr) -> Expr:
-        """Act as a first-order operator on a base-space function."""
-        f = as_expr(f)
-        out = ZERO
-        for v, c in self.xi.items():
-            out = out + c * f.diff(v)
-        out = out + self.eta * f.diff(self.ctx.dependent)
-        return out
+        """Act as a first-order operator on a base-space function: one ``Expr.derive`` pass."""
+        dep = self.ctx.dependent
+        return as_expr(f).derive(lambda a: self.eta if a == dep else self.xi.get(a, ZERO))
 
     def is_zero_field(self) -> bool:
         return self.eta.is_zero and all(c.is_zero for c in self.xi.values())
@@ -141,24 +137,23 @@ def prolong(X: VectorField, order: int) -> ProlongedField:
 
 
 def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
-    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J over the jets u_J of e."""
-    e = as_expr(e)
-    ctx = P.base.ctx
-    out = P.base.eta * e.diff(ctx.dependent)
-    for v in ctx.independents:
-        c = P.base.coefficient(v)
-        if not c.is_zero:
-            out = out + c * e.diff(v)
-    for a in ctx.jets_present(e)[0]:
-        if a.ivars != ctx.independents:  # a jet of another space: d e / d u_J is zero for every J here
-            continue
+    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J over the jets u_J of e.
+
+    One ``Expr.derive`` pass; a jet of another space is constant here.
+    """
+    X, ctx = P.base, P.base.ctx
+
+    def d(a):
+        if a.__class__ is not Jet:
+            return X.eta if a == ctx.dependent else X.xi.get(a, ZERO)
+        if a.dep != ctx.dependent or a.ivars != ctx.independents:
+            return ZERO
         if a.order > P.order:
             raise SymmetryError("%s is of order %d, beyond the prolongation order %d"
                                 % (Expr.atom(a), a.order, P.order))
-        d = e.diff(a)
-        if not d.is_zero:
-            out = out + P.eta(a.counts) * d
-    return out
+        return P.eta(a.counts)
+
+    return as_expr(e).derive(d)
 
 
 def check_symmetry(X: VectorField, pde: Pde) -> Expr:

@@ -284,6 +284,17 @@ def test_exponent_only_parameter_is_bound(capsys, tmp_path, params, code, expect
     assert (got, out + err) == (code, expect)
 
 
+@pytest.mark.parametrize("ic", [["1", "nan"], ["inf", "0"]], ids=["nan", "inf"])
+def test_non_finite_initial_condition_is_blamed(capsys, tmp_path, ic):
+    # the initial condition is at fault, not the right-hand side
+    path = os.path.join(tmp_path, "exponent.model")
+    with open(path, "w") as fh:
+        fh.write(EXPONENT_MODEL)
+    got, out, err = run(capsys, "integrate", path, "q", "--ic", *ic, "--span", "0", "1", "--param", "n=2")
+    assert (got, out + err) == (2, "error: initial condition not finite\n")
+    assert "right-hand side" not in err
+
+
 INTEGRATE = ("integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1")
 REDUCE = ("reduce", "builtin", "cc", "cc18", "--printed", "cc19")
 

@@ -7,6 +7,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from camchoi.expr import (
     App,
     DEPENDENT,
@@ -21,19 +23,26 @@ from camchoi.expr import (
     N_SYMBOL,
     PARAMETER,
     RatPow,
+    REDUCED,
     Sym,
     ONE,
     ZERO,
+    _exponent_expr,
     _mono_sort_key,
     _power_of,
     app,
     as_expr,
 )
-from camchoi.jet import Context, on_manifold, total_derivative
+from camchoi.jet import Context, JetError, on_manifold, total_derivative
 from camchoi.library import load_builtin
 from camchoi.modelfile import PdeBlock, parse_expression
-from camchoi.reduction import FirstIntegralCandidate, ReducedEquation, check_first_integral
-from camchoi.symmetry import VectorField, commutator, field_lincomb, prolong
+from camchoi.reduction import (
+    FirstIntegralCandidate,
+    ReducedEquation,
+    _substitute_dependent,
+    check_first_integral,
+)
+from camchoi.symmetry import SymmetryError, VectorField, apply_prolonged, commutator, field_lincomb, prolong
 
 t = Sym("t", INDEPENDENT)
 x = Sym("x", INDEPENDENT)
@@ -532,3 +541,331 @@ def test_synthetic_first_integrals_certify():
             continue
         fi = FirstIntegralCandidate(rctx, fi_lhs, (c0,), "fi")
         assert check_first_integral(eq, fi).is_zero
+
+
+# The product-rule code that the one derivation pass Expr.derive replaced:
+# `diff` rebuilt every term with full Expr products, `total_derivative`
+# walked the expression once for v, once for u and once per jet,
+# the pullback chain rule called `diff` once for v and once per link, and the
+# prolonged field and `VectorField.apply_to` summed one `diff` per component.
+def _reference_diff(e, s):
+    if s == N_SYMBOL:
+        for mono, _ in e.terms:
+            if any(x.n for _, x in mono):
+                raise ExprError("cannot differentiate by the exponent parameter")
+    out = ZERO
+    for mono, coeff in e.terms:
+        for i, (a, x) in enumerate(mono):
+            da = _reference_atom_diff(a, s)
+            if da.is_zero:
+                continue
+            rest = mono[:i] + mono[i + 1 :]
+            down = x.minus_int(1)
+            piece = Expr(((rest, coeff),)) * _exponent_expr(x) * da
+            if not down.is_zero():
+                piece = piece * Expr.atom(a, down)
+            out = out + piece
+    return out
+
+
+def _reference_atom_diff(a, s):
+    if isinstance(a, (Sym, Jet)):
+        return ONE if a == s else ZERO
+    if isinstance(a, Func):
+        if isinstance(s, Sym) and any(v == s for v in a.args):
+            return Expr.atom(a.bump(s))
+        return ZERO
+    if isinstance(a, App):
+        inner = _reference_diff(a.arg, s)
+        if inner.is_zero:
+            return ZERO
+        if a.fn == "exp":
+            return Expr.atom(a) * inner
+        return (ONE - Expr.atom(a, Exponent(4, 0))) * inner
+    return ZERO
+
+
+def _reference_jets_present(ctx, e):
+    seen, dep_used = [], False
+    for a in e.atoms():
+        if isinstance(a, Jet) and a.dep == ctx.dependent and a not in seen:
+            seen.append(a)
+        elif a == ctx.dependent or (isinstance(a, Func) and ctx.dependent in a.args):
+            dep_used = True
+    return seen, dep_used
+
+
+def _reference_total_derivative(e, v, ctx):
+    out = _reference_diff(e, v)
+    jets, dep_used = _reference_jets_present(ctx, e)
+    unit = ctx.unit(v)
+    if dep_used:
+        d = _reference_diff(e, ctx.dependent)
+        if not d.is_zero:
+            out = out + ctx.jet_expr(unit) * d
+    for a in jets:
+        d = _reference_diff(e, a)
+        if not d.is_zero:
+            out = out + ctx.jet_expr(tuple(c + k for c, k in zip(a.counts, unit))) * d
+    return out
+
+
+def _reference_substitute_dependent(lhs, ctx, value, links):
+    def chain_derivative(e, v):
+        out = _reference_diff(e, v)
+        for w, wexpr in links:
+            if w == v:
+                continue
+            dw = _reference_diff(wexpr, v)
+            if dw.is_zero:
+                continue
+            d = _reference_diff(e, w)
+            if not d.is_zero:
+                out = out + d * dw
+        return out
+
+    express = {tuple(0 for _ in ctx.independents): value}
+
+    def get(counts):
+        if counts not in express:
+            i = max(k for k, c in enumerate(counts) if c > 0)
+            prev = tuple(c - (k == i) for k, c in enumerate(counts))
+            express[counts] = chain_derivative(get(prev), ctx.independents[i])
+        return express[counts]
+
+    out = lhs
+    jets = sorted({a for a in lhs.atoms() if isinstance(a, Jet) and a.dep == ctx.dependent},
+                  key=lambda a: a.sort_key())
+    for a in jets:
+        out = out.subst(a, get(a.counts))
+    if out.contains(ctx.dependent):
+        out = out.subst(ctx.dependent, value)
+    return out
+
+
+def _reference_apply_prolonged(P, e):
+    ctx = P.base.ctx
+    out = P.base.eta * _reference_diff(e, ctx.dependent)
+    for v in ctx.independents:
+        c = P.base.coefficient(v)
+        if not c.is_zero:
+            out = out + c * _reference_diff(e, v)
+    for a in _reference_jets_present(ctx, e)[0]:
+        if a.ivars != ctx.independents:
+            continue
+        if a.order > P.order:
+            raise SymmetryError("beyond the prolongation order")
+        d = _reference_diff(e, a)
+        if not d.is_zero:
+            out = out + P.eta(a.counts) * d
+    return out
+
+
+def _reference_apply_to(X, f):
+    out = ZERO
+    for v, c in X.xi.items():
+        out = out + c * _reference_diff(f, v)
+    return out + X.eta * _reference_diff(f, X.ctx.dependent)
+
+
+# Factors that exercise every branch of the derivation: function symbols over
+# the dependent, exp/tanh applications, n-exponents, half-integer exponents,
+# and a second dependent w with its jets, which D_t and D_x treat as constants.
+w2 = Sym("w", DEPENDENT)
+DERIVE_FACTORS = N_FACTORS + [
+    Expr.atom(Func("F", (t, u))),
+    Expr.atom(Func("F", (t, u), (1, 2)), Exponent(-2, 0)),
+    Expr.atom(Func("G", (u,)), Exponent(3, 0)),
+    Expr.atom(u, Exponent(-1, 0)),
+    Expr.atom(x, Exponent(3, 0)),
+    Expr.atom(Jet(u, (t, x), (1, 0)), Exponent(1, 1)),
+    Expr.atom(Jet(u, (t, x), (1, 2))),
+    Expr.atom(w2, Exponent(4, 0)),
+    Expr.atom(Jet(w2, (t, x), (0, 1))),
+    app("exp", Expr.atom(u) * Expr.atom(x) + Expr.atom(Func("F", (t, u)))),
+    app("tanh", Expr.atom(Jet(u, (t, x), (0, 1))) - Expr.atom(w2)),
+    app("exp", Expr.atom(t, Exponent(1, 0))).pow_exponent(Exponent(-3, 0)),
+]
+
+
+def _derivation_input(rng):
+    e = random_expr(rng, 2)
+    for _k in range(rng.randint(1, 3)):
+        e = e + random_expr(rng, 1) * rng.choice(DERIVE_FACTORS) * rng.choice(DERIVE_FACTORS)
+    return e
+
+
+def test_diff_matches_the_termwise_reference():
+    rng = random.Random(89)
+    targets = [t, x, u, a, w2, N_SYMBOL, Jet(u, (t, x), (0, 1)), Jet(w2, (t, x), (0, 1)),
+               Func("F", (t, u))]
+    n_raised = 0
+    for _ in range(150):
+        e = _derivation_input(rng)
+        s = rng.choice(targets)
+        try:
+            want = _reference_diff(e, s)
+        except ExprError as exc:
+            n_raised += 1
+            with pytest.raises(ExprError, match=str(exc)):
+                e.diff(s)
+            continue
+        got = e.diff(s)
+        assert got.terms == want.terms
+        _assert_canonical(got)
+    assert n_raised >= 5
+
+
+def test_exponent_parameter_derivative_still_raises_inside_an_application():
+    e = Expr.atom(t) + app("tanh", Expr.atom(x, EXP_N))
+    for f in (e, e * Expr.atom(N_SYMBOL)):
+        with pytest.raises(ExprError, match="exponent parameter"):
+            _reference_diff(f, N_SYMBOL)
+        with pytest.raises(ExprError, match="exponent parameter"):
+            f.diff(N_SYMBOL)
+
+
+def test_total_derivative_matches_the_per_jet_reference():
+    rng = random.Random(97)
+    for _ in range(150):
+        e = _derivation_input(rng)
+        v = rng.choice([t, x])
+        got = total_derivative(e, v, ctx2)
+        assert got.terms == _reference_total_derivative(e, v, ctx2).terms
+        _assert_canonical(got)
+
+
+def test_total_derivative_past_the_jet_cap_still_raises():
+    top = Expr.atom(Jet(u, (t, x), (1, 3)))  # order MAX_JET_ORDER
+    for e in (top, app("exp", top) + Expr.atom(t), Expr.atom(x) * top ** 2):
+        for fn in (total_derivative, _reference_total_derivative):
+            with pytest.raises(JetError, match="cap"):
+                fn(e, x, ctx2)
+
+
+def test_pullback_chain_rule_matches_the_multi_diff_reference():
+    rng = random.Random(101)
+    s1, s2 = Sym("s1", REDUCED), Sym("s2", REDUCED)
+    S1, S2, T, X = (Expr.atom(v) for v in (s1, s2, t, x))
+    link_choices = [
+        [(s1, X - 2 * T), (t, T)],
+        [(s1, X * Expr.atom(t, Exponent(-1, 0))), (s2, T)],
+        [(s1, X + T ** 2), (s2, T * X)],
+    ]
+    lhs_pool = [Jet(u, (t, x), (1, 0)), Jet(u, (t, x), (0, 1)), Jet(u, (t, x), (1, 1)),
+                Jet(u, (t, x), (0, 3)), u, t, a]
+    for _ in range(60):
+        links = rng.choice(link_choices)
+        ws = [w for w, _e in links]
+        fn = Expr.atom(Func("V", tuple(ws)))
+        value = fn * random_expr(rng, 1, apps=False).subst(x, Expr.atom(ws[0])) + Expr.atom(ws[0], Exponent(1, 0))
+        lhs = ZERO
+        for _term in range(rng.randint(1, 3)):
+            m = Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for _f in range(rng.randint(1, 3)):
+                m = m * Expr.atom(rng.choice(lhs_pool))
+            lhs = lhs + m
+        got = _substitute_dependent(lhs, ctx2, value, links)
+        assert got.terms == _reference_substitute_dependent(lhs, ctx2, value, links).terms
+        _assert_canonical(got)
+
+
+def test_prolonged_field_and_apply_to_match_the_per_component_reference():
+    rng = random.Random(103)
+    for _ in range(80):
+        X = _random_poly_field(rng, ctx2)
+        e = _derivation_input(rng)
+        if rng.random() < 0.3:
+            e = e + Expr.atom(Jet(u, (x,), (2,)))  # a jet of another space: constant here
+        P = prolong(X, 3)
+        got = apply_prolonged(P, e)
+        assert got.terms == _reference_apply_prolonged(P, e).terms
+        assert X.apply_to(e).terms == _reference_apply_to(X, e).terms
+    past = Expr.atom(Jet(u, (t, x), (2, 2)))
+    for fn in (apply_prolonged, _reference_apply_prolonged):
+        with pytest.raises(SymmetryError, match="beyond the prolongation order"):
+            fn(prolong(_random_poly_field(rng, ctx2), 3), past)
+
+
+# A coefficient is an int or a Fraction; equal values compare and hash equal,
+# so the type never shows in a key, a string, a hash or the term order.
+def _with_coefficients(e, integral_as_int):
+    def conv(c):
+        c = Fraction(c)
+        return c.numerator if integral_as_int and c.denominator == 1 else c
+
+    terms = []
+    for mono, c in e.terms:
+        mono = tuple((App(at.fn, _with_coefficients(at.arg, integral_as_int)) if isinstance(at, App) else at, x)
+                     for at, x in mono)
+        terms.append((mono, conv(c)))
+    return Expr(tuple(terms))
+
+
+def _coefficients(e):
+    for mono, c in e.terms:
+        yield c
+        for at, _x in mono:
+            if isinstance(at, App):
+                yield from _coefficients(at.arg)
+
+
+def _same_form(p, q):
+    assert p == q
+    assert p.key() == q.key() and hash(p) == hash(q) and str(p) == str(q)
+    assert [mono for mono, _ in p.terms] == [mono for mono, _ in q.terms]
+
+
+def test_int_and_fraction_coefficients_are_indistinguishable():
+    rng = random.Random(107)
+    mixed = 0
+    for _ in range(150):
+        e, f = _derivation_input(rng), random_expr(rng, 3)
+        ef, ff = _with_coefficients(e, False), _with_coefficients(f, False)
+        ei, fi = _with_coefficients(e, True), _with_coefficients(f, True)
+        assert all(type(c) is Fraction for c in _coefficients(ef))
+        mixed += any(type(c) is int for c in _coefficients(ei))
+        v = rng.choice([t, x])
+        for build in (lambda p, q: p, lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
+                      lambda p, q: p.diff(v), lambda p, q: total_derivative(p, v, ctx2),
+                      lambda p, q: p.subst(a, q), lambda p, q: p.content_normalized()):
+            want = build(ef, ff)
+            for got in (build(ei, fi), build(ei, ff), build(ef, fi)):
+                _same_form(got, want)
+    assert mixed >= 100
+
+
+def _assert_exact_coefficients(e):
+    for c in _coefficients(e):
+        assert type(c) in (int, Fraction), (type(c), e)
+
+
+def test_determining_systems_and_suite_residuals_hold_only_exact_coefficients(monkeypatch):
+    import camchoi.library as library
+    from camchoi.symmetry import determining_equations
+
+    doc = load_builtin()
+    seen = []
+    for blk in doc.blocks:
+        if isinstance(blk, PdeBlock):
+            system = determining_equations(blk.pde)
+            seen.extend(system.equations)
+
+    def record(fn, pick):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.extend(pick(out))
+            return out
+        monkeypatch.setattr(library, fn.__name__, wrapped)
+
+    record(library.check_symmetry, lambda r: [r])
+    record(library.check_first_integral, lambda r: [r])
+    record(library.verify_closed_form, lambda r: [r[0]] + list(r[1].values()))
+    record(library.compare_reduced, lambda r: [r.residual])
+    record(library.pullback, lambda r: [r.lhs])
+    record(library.determining_equations, lambda r: r.equations)
+    for case in library.build_cases():
+        assert library.run_case(case, doc).verdict != "fail"
+    assert len(seen) >= 200
+    for e in seen:
+        _assert_exact_coefficients(e)

@@ -88,6 +88,22 @@ def test_invariants_unsupported_projective(doc):
         invariants_for(Z3)
 
 
+@pytest.mark.parametrize("xi, with_u, exponent", [
+    ({"t": 3, "x": 1}, False, "-1/3"),
+    ({"t": 3, "x": 1}, True, "-1/3"),
+    ({"t": 3}, True, "1/3"),  # the dependent weight, not a base variable, leaves the lattice
+])
+def test_invariants_name_an_exact_exponent_off_the_lattice(doc, xi, with_u, exponent):
+    # the weights are int coefficients; their quotient must stay a Fraction, never a float
+    ctx = pde(doc, "cc").ctx
+    names = {v.name: v for v in ctx.independents}
+    X = VectorField(ctx, {names[k]: c * Expr.atom(names[k]) for k, c in xi.items()},
+                    Expr.atom(ctx.dependent) if with_u else ZERO)
+    with pytest.raises(UnsupportedField) as err:
+        invariants_for(X)
+    assert str(err.value) == "unsupported field shape: exponent %s outside the half-integer lattice" % exponent
+
+
 # -- pullback -----------------------------------------------------------------
 
 
