@@ -258,6 +258,8 @@ class Func:
         if self is None:
             if len(args) != len(orders) or any(o < 0 for o in orders):
                 raise ExprError("bad derivative multi-index for %s" % name)
+            if len(set(args)) != len(args):
+                raise ExprError("repeated argument of %s" % name)
             self = object.__new__(cls)
             self.name = name
             self.args = args
@@ -614,18 +616,24 @@ class Expr:
 
     # -- substitution --------------------------------------------------------
 
-    def subst(self, target: Atom, repl) -> "Expr":
+    def subst(self, target: Union[Atom, dict], repl=None) -> "Expr":
         """Replace every occurrence of an atom, including inside exp/tanh arguments.
 
-        Where the exponent parameter n occurs in an exponent, binding it needs
-        an integer and rebinds every exponent and rational power such as 2^n.
+        ``target`` may also be a dict {atom: replacement} of simultaneous
+        replacements, made in one pass.  Where the exponent parameter n occurs
+        in an exponent, binding it needs an integer and rebinds every exponent
+        and rational power such as 2^n.
         """
-        repl = as_expr(repl)
-        if target is N_SYMBOL and self._n_in_exponent():
-            if not repl.is_rational() or repl.as_rational().denominator != 1:
+        rules = target if isinstance(target, dict) else {target: repl}
+        rules = {a: as_expr(r) for a, r in rules.items()}
+        if N_SYMBOL in rules and self._n_in_exponent():
+            k = rules[N_SYMBOL]
+            if len(rules) > 1:
+                raise ExprError("the exponent parameter binds on its own, not with other atoms")
+            if not k.is_rational() or k.as_rational().denominator != 1:
                 raise ExprError("exponent parameter must bind to an integer")
-            return self._rebuild(_bind_exponent_param(repl.as_rational().numerator))
-        return self._rebuild(lambda a, e: _power_of(repl, e) if a == target else None)
+            return self._rebuild(_bind_exponent_param(k.as_rational().numerator))
+        return self._rebuild(lambda a, e: _power_of(rules[a], e) if a in rules else None)
 
     def subst_func(self, name: str, args: tuple, rule: "Expr", base_orders: Optional[tuple] = None) -> "Expr":
         """Replace derivative instances of a named function symbol.
@@ -634,31 +642,18 @@ class Expr:
         replaced by the (J - base_orders)-fold derivative of ``rule``.
         """
         args = tuple(args)
-        if base_orders is None:
-            base_orders = tuple(0 for _ in args)
-        cache: dict = {}
-
-        def replace(a, e):
-            if not (a.__class__ is Func and a.name == name and a.args == args
-                    and all(o >= b for o, b in zip(a.orders, base_orders))):
-                return None
-            value = cache.get(a.orders)
-            if value is None:
-                value = rule
-                for arg, o, b in zip(args, a.orders, base_orders):
-                    for _ in range(o - b):
-                        value = value.diff(arg)
-                cache[a.orders] = value
-            return _power_of(value, e)
-
-        return self._rebuild(replace)
+        base = base_orders or (0,) * len(args)
+        get = derivative_table(rule, lambda value, i, _prev: value.diff(args[i]))
+        return self.subst({a: get(tuple(o - b for o, b in zip(a.orders, base)))
+                           for a in set(self.atoms()) if a.__class__ is Func and a.name == name
+                           and a.args == args and all(o >= b for o, b in zip(a.orders, base))})
 
     def _n_in_exponent(self) -> bool:
         return any(e.n or (a.__class__ is App and a.arg._n_in_exponent())
                    for mono, _ in self.terms for a, e in mono)
 
     def _rebuild(self, replace: Callable) -> "Expr":
-        """The one substitution pass behind ``subst`` and ``subst_func``.
+        """The one substitution pass behind ``subst`` (and so ``subst_func``).
 
         ``replace(atom, exponent)`` returns the Expr that replaces a factor,
         or None to keep it; exp/tanh arguments are rebuilt through the same
@@ -904,6 +899,30 @@ def _exponent_expr(e: Exponent) -> Expr:
     if e.n:
         out = out + Expr.rational(e.n) * Expr.atom(N_SYMBOL)
     return out
+
+
+def derivative_table(base, step: Callable) -> Callable:
+    """The memoised recursion over derivative multi-indices.
+
+    Returns ``get(J)``: ``base`` at J = 0, else ``step(get(prev), i, prev)``
+    where i is the last nonzero index of J and prev is J less one in slot i.
+    Every value computed, prefixes included, is kept for later calls.
+    """
+    table: dict = {}
+
+    def get(counts: tuple):
+        value = table.get(counts)
+        if value is None:
+            i = max((k for k, c in enumerate(counts) if c), default=None)
+            if i is None:
+                value = base
+            else:
+                prev = counts[:i] + (counts[i] - 1,) + counts[i + 1 :]
+                value = step(get(prev), i, prev)
+            table[counts] = value
+        return value
+
+    return get
 
 
 def app(fn: str, arg) -> Expr:

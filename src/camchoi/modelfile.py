@@ -340,6 +340,8 @@ class _Parser:
                 self.expect(")")
                 if nm in funcs:
                     self.error("function %r declared twice" % nm)
+                if len(set(args)) != len(args):
+                    raise ParseError("function %r has a repeated argument" % nm, tok.line, tok.col)
                 funcs[nm] = tuple(args)  # resolved to Syms lazily per context
                 decls.append(FuncDecl(nm, tuple(args)))
             elif tok.value in _BLOCKS:
@@ -510,8 +512,10 @@ class _Parser:
             vname = self._name()
             e = self._assigned(lambda: self.parse_expr(_Scope(doc, src)))
             existing = _lookup_var(src, vname)
-            keep = existing is not None and e == Expr.atom(existing)
-            new_vars.append((existing if keep else Sym(vname, REDUCED), e))
+            if existing is not None and e != Expr.atom(existing):
+                msg = "new variable %r reuses an old variable's name; only %s = %s passes it through"
+                raise ParseError(msg % (vname, vname, vname), at.line, at.col)
+            new_vars.append((existing or Sym(vname, REDUCED), e))
 
         def with_new_vars():
             return self.parse_expr(_Scope(doc, src, extra_vars=[v for v, _ in new_vars]))

@@ -14,11 +14,13 @@ from .expr import (
     Expr,
     ExprError,
     Func,
+    INDEPENDENT,
     Jet,
     REDUCED,
     Sym,
     ONE,
     ZERO,
+    derivative_table,
 )
 from .jet import Context, Pde, expand_pde, total_derivative
 from .symmetry import VectorField, eliminate
@@ -255,17 +257,7 @@ def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
         dws = {w: wexpr.diff(v) for w, wexpr in links if w != v}
         return e.derive(lambda a: ONE if a == v else dws.get(a, ZERO))
 
-    express: Dict[tuple, Expr] = {tuple(0 for _ in ctx.independents): value}
-
-    def get(counts: tuple) -> Expr:
-        if counts in express:
-            return express[counts]
-        i = max(k for k, c in enumerate(counts) if c > 0)
-        prev = tuple(c - (1 if k == i else 0) for k, c in enumerate(counts))
-        val = chain_derivative(get(prev), ctx.independents[i])
-        express[counts] = val
-        return val
-
+    get = derivative_table(value, lambda e, i, _prev: chain_derivative(e, ctx.independents[i]))
     out = lhs
     jets = [a for a in set(lhs.atoms()) if isinstance(a, Jet) and a.dep == ctx.dependent]
     jets.sort(key=lambda a: a.sort_key())
@@ -303,27 +295,22 @@ def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
 
 def _funcs_to_jets(e: Expr, a: Ansatz, new_ctx: Context) -> Expr:
     fn = a.func
-    targets = [
-        at
-        for at in set(e.atoms())
-        if isinstance(at, Func)
-        and at.name == fn.name
-        and len(at.args) == len(fn.args)
-        and all(x == y for x, y in zip(at.args, fn.args))
-    ]
-    targets.sort(key=lambda at: at.sort_key())
-    for at in targets:
-        e = e.subst(at, new_ctx.jet_expr(at.orders))
-    return e
+    return e.subst({at: new_ctx.jet_expr(at.orders) for at in set(e.atoms())
+                    if at.__class__ is Func and at.name == fn.name and at.args == fn.args})
 
 
 def _cancel_common_monomial(e: Expr) -> Expr:
+    """Divide out the powers of variables common to every term.
+
+    Only a Sym of independent or reduced kind is cancelled: a common jet,
+    function or parameter factor is part of the equation.
+    """
     if e.is_zero:
         return e
     common: Dict[object, Exponent] = {}
     first = True
     for mono, _c in e.terms:
-        exps = {a: x for a, x in mono}
+        exps = {a: x for a, x in mono if a.__class__ is Sym and a.kind in (INDEPENDENT, REDUCED)}
         if first:
             common = dict(exps)
             first = False
@@ -349,17 +336,9 @@ def compose_ansatz(a1: Ansatz, a2: Ansatz, name: str = "") -> Ansatz:
     """Composite change of variables for successive reductions."""
     if a1.dependent_rule is None or a2.dependent_rule is None:
         raise ReductionError("cannot compose partial ansatz records")
-    mid_vars = a1.new_independent
-
-    def to_old(e: Expr) -> Expr:
-        for v, vexpr in mid_vars:
-            if e.contains(v):
-                e = e.subst(v, vexpr)
-        return e
-
-    new_independent = [(w, to_old(wexpr)) for w, wexpr in a2.new_independent]
-    rule = a1.dependent_rule.subst_func(a1.func.name, a1.func.args, a2.dependent_rule)
-    rule = to_old(rule)
+    to_old = dict(a1.new_independent)
+    new_independent = [(w, wexpr.subst(to_old)) for w, wexpr in a2.new_independent]
+    rule = a1.dependent_rule.subst_func(a1.func.name, a1.func.args, a2.dependent_rule).subst(to_old)
     return Ansatz(
         a1.src,
         new_independent,

@@ -16,6 +16,7 @@ from .expr import (
     ZERO,
     ONE,
     as_expr,
+    derivative_table,
 )
 from .jet import Context, Pde, on_manifold, total_derivative
 
@@ -96,37 +97,29 @@ MAX_PROLONG_ORDER = 3
 class ProlongedField:
     """The prolongation of a point generator up to ``order``, built on demand.
 
-    ``eta(J)`` computes eta^[J] through the usual recursion and memoises it
-    with every prefix it passed through:
-    eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off the last
-    variable of J.  The result does not depend on the decomposition of J.
+    ``eta(J)`` computes eta^[J] through the shared ``derivative_table``
+    recursion, eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off
+    the last variable of J; the D_i xi^j are memoised per variable i.  The
+    result does not depend on the decomposition of J.
     """
 
     def __init__(self, base: VectorField, order: int):
         self.base = base
         self.order = order
-        self._eta: Dict[tuple, Expr] = {(0,) * len(base.ctx.independents): base.eta}
-        self._dxi: Dict[int, List[Expr]] = {}
+        ctx = base.ctx
+        dxi: Dict[int, List[Expr]] = {}
 
-    def eta(self, counts: tuple) -> Expr:
-        e = self._eta.get(counts)
-        if e is not None:
+        def step(eta: Expr, i: int, prev: tuple) -> Expr:
+            vi = ctx.independents[i]
+            if i not in dxi:
+                dxi[i] = [total_derivative(base.coefficient(vj), vi, ctx) for vj in ctx.independents]
+            e = total_derivative(eta, vi, ctx)
+            for j, d in enumerate(dxi[i]):
+                if not d.is_zero:
+                    e = e - ctx.jet_expr(prev[:j] + (prev[j] + 1,) + prev[j + 1 :]) * d
             return e
-        ctx = self.base.ctx
-        pick = max(i for i, c in enumerate(counts) if c > 0)
-        prev = tuple(c - (1 if i == pick else 0) for i, c in enumerate(counts))
-        vi = ctx.independents[pick]
-        dxi = self._dxi.get(pick)
-        if dxi is None:
-            dxi = self._dxi[pick] = [total_derivative(self.base.coefficient(vj), vi, ctx)
-                                     for vj in ctx.independents]
-        e = total_derivative(self.eta(prev), vi, ctx)
-        for j, d in enumerate(dxi):
-            if not d.is_zero:
-                bump = tuple(c + (1 if k == j else 0) for k, c in enumerate(prev))
-                e = e - ctx.jet_expr(bump) * d
-        self._eta[counts] = e
-        return e
+
+        self.eta = derivative_table(base.eta, step)
 
 
 def prolong(X: VectorField, order: int) -> ProlongedField:
@@ -174,15 +167,15 @@ class DeterminingSystem:
     pde: Pde
 
     def substitute_solution(self, rules: Dict[str, Expr]) -> List[Expr]:
-        """Substitute concrete coefficient expressions for the unknown functions."""
-        out = []
-        for eq in self.equations:
-            e = eq
-            for fn in self.unknowns:
-                if fn.name in rules:
-                    e = e.subst_func(fn.name, fn.args, rules[fn.name])
-            out.append(e)
-        return out
+        """Substitute concrete coefficient expressions for the unknown functions:
+        one map substitution per equation, from one derivative table per
+        unknown shared by all equations."""
+        tables = {(fn.name, fn.args): derivative_table(rules[fn.name],
+                                                       lambda e, i, _p, args=fn.args: e.diff(args[i]))
+                  for fn in self.unknowns if fn.name in rules}
+        return [eq.subst({a: tables[a.name, a.args](a.orders) for a in set(eq.atoms())
+                          if a.__class__ is Func and (a.name, a.args) in tables})
+                for eq in self.equations]
 
 
 def determining_equations(pde: Pde) -> DeterminingSystem:
@@ -300,19 +293,11 @@ def _component_rows(fields: List[VectorField], target: VectorField):
     """Linear system matching monomials in everything except parameters."""
     rows: List[List[Expr]] = []
     rhs: List[Expr] = []
-    ctx = target.ctx
-    slots = list(ctx.independents) + [ctx.dependent]
-    for k, slot in enumerate(slots):
-        comps = [f.eta if k == len(slots) - 1 else f.coefficient(slot) for f in fields]
-        tcomp = target.eta if k == len(slots) - 1 else target.coefficient(slot)
-        keys = set()
-        splits = []
-        for e in comps + [tcomp]:
-            split = _split_by_nonparameters(e)
-            splits.append(split)
-            keys.update(split.keys())
-        for key in sorted(keys, key=lambda kk: tuple((a.sort_key(), x.key()) for a, x in kk)):
-            rows.append([splits[i].get(key, ZERO) for i in range(len(fields))])
+    for column in zip(*(f.components() for f in list(fields) + [target])):
+        splits = [_split_by_nonparameters(e) for _slot, e in column]
+        keys = sorted(set().union(*splits), key=lambda kk: tuple((a.sort_key(), x.key()) for a, x in kk))
+        for key in keys:
+            rows.append([split.get(key, ZERO) for split in splits[:-1]])
             rhs.append(splits[-1].get(key, ZERO))
     return rows, rhs
 
@@ -328,35 +313,15 @@ def _split_by_nonparameters(e: Expr) -> dict:
 
 
 def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposition:
-    """Write target as a constant combination of the basis, parameters allowed."""
+    """Write target as a constant combination of the basis, parameters allowed.
+
+    The rows match every non-parameter monomial of every component, so
+    ``eliminate``'s consistency check is the whole test of equality.
+    """
     for f in basis:
         target.ctx.check_same_space(f.ctx, SymmetryError, "field " + target.name, "field " + f.name)
-    rows, rhs = _component_rows(basis, target)
-    sol = solve_linear_exprs(rows, rhs)
-    if sol is None:
-        return Decomposition(False)
-    # exact verification of sum(num_i/den_i * basis_i) == target, cross multiplied
-    ctx = target.ctx
-    total_den = ONE
-    for _num, den in sol:
-        total_den = total_den * den
-    complements = []
-    for i in range(len(sol)):
-        c = ONE
-        for j, (_n, d) in enumerate(sol):
-            if j != i:
-                c = c * d
-        complements.append(c)
-    slots = list(ctx.independents) + [ctx.dependent]
-    for k, slot in enumerate(slots):
-        lhs = ZERO
-        for (num, _den), comp_den, f in zip(sol, complements, basis):
-            comp = f.eta if k == len(slots) - 1 else f.coefficient(slot)
-            lhs = lhs + num * comp_den * comp
-        tcomp = target.eta if k == len(slots) - 1 else target.coefficient(slot)
-        if not (lhs - total_den * tcomp).is_zero:
-            return Decomposition(False)
-    return Decomposition(True, sol)
+    sol = solve_linear_exprs(*_component_rows(basis, target))
+    return Decomposition(False) if sol is None else Decomposition(True, sol)
 
 
 @dataclass

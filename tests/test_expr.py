@@ -282,3 +282,9 @@ def test_affine_in_splits_off_one_atom():
     assert (X * T).affine_in(u) == (ZERO, X * T)
     assert (U + U ** 2).affine_in(u) is None
     assert (X * U ** 2).affine_in(u) is None
+
+
+def test_function_symbol_with_a_repeated_argument_is_refused():
+    with pytest.raises(ExprError, match="repeated argument of f"):
+        Func("f", (x, t, x))
+    assert Func("f", (x, t)).bump(x) is Func("f", (x, t), (1, 0))

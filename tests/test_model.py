@@ -7,6 +7,7 @@ import pytest
 from camchoi.expr import Expr
 from camchoi.library import builtin_text, load_builtin, MANIFEST, manifest_resolves
 from camchoi.modelfile import (
+    AnsatzBlock,
     FieldBlock,
     ParseError,
     PdeBlock,
@@ -15,6 +16,7 @@ from camchoi.modelfile import (
     parse_model,
     print_model,
 )
+from camchoi.reduction import pullback
 
 MINI = """
 param alpha
@@ -300,3 +302,28 @@ def test_field_clause_string_with_semicolons(doc):
     mini = parse_model(text)
     vf = mini.block(FieldBlock, "F").vf
     assert str(vf.eta) == "-D(phi;t)"
+
+
+def test_repeated_function_argument_is_a_parse_error():
+    body = "pde p {\n  vars = t, x\n  dep = u\n  eq u[t] - %s = 0\n}\n"
+    with pytest.raises(ParseError, match="'f' has a repeated argument") as err:
+        parse_model("param a\nfunc f(x, x)\n" + body % "f(x, x)")
+    assert (err.value.line, err.value.col) == (2, 1)
+    with pytest.raises(ParseError, match="repeated argument of g") as err:
+        parse_model(body % "2*g(x, x)")
+    assert (err.value.line, err.value.col) == (4, 15)
+    # distinct arguments in either order still parse
+    assert parse_model("func f(x, t)\n" + body % "f(x, t)")
+
+
+def test_ansatz_variable_may_reuse_an_old_name_only_to_pass_it_through():
+    text = ("pde p {\n  vars = t, x, y\n  dep = u\n  eq u[t] + u[x] - u[y] = 0\n}\n"
+            "ansatz a on p {\n  var t = t\n  var %s = 2*x + y\n  sub u = U(t,%s)\n}\n")
+    with pytest.raises(ParseError, match="reuses an old variable's name") as err:
+        parse_model(text % ("x", "x"))
+    assert (err.value.line, err.value.col) == (8, 3)
+    doc = parse_model(text % ("w", "w"))
+    a = doc.block(AnsatzBlock, "a").ansatz
+    t = a.src.independents[0]
+    assert a.new_independent[0] == (t, Expr.atom(t))
+    assert str(pullback(doc.block(PdeBlock, "p").pde, a).lhs) == "U[t] + U[w]"

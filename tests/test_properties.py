@@ -869,3 +869,171 @@ def test_determining_systems_and_suite_residuals_hold_only_exact_coefficients(mo
     assert len(seen) >= 200
     for e in seen:
         _assert_exact_coefficients(e)
+
+
+# -- one derivative table, one substitution map, one consistency check ---------
+
+
+def test_map_substitution_matches_sequential_single_atom_substitution():
+    rng = random.Random(109)
+    pool = ATOM_POOL + [Func("psi", (t, x)), Func("psi", (t, x), (1, 2))]
+    several = 0
+    for _ in range(150):
+        targets = rng.sample(pool, rng.randint(1, 3))
+        e = random_expr(rng, 3)
+        if rng.random() < 0.3:
+            e = e + app("exp", random_expr(rng, 1, apps=False) * Expr.atom(targets[0]))
+        rules = {}
+        for target in targets:
+            repl = random_expr(rng, 2)
+            while any(repl.contains(s) for s in targets):  # no replacement holds a target
+                repl = random_expr(rng, 2)
+            rules[target] = repl
+        want = e
+        for target, repl in rules.items():
+            want = want.subst(target, repl)
+        got = e.subst(rules)
+        assert got.terms == want.terms
+        _assert_canonical(got)
+        several += len(rules) > 1 and got != e
+    assert several >= 50
+
+
+def test_map_substitution_binds_the_exponent_parameter_only_on_its_own():
+    e = Expr.atom(t, EXP_N) + Expr.atom(N_SYMBOL) * Expr.atom(x)
+    assert e.subst({N_SYMBOL: 2}) == e.subst(N_SYMBOL, 2) == Expr.atom(t) ** 2 + 2 * Expr.atom(x)
+    with pytest.raises(ExprError, match="on its own"):
+        e.subst({N_SYMBOL: 2, x: ONE})
+    # without n in an exponent, n is an atom like any other
+    assert (Expr.atom(N_SYMBOL) * Expr.atom(x)).subst({N_SYMBOL: Expr.atom(t), x: ONE}) == Expr.atom(t)
+
+
+def test_multi_argument_function_substitution_matches_the_factorwise_reference():
+    rng = random.Random(113)
+    psi = [Func("psi", (t, x), orders) for orders in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 3), (2, 2))]
+    other = Func("psi", (x, t), (1, 0))  # same name, other arguments: never replaced
+    replaced = 0
+    for _ in range(150):
+        e = random_expr(rng, 2)
+        for _k in range(rng.randint(1, 3)):
+            f = Expr.atom(rng.choice(psi + [other]), rng.choice([EXP_ONE, Exponent(4, 0)]))
+            e = e + random_expr(rng, 1) * f
+        if rng.random() < 0.3:
+            e = e + app("tanh", Expr.atom(rng.choice(psi)) * Expr.atom(t))
+        base = rng.choice([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)])
+        rule = random_expr(rng, 2, apps=False) * Expr.atom(x) + Expr.atom(t) ** 2 * Expr.atom(x, Exponent(-1, 0))
+        got = e.subst_func("psi", (t, x), rule, base)
+        assert got == _reference_subst_func(e, "psi", (t, x), rule, base)
+        _assert_canonical(got)
+        replaced += got != e
+    assert replaced >= 100
+
+
+def _reference_substitute_solution(system, rules):
+    """The per-unknown sequence of ``subst_func`` calls, one table per call."""
+    out = []
+    for eq in system.equations:
+        for fn in system.unknowns:
+            if fn.name in rules:
+                eq = eq.subst_func(fn.name, fn.args, rules[fn.name])
+        out.append(eq)
+    return out
+
+
+def _seeded_rules(rng, system):
+    args = system.unknowns[0].args
+    ts = args[0]
+    pool = [Expr.atom(s) for s in args] + [Expr.atom(p) for p in system.pde.ctx.parameters]
+    pool += [Expr.atom(Func("phi", (ts,))), Expr.atom(Func("phi", (ts,), (2,)))]
+    rules = {}
+    for fn in system.unknowns:
+        if rng.random() < 0.8:
+            e = Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3)):
+                e = e + Expr.rational(rng.randint(-3, 3)) * rng.choice(pool) * rng.choice(pool) ** rng.randint(0, 2)
+            rules[fn.name] = e
+    return rules
+
+
+def test_substitute_solution_matches_the_per_unknown_sequence():
+    from camchoi.modelfile import FieldBlock
+    from camchoi.symmetry import determining_equations
+
+    doc = load_builtin()
+    rng = random.Random(127)
+    nonzero = 0
+    for name in ("cc", "gcc", "cc19", "eq33"):
+        system = determining_equations(doc.block(PdeBlock, name).pde)
+        catalogued = []
+        for blk in doc.blocks:
+            if isinstance(blk, FieldBlock) and blk.on == name:
+                vf = blk.vf
+                rules = {"xi_" + v.name: vf.coefficient(v) for v in vf.ctx.independents}
+                rules["eta"] = vf.eta
+                catalogued.append(rules)
+        assert catalogued
+        for rules in catalogued + [_seeded_rules(rng, system) for _ in range(6)]:
+            got = system.substitute_solution(rules)
+            want = _reference_substitute_solution(system, rules)
+            assert [e.terms for e in got] == [e.terms for e in want]
+            nonzero += sum(not e.is_zero for e in got)
+    assert nonzero >= 100
+
+
+def _reference_decomposition_holds(target, basis, sol):
+    """The cross-multiplied identity sum(num_i/den_i * basis_i) == target, which
+    ``decompose_field`` checked after elimination until elimination's
+    consistency check was shown to settle it."""
+    total_den = ONE
+    for _num, den in sol:
+        total_den = total_den * den
+    for k, (_slot, tcomp) in enumerate(target.components()):
+        lhs = ZERO
+        for i, ((num, _den), f) in enumerate(zip(sol, basis)):
+            comp_den = ONE
+            for j, (_n, d) in enumerate(sol):
+                if j != i:
+                    comp_den = comp_den * d
+            lhs = lhs + num * comp_den * f.components()[k][1]
+        if not (lhs - total_den * tcomp).is_zero:
+            return False
+    return True
+
+
+def test_decompositions_satisfy_the_cross_multiplied_identity():
+    from camchoi.library import x4_of
+    from camchoi.modelfile import FieldBlock
+    from camchoi.symmetry import closure_table, decompose_field
+
+    doc = load_builtin()
+    fields = [blk.vf for blk in doc.blocks if isinstance(blk, FieldBlock)]
+    spaces = {}
+    for vf in fields:
+        group = spaces.setdefault((vf.ctx.independents, vf.ctx.dependent), [])
+        if vf not in group:  # a duplicate basis field is refused before any decomposition
+            group.append(vf)
+    rng = random.Random(131)
+    checked = refused = 0
+    for group in spaces.values():
+        if len(group) < 2:
+            continue
+        subsets = [tuple(rng.sample(group, rng.randint(2, min(4, len(group))))) for _ in range(40)]
+        for subset in subsets:
+            for (i, j), (Z, dec) in closure_table(list(subset)).table.items():
+                if Z.is_zero_field():
+                    continue
+                if dec.ok:
+                    assert _reference_decomposition_holds(Z, subset, dec.coefficients)
+                    checked += 1
+                else:
+                    refused += 1
+    # the cc.16 case: [X2, X4(t)] over {X4(1), X4(t), X3(1)}
+    vf = {blk.name: blk.vf for blk in doc.blocks if isinstance(blk, FieldBlock)}
+    X4t = x4_of(doc, Expr.atom(vf["X2"].ctx.independents[0]))
+    basis = [vf["X4p"], X4t, vf["X3p"]]
+    Z = commutator(vf["X2"], X4t)
+    dec = decompose_field(Z, basis)
+    assert dec.ok and _reference_decomposition_holds(Z, basis, dec.coefficients)
+    (num, den), *rest = dec.coefficients
+    assert not _reference_decomposition_holds(Z, basis, [(num + den, den)] + rest)
+    assert checked >= 50 and refused >= 50

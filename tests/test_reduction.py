@@ -382,3 +382,20 @@ def test_top_jet_coefficient_rejects_a_squared_top_jet_in_any_term_order():
     for e in (top + top ** 2, Expr.atom(H) ** 3 * top + top ** 2):
         with pytest.raises(ReductionError, match="nonlinear top derivative"):
             _top_jet_coeff(e, ctx, 1)
+
+
+def test_pullback_cancels_only_powers_of_variables():
+    from camchoi.modelfile import parse_model
+
+    text = ("pde p {\n  vars = t, x, y\n  dep = u\n  eq %s = 0\n}\n"
+            "ansatz a on p {\n  var t = t\n  var w = 2*x + y\n  sub u = %s\n}\n")
+    cases = [
+        ("u[t] + u[x] - 2*u[y]", "U(t,w)", "U[t]"),
+        # U[w,w] is common to both terms of U[w,w]*(1 + 2*U[w]) but is part of the equation
+        ("u[y,y] + u[x,y]*u[y]", "U(t,w)", "2*U[w]*U[w,w] + U[w,w]"),
+        # 2*t*U + t^2*U[t]: the common power of t goes
+        ("u[t] + u[x] - 2*u[y]", "t^2*U(t,w)", "t*U[t] + 2*U"),
+    ]
+    for eq, sub, want in cases:
+        doc = parse_model(text % (eq, sub))
+        assert str(pullback(doc.block(PdeBlock, "p").pde, doc.block(AnsatzBlock, "a").ansatz).lhs) == want
