@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import Expr, Func, Sym, ONE, ZERO, app
+from .expr import Expr, Func, Sym, ZERO
 from .jet import Context, Pde
 from .modelfile import (
     AnsatzBlock,
@@ -20,6 +20,7 @@ from .modelfile import (
     PdeBlock,
     RunBlock,
     SolutionBlock,
+    parse_expression,
     parse_model,
 )
 from .odes import IntegratorConfig, compile_rhs, integrate
@@ -120,13 +121,16 @@ def _cc(doc: ModelDocument) -> Context:
     return doc.block(PdeBlock, "cc").ctx
 
 
-def _t(doc: ModelDocument) -> Sym:
-    return _cc(doc).independents[0]
+def _expr(doc: ModelDocument, text: str) -> Expr:
+    """A printed formula in the cc context, read as the model file reads it."""
+    return parse_expression(doc, _cc(doc), text)
 
 
-def _tfunc(doc: ModelDocument, name: str) -> Expr:
-    """The arbitrary function name(t) of the function-parametrized generators."""
-    return Expr.atom(Func(name, (_t(doc),)))
+def _field(doc: ModelDocument, eta: str = "0", **xi: str) -> VectorField:
+    """A printed generator on cc, each coefficient a formula keyed by its variable."""
+    ctx = _cc(doc)
+    return VectorField(ctx, {v: _expr(doc, xi[v.name]) for v in ctx.independents if v.name in xi},
+                       _expr(doc, eta), name="printed")
 
 
 def x3_of(doc: ModelDocument, arg: Expr) -> VectorField:
@@ -138,34 +142,23 @@ def x3_of(doc: ModelDocument, arg: Expr) -> VectorField:
 def x4_of(doc: ModelDocument, arg: Expr) -> VectorField:
     ctx = _cc(doc)
     t, x, y = ctx.independents
-    Y = Expr.atom(y)
-    dt = arg.diff(t)
-    return VectorField(
-        ctx,
-        {y: arg, x: Expr.rational(Fraction(-1, 2)) * dt * Y},
-        Expr.rational(Fraction(1, 2)) * dt.diff(t) * Y,
-        name="X4(arg)",
-    )
+    dt, Y = arg.diff(t), Expr.atom(y)
+    return VectorField(ctx, {y: arg, x: -dt * Y / 2}, dt.diff(t) * Y / 2, name="X4(arg)")
 
 
 def compare_fields(computed: VectorField, printed: VectorField) -> str:
     if computed == printed:
         return "match"
-    neg = field_lincomb([(Expr.rational(-1), printed)], printed.ctx)
+    neg = field_lincomb([(-1, printed)], printed.ctx)
     if computed == neg:
         return "sign-flip"
     return "mismatch"
 
 
 def _combo(doc: ModelDocument, pairs: List[Tuple[object, str]]) -> VectorField:
-    """sum(coeff * field); a coefficient is a rational or a parameter name,
-    negated by a leading '-'.  No pairs give the zero field."""
-    terms = []
-    for coeff, fname in pairs:
-        if isinstance(coeff, str):
-            p = Expr.atom(doc.params[coeff.lstrip("-")])
-            coeff = -p if coeff.startswith("-") else p
-        terms.append((coeff, _vf(doc, fname)))
+    """sum(coeff * field); a coefficient is a rational or a formula such as
+    "-alpha".  No pairs give the zero field."""
+    terms = [(_expr(doc, c) if isinstance(c, str) else c, _vf(doc, fname)) for c, fname in pairs]
     return field_lincomb(terms, terms[0][1].ctx if terms else _cc(doc))
 
 
@@ -378,17 +371,18 @@ def build_cases() -> List[Case]:
     # commutator relations
     add(_bracket_case("cc.05", "first commutator row", [
         ("[X1,X2]", "X1", "X2", [(2, "X1")], "match"),
-        ("[X1,X3]", "X1", "X3", lambda d: x3_of(d, _tfunc(d, "phi").diff(_t(d))), "match"),
-        ("[X1,X4]", "X1", "X4", lambda d: x4_of(d, _tfunc(d, "psi").diff(_t(d))), "match"),
+        ("[X1,X3]", "X1", "X3", lambda d: x3_of(d, _expr(d, "D(phi;t)")), "match"),
+        ("[X1,X4]", "X1", "X4", lambda d: x4_of(d, _expr(d, "D(psi;t)")), "match"),
     ], _RELATION_NOTE))
     add(_bracket_case("cc.06", "scaling against the function family", [
-        ("[X2,X3]", "X2", "X3", _cc06_printed_x2x3, "sign-flip"),
-        ("[X2,X4]", "X2", "X4", _cc06_printed_x2x4, "mismatch"),
+        ("[X2,X3]", "X2", "X3", lambda d: x3_of(d, _expr(d, "phi(t) - 2*t*D(phi;t)")), "sign-flip"),
+        ("[X2,X4]", "X2", "X4", lambda d: x4_of(d, _expr(d, "(3/4)*psi(t) - 2*t*D(psi;t)")), "mismatch"),
         ("[X3,X4]", "X3", "X4", [], "match"),
     ], _RELATION_NOTE))
     add(_bracket_case("cc.07", "function family among itself", [
         ("[X3(phi),X3(chi)]", "X3", "X3chi", [], "match"),
-        ("[X4(psi),X4(chi)]", "X4", "X4chi", _cc07_printed, "match"),
+        ("[X4(psi),X4(chi)]", "X4", "X4chi",
+         lambda d: x3_of(d, _expr(d, "(1/2)*(chi(t)*D(psi;t) - psi(t)*D(chi;t))")), "match"),
     ], _RELATION_NOTE))
     add(_bracket_case("cc.09", "constant family, first row", [
         ("[X1p,X2p]", "X1p", "X2p", [(2, "X1p")], "match"),
@@ -404,15 +398,19 @@ def build_cases() -> List[Case]:
         ("[X1p,X5p]", "X1p", "X5p", [("omega1", "X5p")], "match"),
         ("[X1p,X6p]", "X1p", "X6p", [("omega2", "X6p")], "match"),
         ("[X1p,X6p_printed]", "X1p", "X6p_printed", [("omega2", "X6p_printed")], "mismatch"),
-        ("[X2p,X5p]", "X2p", "X5p", _cc12_printed_x2x5, "mismatch"),
+        ("[X2p,X5p]", "X2p", "X5p", lambda d: _field(d, x="exp(omega1*t)*(1 - omega1*t)",
+                                                     eta="exp(omega1*t)*omega1*(1 + 2*omega1*t)"), "mismatch"),
     ], _RELATION_NOTE))
     add(_bracket_case("cc.13", "exponential family, scaling row", [
-        ("[X2p,X6p]", "X2p", "X6p", _cc13_printed, "sign-flip"),
+        ("[X2p,X6p]", "X2p", "X6p", lambda d: _field(
+            d, y="exp(omega2*t)*(1/2)*(3 - 4*omega2*t)", x="exp(omega2*t)*(1/4)*(1 + 4*omega2*t)*omega2*y",
+            eta="-exp(omega2*t)*(1/4)*(5 + 4*omega2*t)*omega2^2*y"), "sign-flip"),
     ], _RELATION_NOTE))
     add(_bracket_case("cc.14", "exponential family, translation row", [
         ("[X3p,X5p]", "X3p", "X5p", [], "match"),
         ("[X3p,X6p]", "X3p", "X6p", [], "match"),
-        ("[X4p,X6p]", "X4p", "X6p", _cc14_printed, "mismatch"),
+        ("[X4p,X6p]", "X4p", "X6p",
+         lambda d: _field(d, t="(1/2)*omega2*exp(omega2*t)", eta="-(1/2)*omega2^2*exp(omega2*t)"), "mismatch"),
     ], _RELATION_NOTE))
 
     # printed commutator tables
@@ -478,64 +476,7 @@ def build_cases() -> List[Case]:
     return cases
 
 
-# -- printed fields and one-off cases bound to the builtin document ----------------
-
-
-def _cc06_printed_x2x3(doc: ModelDocument) -> VectorField:
-    t, phi = _t(doc), _tfunc(doc, "phi")
-    return x3_of(doc, phi - 2 * Expr.atom(t) * phi.diff(t))
-
-
-def _cc06_printed_x2x4(doc: ModelDocument) -> VectorField:
-    t, psi = _t(doc), _tfunc(doc, "psi")
-    return x4_of(doc, Expr.rational(Fraction(3, 4)) * psi - 2 * Expr.atom(t) * psi.diff(t))
-
-
-def _cc07_printed(doc: ModelDocument) -> VectorField:
-    t, psi, chi = _t(doc), _tfunc(doc, "psi"), _tfunc(doc, "chi")
-    return x3_of(doc, Expr.rational(Fraction(1, 2)) * (chi * psi.diff(t) - psi * chi.diff(t)))
-
-
-def _cc12_printed_x2x5(doc: ModelDocument) -> VectorField:
-    ctx = _cc(doc)
-    t, x, y = ctx.independents
-    o1 = Expr.atom(doc.params["omega1"])
-    E = app("exp", o1 * Expr.atom(t))
-    return VectorField(
-        ctx,
-        {x: E * (1 - o1 * Expr.atom(t))},
-        E * o1 * (1 + 2 * o1 * Expr.atom(t)),
-        name="printed",
-    )
-
-
-def _cc13_printed(doc: ModelDocument) -> VectorField:
-    ctx = _cc(doc)
-    t, x, y = ctx.independents
-    o2 = Expr.atom(doc.params["omega2"])
-    T = Expr.atom(t)
-    Y = Expr.atom(y)
-    E = app("exp", o2 * T)
-    half = Expr.rational(Fraction(1, 2))
-    quarter = Expr.rational(Fraction(1, 4))
-    return VectorField(
-        ctx,
-        {
-            y: E * half * (3 - 4 * o2 * T),
-            x: E * quarter * (1 + 4 * o2 * T) * o2 * Y,
-        },
-        -E * quarter * (5 + 4 * o2 * T) * o2 * o2 * Y,
-        name="printed",
-    )
-
-
-def _cc14_printed(doc: ModelDocument) -> VectorField:
-    ctx = _cc(doc)
-    t, x, y = ctx.independents
-    o2 = Expr.atom(doc.params["omega2"])
-    E = app("exp", o2 * Expr.atom(t))
-    half = Expr.rational(Fraction(1, 2))
-    return VectorField(ctx, {t: half * o2 * E}, -half * o2 * o2 * E, name="printed")
+# -- one-off cases bound to the builtin document ----------------------------------
 
 
 def _run_x6p_printed(doc: ModelDocument) -> CaseResult:
@@ -619,39 +560,31 @@ def _run_cc15(doc: ModelDocument) -> CaseResult:
 
 def _run_cc16(doc: ModelDocument) -> CaseResult:
     # psi affine in t keeps the scaling bracket inside the span {X4(1), X4(t)}
-    X4t = x4_of(doc, Expr.atom(_t(doc)))
-    Z = commutator(_vf(doc, "X2"), X4t)
-    dec = decompose_field(Z, [_vf(doc, "X4p"), X4t, _vf(doc, "X3p")])
+    Z = commutator(_vf(doc, "X2"), _vf(doc, "X5"))
+    dec = decompose_field(Z, [_vf(doc, "X4p"), _vf(doc, "X5"), _vf(doc, "X3p")])
     return CaseResult("cc.16", "closure", "pass" if dec.ok else "fail",
                       {"decomposed": dec.ok, "coefficients": dec.coefficient_strings()})
 
 
 def _run_cc17(doc: ModelDocument) -> CaseResult:
     # [X4(1), X4(t)] = -(1/2) X3(1) stays in the five-field span
-    Z = commutator(_vf(doc, "X4p"), x4_of(doc, Expr.atom(_t(doc))))
+    Z = commutator(_vf(doc, "X4p"), _vf(doc, "X5"))
     ok = Z == _combo(doc, [(Fraction(-1, 2), "X3p")])
     return CaseResult("cc.17", "closure", "pass" if ok else "fail", {"bracket": str(Z)})
 
 
 def _run_determining(doc: ModelDocument) -> CaseResult:
     det = determining_equations(_pde(doc, "cc"))
-    ctx = _pde(doc, "cc").ctx
-    t, x, y = ctx.independents
-    u = ctx.dependent
-    T, X_, Y_ = (Expr.atom(s) for s in (t, x, y))
-    A = Expr.atom(doc.params["alpha"])
-    C1, C2, C3, C4 = (Expr.atom(doc.params["c%d" % i]) for i in (1, 2, 3, 4))
-    half = Expr.rational(Fraction(1, 2))
-    phi, psi = _tfunc(doc, "phi"), _tfunc(doc, "psi")
+    ctx = _cc(doc)
     rules = {
-        "xi_t": C1 + 2 * C2 * T,
-        "xi_x": C2 * X_ + C3 * phi - half * C4 * psi.diff(t) * Y_,
-        "xi_y": Expr.rational(Fraction(3, 2)) * C2 * Y_ + C4 * psi,
-        "eta": C2 * (A - Expr.atom(u)) - C3 * phi.diff(t) + half * C4 * psi.diff(t).diff(t) * Y_,
+        "xi_t": "c1 + 2*c2*t",
+        "xi_x": "c2*x + c3*phi(t) - (1/2)*c4*D(psi;t)*y",
+        "xi_y": "(3/2)*c2*y + c4*psi(t)",
+        "eta": "c2*(alpha - u) - c3*D(phi;t) + (1/2)*c4*D(psi;t,t)*y",
     }
-    vals = det.substitute_solution(rules)
+    vals = det.substitute_solution({k: _expr(doc, v) for k, v in rules.items()})
     annihilated = all(v.is_zero for v in vals)
-    args = tuple(ctx.independents) + (u,)
+    args = tuple(ctx.independents) + (ctx.dependent,)
     xtu = Expr.atom(Func("xi_t", args, (0, 0, 0, 1))).content_normalized()
     has_xtu = any(eq.content_normalized() == xtu for eq in det.equations)
     ok = annihilated and has_xtu
@@ -665,9 +598,7 @@ def _run_determining(doc: ModelDocument) -> CaseResult:
 
 
 def _run_cc18_invariants(doc: ModelDocument) -> CaseResult:
-    ctx = _cc(doc)
-    t, x, y = ctx.independents
-    X34 = VectorField(ctx, {x: ONE, y: ONE}, ZERO, "X3p+X4p")
+    X34 = _combo(doc, [(1, "X3p"), (1, "X4p")])
     a = invariants_for(X34, names=["w"], dep_name="U")
     blk = doc.block(AnsatzBlock, "cc18").ansatz
     same = [e1 == e2 for (_v1, e1), (_v2, e2) in zip(a.new_independent, blk.new_independent)]
@@ -726,9 +657,7 @@ def _run_cc27(doc: ModelDocument) -> CaseResult:
     blk = doc.block(SolutionBlock, "cc27")
     target = doc.equation_of(doc.find(blk.on))
     res, cons = verify_closed_form(target, blk.sol, blk.rules, blk.bindings)
-    a_sym = doc.params["A"]
-    c_sym = doc.params["c"]
-    constrained = blk.sol.subst(a_sym, ONE / Expr.atom(c_sym))
+    constrained = blk.sol.subst(doc.params["A"], _expr(doc, "1/c"))
     res2, _ = verify_closed_form(target, constrained)
     ok = (not res.is_zero) and res2.is_zero
     detail = {
@@ -793,65 +722,3 @@ def _run_fig1_agreement(doc: ModelDocument) -> CaseResult:
         detail[rn] = {"difference": "%.3e" % d, "endpoint": ["%.12g" % v for v in tra.endpoint()[1]]}
         ok = ok and d < 1e-6 and not tra.flag and not trf.flag
     return CaseResult("fig-1", "numerics", "pass" if ok else "fail", detail)
-
-
-# -- coverage manifest ------------------------------------------------------------
-
-# one built-in per catalogued label; values name the backing case or block
-MANIFEST: Dict[str, str] = {
-    "cc.01": "block:cc",
-    "cc.02": "block:gcc",
-    "cc.03": "case:cc.03",
-    "cc.04": "case:cc.04",
-    "cc.05": "case:cc.05",
-    "cc.06": "case:cc.06",
-    "cc.07": "case:cc.07",
-    "cc.08": "case:cc.08",
-    "cc.09": "case:cc.09",
-    "cc.10": "case:cc.10",
-    "cc.11": "case:cc.11",
-    "cc.12": "case:cc.12",
-    "cc.13": "case:cc.13",
-    "cc.14": "case:cc.14",
-    "cc.15": "case:cc.15",
-    "cc.16": "case:cc.16",
-    "cc.17": "case:cc.17",
-    "cc.18": "case:cc.18",
-    "cc.19": "case:cc.19",
-    "cc.20": "case:cc.20",
-    "cc.21": "case:cc.21",
-    "cc.22": "case:cc.22",
-    "cc.23": "case:cc.23",
-    "cc.24": "case:cc.24",
-    "cc.25": "case:cc.25",
-    "cc.26": "case:cc.26",
-    "cc.27": "case:cc.27",
-    "cc.28": "case:cc.28",
-    "cc.29": "case:cc.29",
-    "cc.30": "case:cc.30",
-    "cc.31": "case:cc.31",
-    "cc.32": "case:cc.32",
-    "cc.33": "case:cc.33",
-    "table-1": "case:table-1",
-    "table-2": "case:table-2",
-    "eq.33": "case:eq.33",
-    "eq.34": "case:eq.34",
-    "eq.35": "case:eq.35",
-    "eq.36": "case:eq.36",
-    "eq.37": "block:eq37",
-    "eq.38": "case:eq.38",
-    "fig-1": "case:fig-1",
-}
-
-
-def manifest_resolves(doc: Optional[ModelDocument] = None) -> bool:
-    doc = doc or load_builtin()
-    labels = {c.label for c in build_cases()}
-    for label, ref in MANIFEST.items():
-        kind, _, name = ref.partition(":")
-        if kind == "case":
-            if name not in labels:
-                return False
-        else:
-            doc.find(name)
-    return True

@@ -510,6 +510,12 @@ class _Parser:
 
         def var(at):
             vname = self._name()
+            taken = ("a declared parameter" if vname in doc.params
+                     else "the old dependent variable" if vname == src.dependent.name
+                     else "a declared function" if vname in doc.funcs
+                     else "an earlier var of this block" if any(v.name == vname for v, _ in new_vars) else "")
+            if taken:
+                raise ParseError("new variable %r is already %s" % (vname, taken), at.line, at.col)
             e = self._assigned(lambda: self.parse_expr(_Scope(doc, src)))
             existing = _lookup_var(src, vname)
             if existing is not None and e != Expr.atom(existing):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from typing import Optional, Sequence
 
 from .odes import Trajectory
 
@@ -26,14 +27,12 @@ def write_svg(
     """Plot one state component of each trajectory as a colored polyline.
 
     All trajectories are expected to share the independent-variable span.
+    Samples whose component is not finite are neither scaled nor drawn.
     An empty list yields an axes-only document.
     """
-    xs: List[float] = []
-    ys: List[float] = []
-    for tr in trajs:
-        for t, y in tr.samples:
-            xs.append(t)
-            ys.append(y[component])
+    shown = [[(t, y[component]) for t, y in tr.samples if math.isfinite(y[component])] for tr in trajs]
+    xs = [t for pts in shown for t, _v in pts]
+    ys = [v for pts in shown for _t, v in pts]
     if xs:
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
@@ -69,10 +68,10 @@ def write_svg(
     out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (WIDTH - MARGIN, HEIGHT - MARGIN + 20, text, _fmt(xmax)))
     out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, HEIGHT - MARGIN + 4, text, _fmt(ymin + pad)))
     out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, MARGIN + 4, text, _fmt(ymax - pad)))
-    for i, tr in enumerate(trajs):
+    for i, pts in enumerate(shown):
         color = colors[i] if i < len(colors) else "black"
-        pts = " ".join("%.6g,%.6g" % (px(t), py(y[component])) for t, y in tr.samples)
-        out.append('<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>' % (color, pts))
+        points = " ".join("%.6g,%.6g" % (px(t), py(v)) for t, v in pts)
+        out.append('<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>' % (color, points))
         if labels and i < len(labels):
             out.append(
                 '<text x="%g" y="%g" %s fill="%s">%s</text>'

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -162,6 +164,8 @@ def test_paper_suite_passes_and_is_stable(capsys, tmp_path):
     b2 = open(p2, "rb").read()
     assert b1 == b2
     assert hashlib.md5(b1).hexdigest() == "e92849c3257f7710794fe350a18fc9d5"
+    assert out1 == out2
+    assert hashlib.md5(out1.encode()).hexdigest() == "b6667323fab2b84993b0cf83aa464063"
     data = json.loads(b1)
     assert data["schema"] == SCHEMA
     assert data["summary"]["fail"] == 0
@@ -266,6 +270,22 @@ def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     assert got == code
     for text in expect:
         assert text in out + err
+
+
+def test_integrate_svg_draws_only_the_finite_samples(capsys, tmp_path):
+    # H' = H^2 from H(0) = 1 blows up at z = 1
+    model, csv, svg = (os.path.join(tmp_path, f) for f in ("blowup.model", "q.csv", "q.svg"))
+    with open(model, "w") as fh:
+        fh.write("ode q { vars = z; dep = H; eq H[z] - H^2 = 0 }\n")
+    code, out, _ = run(capsys, "integrate", model, "q", "--ic", "1", "--span", "0", "2",
+                       "--method", "fixed-rk4", "--step", "0.01", "--csv", csv, "--svg", svg)
+    assert code == 1 and "[non-finite]" in out
+    rows = open(csv).read().splitlines()[1:]
+    finite = [r for r in rows if math.isfinite(float(r.split(",")[1]))]
+    body = open(svg).read()
+    assert "nan" not in body and "inf" not in body
+    assert 0 < len(finite) < len(rows)
+    assert len(re.search(r'points="([^"]*)"', body).group(1).split()) == len(finite)
 
 
 EXPONENT_MODEL = "exponent n\node q { vars = z; dep = H; eq H[z,z] + H^n = 0 }\n"

@@ -394,7 +394,7 @@ def test_prolongation_is_decomposition_independent(doc, eager_eta_table):
 
 
 def test_bracket_case_fails_off_expectation_and_records_every_mismatch(doc):
-    from camchoi.library import _bracket_case
+    from camchoi.library import _bracket_case, _field
 
     def outcome(relations):
         res = _bracket_case("probe", "probe", relations, "note").run(doc)
@@ -410,3 +410,15 @@ def test_bracket_case_fails_off_expectation_and_records_every_mismatch(doc):
     assert outcome([flipped]) == ("fail", {"flipped": "sign-flip"}, [])
     assert outcome([known, surprise]) == ("fail", {"[X2p,X4p]": "mismatch", "surprise": "mismatch"},
                                           [("[X2p,X4p]", "note"), ("surprise", "note")])
+    # formula coefficients and printed fields of formulas: [X1p,X5p] = omega1*X5p
+    scaled = ("scaled", "X1p", "X5p", [("omega1", "X5p")], "match")
+    negated = ("negated", "X1p", "X5p", [("-omega1", "X5p")], "sign-flip")
+    assert outcome([scaled, negated]) == ("pass", {"scaled": "match", "negated": "sign-flip"}, [])
+    full = ("full", "X1p", "X5p", lambda d: _field(d, x="omega1*exp(omega1*t)", eta="-omega1^2*exp(omega1*t)"),
+            "match")
+    no_eta = ("no eta", "X1p", "X5p", lambda d: _field(d, x="omega1*exp(omega1*t)"), "mismatch")
+    assert outcome([full, no_eta]) == ("mismatch-recorded", {"full": "match", "no eta": "mismatch"},
+                                       [("no eta", "note")])
+    entry = _bracket_case("probe", "probe", [no_eta], "note").run(doc).ledger[0]
+    assert (entry.printed, entry.computed) == ("(omega1*exp(t*omega1)) d_x",
+                                               "(omega1*exp(t*omega1)) d_x + (-omega1^2*exp(t*omega1)) d_u")
