@@ -17,13 +17,11 @@ from .expr import (
     PARAMETER,
     REDUCED,
     RatPow,
-    Rational,
     Sym,
     ONE,
     ZERO,
     app,
     as_expr,
-    is_zero,
     normalize,
 )
 from .jet import Context, JetError, Pde, expand_pde, on_manifold, total_derivative

@@ -35,8 +35,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-Rational = Fraction
-
 
 class ExprError(ValueError):
     """Raised for operations outside the kernel's closed fragment."""
@@ -504,8 +502,6 @@ class Expr:
         return as_expr(other) * _invert_monomial(self)
 
     def __pow__(self, k: int) -> "Expr":
-        if isinstance(k, Exponent):
-            return self.pow_exponent(k)
         if not isinstance(k, int):
             raise ExprError("integer power expected")
         if k == 0:
@@ -806,10 +802,6 @@ def as_expr(x) -> Expr:
 def normalize(e) -> Expr:
     """Canonical form entry point; Exprs are canonical by construction."""
     return as_expr(e)
-
-
-def is_zero(e) -> bool:
-    return as_expr(e).is_zero
 
 
 def _mul_monos(m1: Mono, m2: Mono):

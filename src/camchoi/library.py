@@ -67,16 +67,6 @@ class LedgerEntry:
     residual: str
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "subject": self.subject,
-            "printed": self.printed,
-            "computed": self.computed,
-            "residual": self.residual,
-            "note": self.note,
-        }
-
 
 @dataclass
 class CaseResult:

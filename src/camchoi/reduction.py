@@ -5,7 +5,6 @@ closed-form solution checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
@@ -119,16 +118,16 @@ def invariants_for(
 ) -> Ansatz:
     """Zeroth-order invariants for diagonal affine generators.
 
-    Supports pure translations and scalings with constant shifts.  Raises
+    Each moving coordinate z moves as z' = a*z + b, with a zero for every base
+    variable (a translation) or for none (a scaling).  ``flow(a, b)`` gives
+    (shift, k) with z = shift + w*s^k and w invariant; s is the pivot (the
+    first moving variable) shifted to vanish where a scaling fixes it.  Raises
     UnsupportedField for anything else (projective coefficients, mixed
-    translation and scaling across variables, exponents outside the
-    half-integer lattice), in which case the ansatz must be supplied by hand.
+    translation and scaling, exponents outside the half-integer lattice, a
+    power the kernel cannot take of a shifted pivot): supply the ansatz by hand.
     """
     ctx = X.ctx
-    lin: Dict[Sym, Tuple[Expr, Expr]] = {}
-    for v in ctx.independents:
-        a, b = _affine_parts(X.coefficient(v), v, ctx)
-        lin[v] = (a, b)
+    lin = {v: _affine_parts(X.coefficient(v), v, ctx) for v in ctx.independents}
     e_coeff, f_coeff = _affine_parts(X.eta, ctx.dependent, ctx)
 
     moving = [v for v in ctx.independents if not (lin[v][0].is_zero and lin[v][1].is_zero)]
@@ -137,91 +136,63 @@ def invariants_for(
     scaling = [v for v in moving if not lin[v][0].is_zero]
     if scaling and len(scaling) != len(moving):
         raise UnsupportedField("unsupported field shape: mixed translation and scaling")
+    pivot = moving[0]
+    ap, bp = lin[pivot]
+    if not scaling and not bp.is_monomial():
+        raise UnsupportedField("unsupported field shape: non-monomial translation speed")
+    if not all(lin[v][0].is_rational() for v in moving):
+        raise UnsupportedField("unsupported field shape: non-rational scaling weight")
+    s = Expr.atom(pivot) + (bp / ap if scaling else ZERO)
+
+    def flow(a: Expr, b: Expr, shown: int) -> Tuple[Expr, Exponent]:
+        if not scaling:
+            return (b / bp) * Expr.atom(pivot), Exponent(0, 0)
+        k = a.as_rational() / ap.as_rational()
+        if (2 * k).denominator != 1:  # reported with the sign it takes in the formula built
+            raise UnsupportedField(
+                "unsupported field shape: exponent %s outside the half-integer lattice" % (shown * k))
+        return -(b / a), Exponent(int(2 * k), 0)
+
+    def power(k: Exponent) -> Expr:
+        try:
+            return s.pow_exponent(k)
+        except ExprError:
+            raise UnsupportedField("unsupported field shape: power %s of the non-monomial %s" % (k, s)) from None
 
     if names is None:
         names = ["w%d" % i for i in range(1, len(ctx.independents))]
+    name_iter = iter(names)
     new_vars: List[Tuple[Sym, Expr]] = []
     hints: List[Tuple[Sym, Expr]] = []
-    name_iter = iter(names)
+    for v in ctx.independents:
+        if v not in moving:
+            new_vars.append((v, Expr.atom(v)))
+            continue
+        if v == pivot:
+            continue
+        shift, k = flow(*lin[v], -1)
+        name = next(name_iter, None)
+        if name is None:
+            raise ReductionError("invariants_for needs %d names for the new variables, got %d"
+                                 % (len(moving) - 1, len(names)))
+        w = Sym(name, REDUCED)
+        new_vars.append((w, (Expr.atom(v) - shift) * power(k.neg())))
+        if s.is_monomial():
+            hints.append((v, Expr.atom(w) * power(k) + shift))
+    if not scaling and not e_coeff.is_zero:
+        raise UnsupportedField("unsupported field shape: dependent scaling under translation")
+    if scaling and e_coeff.is_zero and not f_coeff.is_zero:
+        raise UnsupportedField("unsupported field shape: dependent translation under scaling")
+    if not e_coeff.is_rational():
+        raise UnsupportedField("unsupported field shape: non-rational dependent weight")
 
-    if not scaling:
-        pivot = moving[0]
-        bp = lin[pivot][1]
-        if not bp.is_monomial():
-            raise UnsupportedField("unsupported field shape: non-monomial translation speed")
-        for v in ctx.independents:
-            if v == pivot:
-                continue
-            if v not in moving:
-                new_vars.append((v, Expr.atom(v)))
-            else:
-                w = Sym(next(name_iter), REDUCED)
-                expr = Expr.atom(v) - (lin[v][1] / bp) * Expr.atom(pivot)
-                new_vars.append((w, expr))
-                hints.append((v, Expr.atom(w) + (lin[v][1] / bp) * Expr.atom(pivot)))
-        if not e_coeff.is_zero:
-            raise UnsupportedField("unsupported field shape: dependent scaling under translation")
-        if f_coeff.is_zero:
-            rule_shift = ZERO
-        else:
-            rule_shift = (f_coeff / bp) * Expr.atom(pivot)
-    else:
-        pivot = scaling[0]
-        ap = lin[pivot][0]
-        if not ap.is_rational():
-            raise UnsupportedField("unsupported field shape: non-rational scaling weight")
-        apq = ap.as_rational()
-        shifted: Dict[Sym, Expr] = {}
-        for v in moving:
-            a, b = lin[v]
-            if not a.is_rational():
-                raise UnsupportedField("unsupported field shape: non-rational scaling weight")
-            shifted[v] = Expr.atom(v) + b / a
-        for v in ctx.independents:
-            if v == pivot:
-                continue
-            if v not in moving:
-                new_vars.append((v, Expr.atom(v)))
-                continue
-            r = lin[v][0].as_rational() / apq
-            ex = Fraction(-r)
-            if (2 * ex).denominator != 1:
-                raise UnsupportedField(
-                    "unsupported field shape: exponent %s outside the half-integer lattice" % ex
-                )
-            w = Sym(next(name_iter), REDUCED)
-            expo = Exponent(int(2 * ex), 0)
-            new_vars.append((w, shifted[v] * shifted[pivot].pow_exponent(expo)))
-            if lin[pivot][1].is_zero:
-                back = Expr.atom(w) * Expr.atom(pivot).pow_exponent(expo.neg()) - lin[v][1] / lin[v][0]
-                hints.append((v, back))
-        if e_coeff.is_zero and not f_coeff.is_zero:
-            raise UnsupportedField("unsupported field shape: dependent translation under scaling")
-        if e_coeff.is_zero:
-            rule_shift = ZERO
-            dep_scale = None
-        else:
-            if not e_coeff.is_rational():
-                raise UnsupportedField("unsupported field shape: non-rational dependent weight")
-            r = e_coeff.as_rational() / apq
-            if (2 * Fraction(r)).denominator != 1:
-                raise UnsupportedField(
-                    "unsupported field shape: exponent %s outside the half-integer lattice" % r
-                )
-            dep_scale = Exponent(int(2 * Fraction(r)), 0)
-
-    dep = Sym(dep_name, DEPENDENT)
     fn = Func(dep_name, tuple(v for v, _ in new_vars))
-    f_atom = Expr.atom(fn)
-    if not scaling:
-        rule = f_atom + rule_shift
-    else:
-        if e_coeff.is_zero:
-            rule = f_atom
-        else:
-            shift = -(f_coeff / e_coeff)
-            rule = shift + f_atom * shifted[pivot].pow_exponent(dep_scale)
-    return Ansatz(ctx, new_vars, dep, fn, rule, hints, name="invariants(%s)" % (X.name or "X"))
+    rule = Expr.atom(fn)
+    if not X.eta.is_zero:
+        shift, k = flow(e_coeff, f_coeff, 1)
+        rule = shift + rule * power(k)
+    return Ansatz(ctx, new_vars, Sym(dep_name, DEPENDENT), fn, rule, hints,
+                  name="invariants(%s)" % (X.name or "X"))
 
 
 def _affine_parts(e: Expr, v: Sym, ctx: Context) -> Tuple[Expr, Expr]:
@@ -300,36 +271,24 @@ def _funcs_to_jets(e: Expr, a: Ansatz, new_ctx: Context) -> Expr:
 
 
 def _cancel_common_monomial(e: Expr) -> Expr:
-    """Divide out the powers of variables common to every term.
+    """Divide out each variable's lowest power over all terms.
 
-    Only a Sym of independent or reduced kind is cancelled: a common jet,
-    function or parameter factor is part of the equation.
+    A variable absent from a term has power 0 there; one whose powers differ
+    in their n part is left alone.  Only a Sym of independent or reduced kind
+    is cancelled: a common jet, function or parameter factor is part of the
+    equation.
     """
-    if e.is_zero:
-        return e
-    common: Dict[object, Exponent] = {}
-    first = True
+    powers: Dict[Sym, List[Exponent]] = {}
     for mono, _c in e.terms:
-        exps = {a: x for a, x in mono if a.__class__ is Sym and a.kind in (INDEPENDENT, REDUCED)}
-        if first:
-            common = dict(exps)
-            first = False
-        else:
-            for atom in list(common):
-                if atom in exps and exps[atom].n == common[atom].n:
-                    if exps[atom].num2 < common[atom].num2:
-                        common[atom] = exps[atom]
-                elif common[atom].n == 0:
-                    common[atom] = Exponent(min(0, common[atom].num2), 0)
-                else:
-                    del common[atom]
-    common = {a: x for a, x in common.items() if not x.is_zero()}
-    if not common:
-        return e
+        for a, x in mono:
+            if a.__class__ is Sym and a.kind in (INDEPENDENT, REDUCED):
+                powers.setdefault(a, []).append(x)
     factor = ONE
-    for atom, x in common.items():
-        factor = factor * Expr.atom(atom, x)
-    return e / factor
+    for atom, xs in powers.items():
+        xs += [Exponent(0, 0)] * (len(e.terms) - len(xs))
+        if len({x.n for x in xs}) == 1:
+            factor = factor * Expr.atom(atom, min(xs, key=lambda x: x.num2))
+    return e if factor is ONE else e / factor
 
 
 def compose_ansatz(a1: Ansatz, a2: Ansatz, name: str = "") -> Ansatz:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from .library import CaseResult
@@ -50,7 +50,7 @@ class Report:
                 }
             )
             for e in r.ledger:
-                ledger.append(e.as_dict())
+                ledger.append(asdict(e))
         ledger.sort(key=lambda d: (d["label"], d["subject"]))
         return {
             "schema": SCHEMA,

@@ -16,6 +16,20 @@ def _fmt(v: float) -> str:
     return "%g" % v
 
 
+def _axis(vals: Sequence[float]):
+    """Ends of an axis over vals (one value widened by a unit, or by one ulp
+    toward zero where a unit is below its ulp) and the exact scaling by a power
+    of two into (-1, 1), where no padded distance between finite samples
+    overflows or underflows to zero."""
+    lo, hi = (min(vals), max(vals)) if vals else (0.0, 1.0)
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            lo, hi = sorted((lo, math.nextafter(lo, 0.0)))
+    e = math.frexp(max(-lo, hi))[1]
+    return lo, hi, lambda v: math.ldexp(v, -e)
+
+
 def write_svg(
     trajs: Sequence[Trajectory],
     colors: Sequence[str],
@@ -33,24 +47,16 @@ def write_svg(
     shown = [[(t, y[component]) for t, y in tr.samples if math.isfinite(y[component])] for tr in trajs]
     xs = [t for pts in shown for t, _v in pts]
     ys = [v for pts in shown for _t, v in pts]
-    if xs:
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-    else:
-        xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
-    if xmax == xmin:
-        xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
-    pad = 0.05 * (ymax - ymin)
-    ymin -= pad
-    ymax += pad
+    xmin, xmax, sx = _axis(xs)
+    ymin, ymax, sy = _axis(ys)
+    pad = 0.05 * (sy(ymax) - sy(ymin))
+    x0, x1, y0, y1 = sx(xmin), sx(xmax), sy(ymin) - pad, sy(ymax) + pad
 
     def px(x: float) -> float:
-        return MARGIN + (x - xmin) / (xmax - xmin) * (WIDTH - 2 * MARGIN)
+        return MARGIN + (sx(x) - x0) / (x1 - x0) * (WIDTH - 2 * MARGIN)
 
     def py(y: float) -> float:
-        return HEIGHT - MARGIN - (y - ymin) / (ymax - ymin) * (HEIGHT - 2 * MARGIN)
+        return HEIGHT - MARGIN - (sy(y) - y0) / (y1 - y0) * (HEIGHT - 2 * MARGIN)
 
     out = []
     out.append(
@@ -66,8 +72,8 @@ def write_svg(
     text = 'font-family="sans-serif" font-size="14"'
     out.append('<text x="%g" y="%g" %s>%s</text>' % (MARGIN, HEIGHT - MARGIN + 20, text, _fmt(xmin)))
     out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (WIDTH - MARGIN, HEIGHT - MARGIN + 20, text, _fmt(xmax)))
-    out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, HEIGHT - MARGIN + 4, text, _fmt(ymin + pad)))
-    out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, MARGIN + 4, text, _fmt(ymax - pad)))
+    out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, HEIGHT - MARGIN + 4, text, _fmt(ymin)))
+    out.append('<text x="%g" y="%g" %s text-anchor="end">%s</text>' % (MARGIN - 6, MARGIN + 4, text, _fmt(ymax)))
     for i, pts in enumerate(shown):
         color = colors[i] if i < len(colors) else "black"
         points = " ".join("%.6g,%.6g" % (px(t), py(v)) for t, v in pts)

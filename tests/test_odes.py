@@ -209,6 +209,21 @@ def test_svg_flat_line(tmp_path):
     assert body.count("<polyline") == 1
 
 
+def test_svg_axes_stay_finite_for_every_finite_sample(tmp_path):
+    path = os.path.join(tmp_path, "wide.svg")
+    cfg = IntegratorConfig(span=(0.0, 1.0))
+    wide = Trajectory([(0.0, (-1e308,)), (0.5, (0.0,)), (1.0, (1e308,))], "fixed-rk4", cfg, {})
+    write_svg([wide], ["red"], path)
+    body = open(path).read()
+    assert "nan" not in body and "inf" not in body
+    assert ">-1e+308</text>" in body and ">1e+308</text>" in body
+    # a flat line where one unit is below the ulp, and one at the largest float
+    for v in (1e20, -1e20, 1.7976931348623157e308):
+        write_svg([Trajectory([(0.0, (v,)), (1.0, (v,))], "fixed-rk4", cfg, {})], ["red"], path)
+        body = open(path).read()
+        assert "nan" not in body and "inf" not in body and body.count("<polyline") == 1
+
+
 def test_svg_records_description(tmp_path):
     path = os.path.join(tmp_path, "d.svg")
     write_svg([], [], path, description="damping-factor grouping: default")

@@ -104,6 +104,31 @@ def test_invariants_name_an_exact_exponent_off_the_lattice(doc, xi, with_u, expo
     assert str(err.value) == "unsupported field shape: exponent %s outside the half-integer lattice" % exponent
 
 
+def test_invariants_name_the_power_a_shifted_pivot_cannot_take(doc):
+    # (2t + 1) d_t + x d_x moves t about t = -1/2: s = t + 1/2, and w = x*s^(-1/2)
+    ctx = pde(doc, "cc").ctx
+    t, x, _y = ctx.independents
+    T, X = Expr.atom(t), Expr.atom(x)
+    for xi, message in [
+        ({t: 2 * T + 1, x: X}, "power -1/2 of the non-monomial t + 1/2"),
+        ({t: 2 * T + 2, x: 2 * X}, "power -1 of the non-monomial t + 1"),
+    ]:
+        with pytest.raises(UnsupportedField) as err:
+            invariants_for(VectorField(ctx, xi, ZERO))
+        assert str(err.value) == "unsupported field shape: " + message
+    # a positive integer power of s is taken; s is no monomial, so no inverse hint
+    a = invariants_for(VectorField(ctx, {t: 2 * T + 1, x: -2 * X}, ZERO))
+    assert a.new_independent[0][1] == (T + Fraction(1, 2)) * X and a.inverse_hints == []
+
+
+def test_invariants_need_a_name_per_moving_variable(doc):
+    ctx = pde(doc, "cc").ctx
+    X = VectorField(ctx, {v: ONE for v in ctx.independents}, ZERO)
+    with pytest.raises(ReductionError, match="needs 2 names for the new variables, got 1"):
+        invariants_for(X, names=["w"])
+    assert [v.name for v, _ in invariants_for(X, names=["w", "z"]).new_independent] == ["w", "z"]
+
+
 # -- pullback -----------------------------------------------------------------
 
 
@@ -399,3 +424,19 @@ def test_pullback_cancels_only_powers_of_variables():
     for eq, sub, want in cases:
         doc = parse_model(text % (eq, sub))
         assert str(pullback(doc.block(PdeBlock, "p").pde, doc.block(AnsatzBlock, "a").ansatz).lhs) == want
+
+
+def test_common_factor_is_each_variables_lowest_power_over_all_terms():
+    from camchoi.reduction import _cancel_common_monomial
+
+    t, w = Sym("t", REDUCED), Sym("w", REDUCED)
+    ctx = Context((t, w), Sym("U", DEPENDENT))
+    T, U, Ut = Expr.atom(t), Expr.atom(ctx.dependent), ctx.jet_expr((1, 0))
+    want = T * Ut + U
+    assert _cancel_common_monomial(Ut + T ** -1 * U) == want
+    for k in range(-3, 4):  # the same equation times t^k, whichever term comes first
+        assert _cancel_common_monomial(T ** k * want) == want
+        assert _cancel_common_monomial(T ** k * Expr.atom(w) ** 2 * want) == want
+    # powers of t that differ in their n part are left alone
+    for e in (Expr.atom(t, EXP_N) * Ut + U, Expr.atom(t, EXP_N) * Ut + T ** -1 * U):
+        assert _cancel_common_monomial(e) == e
