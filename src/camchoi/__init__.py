@@ -22,7 +22,6 @@ from .expr import (
     ZERO,
     app,
     as_expr,
-    normalize,
 )
 from .jet import Context, JetError, Pde, expand_pde, on_manifold, total_derivative
 from .symmetry import (

@@ -799,11 +799,6 @@ def as_expr(x) -> Expr:
     raise ExprError("cannot interpret %r as an expression" % (x,))
 
 
-def normalize(e) -> Expr:
-    """Canonical form entry point; Exprs are canonical by construction."""
-    return as_expr(e)
-
-
 def _mul_monos(m1: Mono, m2: Mono):
     """Merge two sorted monomials; returns (mono, rational factor from folds).
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .expr import (
+    DEPENDENT,
     Expr,
     ExprError,
     Jet,
     ONE,
+    PARAMETER,
     Sym,
     ZERO,
     as_expr,
@@ -18,6 +20,25 @@ MAX_JET_ORDER = 4  # third-order equations plus one total-derivative margin
 
 class JetError(ExprError):
     pass
+
+
+# what a name already is, for the message that refuses it again; any other
+# Sym is a variable (an independent and a reduced variable of one name are one
+# interned Sym, whose kind is the one built first)
+_MEANING = {PARAMETER: "a parameter", DEPENDENT: "the dependent variable"}
+
+
+def _introduce(names: dict, name: str, entry, role: str, error):
+    """Add name to the name table names, which maps a name to its Sym or to a
+    function's argument names, and return entry; raise error, worded from
+    what the name already is, if the table has it."""
+    if name in names:
+        old = names[name]
+        what = "a function" if isinstance(old, tuple) else _MEANING.get(old.kind, "a variable")
+        raise error("%s %r declared twice" % (role, name) if what == "a " + role
+                    else "%s %r is already %s" % (role, name, what))
+    names[name] = entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -103,11 +124,6 @@ class Pde:
 
     def with_parameter(self, p: Sym, value) -> "Pde":
         return expand_pde(self.ctx, self.lhs.subst(p, as_expr(value)), name=self.name)
-
-    def as_reduced(self):
-        from .reduction import ReducedEquation
-
-        return ReducedEquation(self.ctx, self.lhs, name=self.name)
 
 
 def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:

@@ -25,7 +25,7 @@ from .expr import (
     ZERO,
     app,
 )
-from .jet import Context, expand_pde, total_derivative
+from .jet import Context, _introduce, expand_pde, total_derivative
 from .reduction import Ansatz, FirstIntegralCandidate, ReducedEquation, SolutionRule
 from .symmetry import VectorField
 
@@ -141,7 +141,7 @@ class ExponentDecl:
 @dataclass
 class FuncDecl:
     name: str
-    args: Tuple[Sym, ...]
+    args: Tuple[str, ...]
 
 
 @dataclass
@@ -236,7 +236,7 @@ class ModelDocument:
     declarations: List[object]
     blocks: List[object]
     params: Dict[str, Sym]
-    funcs: Dict[str, Tuple[Sym, ...]]
+    funcs: Dict[str, Tuple[str, ...]]  # argument names, resolved in each block's scope
 
     def block(self, kind, name: str):
         key = _normalize_name(name)
@@ -310,8 +310,9 @@ class _Parser:
         decls: List[object] = []
         blocks: List[object] = []
         params: Dict[str, Sym] = {}
-        funcs: Dict[str, Tuple[Sym, ...]] = {}
+        funcs: Dict[str, Tuple[str, ...]] = {}
         doc = ModelDocument(decls, blocks, params, funcs)
+        top = _Scope({})  # the declared names
         self.skip_newlines()
         while self.peek().type != "EOF":
             tok = self.peek()
@@ -321,29 +322,25 @@ class _Parser:
                 self.advance()
                 names = self._parse_namelist()
                 for nm in names:
-                    if nm in params:
-                        self.error("parameter %r declared twice" % nm)
-                    params[nm] = N_SYMBOL if nm == "n" else Sym(nm, PARAMETER)
+                    params[nm] = top.introduce(nm, N_SYMBOL if nm == "n" else Sym(nm, PARAMETER), "parameter", tok)
                 decls.append(ParamDecl(names))
             elif tok.value == "exponent":
                 self.advance()
                 nm = self._name()
                 if nm != "n":
                     self.error("the exponent parameter must be named n")
-                params[nm] = N_SYMBOL
+                params[nm] = top.introduce(nm, N_SYMBOL, "exponent", tok)
                 decls.append(ExponentDecl(nm))
             elif tok.value == "func":
                 self.advance()
                 nm = self._name()
                 self.expect("(")
-                args = self._parse_namelist()
+                args = tuple(self._parse_namelist())
                 self.expect(")")
-                if nm in funcs:
-                    self.error("function %r declared twice" % nm)
+                funcs[nm] = top.introduce(nm, args, "function", tok)
                 if len(set(args)) != len(args):
                     raise ParseError("function %r has a repeated argument" % nm, tok.line, tok.col)
-                funcs[nm] = tuple(args)  # resolved to Syms lazily per context
-                decls.append(FuncDecl(nm, tuple(args)))
+                decls.append(FuncDecl(nm, args))
             elif tok.value in _BLOCKS:
                 blocks.append(self.parse_block(doc))
             else:
@@ -406,9 +403,9 @@ class _Parser:
             names.append(self._name())
         return names
 
-    def _variable(self, ctx: Context, on: Token) -> Sym:
+    def _variable(self, scope: "_Scope", on: Token) -> Sym:
         vname = self._name()
-        v = _lookup_var(ctx, vname)
+        v = scope.variable(vname)
         if v is None:
             self.error("%r is not an independent variable of %s" % (vname, on.value))
         return v
@@ -426,15 +423,16 @@ class _Parser:
         except ExprError as e:
             raise ParseError(str(e), at.line, at.col) from None
 
-    def _on_context(self, doc, cls, on: Optional[Token]) -> Context:
-        """Context of the block named after 'on'; a ParseError at that name if it has none."""
+    def _on_scope(self, doc, cls, on: Optional[Token]) -> "_Scope":
+        """Scope of the block named after 'on'; a ParseError at that name if it has no context."""
         if on is None:
             self.error("%s blocks need 'on %s'" % (cls.kind, "EQUATION" if cls is SolutionBlock else "PDE"))
         try:
             target = doc.block(PdeBlock, on.value) if cls is FieldBlock else doc.find(on.value)
-            return doc.equation_of(target).ctx
+            ctx = doc.equation_of(target).ctx
         except ModelLookupError as e:
             raise ParseError(e.args[0], on.line, on.col) from None
+        return _Scope.of(doc, ctx, on)
 
     # blocks
     def _equation_block(self, doc, cls, name, on):
@@ -453,7 +451,7 @@ class _Parser:
                 self.error("vars and dep must come before eq")
             params = tuple(sorted(doc.params.values(), key=lambda s: s.name))
             ctx = self._built_at(at, Context, tuple(got["vars"]), got["dep"], params)
-            scope = _Scope(doc, ctx)
+            scope = _Scope.of(doc, ctx, at)
             left = self.parse_expr(scope)
             self.expect("=")
             return at, ctx, left - self.parse_expr(scope)
@@ -479,12 +477,12 @@ class _Parser:
         return self._built_at(at, cls, name, ctx, lhs, got.get("note", ""), tuple(constants))
 
     def _field_block(self, doc, cls, name, on):
-        ctx = self._on_context(doc, cls, on)
-        scope = _Scope(doc, ctx)
+        scope = self._on_scope(doc, cls, on)
+        ctx = scope.ctx
         xi: Dict[Sym, Expr] = {}
 
         def xi_clause(at):
-            v = self._variable(ctx, on)
+            v = self._variable(scope, on)
             xi[v] = self._assigned(lambda: self._point_coefficient(scope, at))
 
         def eta(at):
@@ -504,33 +502,32 @@ class _Parser:
         return e
 
     def _ansatz_block(self, doc, cls, name, on):
-        src = self._on_context(doc, cls, on)
+        old = self._on_scope(doc, cls, on)  # a var expression sees only the old variables
+        src = old.ctx
+        # the names a new variable may not take: an old variable's only as var x = x
+        new = _Scope({k: s for k, s in old.names.items() if s not in src.independents})
         new_vars: List[Tuple[Sym, Expr]] = []
         hints: List[Tuple[Sym, Expr]] = []
 
         def var(at):
             vname = self._name()
-            taken = ("a declared parameter" if vname in doc.params
-                     else "the old dependent variable" if vname == src.dependent.name
-                     else "a declared function" if vname in doc.funcs
-                     else "an earlier var of this block" if any(v.name == vname for v, _ in new_vars) else "")
-            if taken:
-                raise ParseError("new variable %r is already %s" % (vname, taken), at.line, at.col)
-            e = self._assigned(lambda: self.parse_expr(_Scope(doc, src)))
-            existing = _lookup_var(src, vname)
-            if existing is not None and e != Expr.atom(existing):
+            e = self._assigned(lambda: self.parse_expr(old))
+            v = old.variable(vname)
+            if v is None:
+                v = Sym(vname, REDUCED)
+            elif e != Expr.atom(v):
                 msg = "new variable %r reuses an old variable's name; only %s = %s passes it through"
                 raise ParseError(msg % (vname, vname, vname), at.line, at.col)
-            new_vars.append((existing or Sym(vname, REDUCED), e))
+            new_vars.append((new.introduce(vname, v, "new variable", at), e))
 
         def with_new_vars():
-            return self.parse_expr(_Scope(doc, src, extra_vars=[v for v, _ in new_vars]))
+            return self.parse_expr(_Scope({**old.names, **new.names}, src))
 
         def sub(at):
             return self._dependent(src, on), self._assigned(with_new_vars)
 
         def inverse(at):
-            v = self._variable(src, on)
+            v = self._variable(old, on)
             hints.append((v, self._assigned(with_new_vars)))
 
         got = self._clauses({"var": var, "sub": sub, "inverse": inverse})
@@ -545,15 +542,15 @@ class _Parser:
         return AnsatzBlock(name, on.value, ansatz, note)
 
     def _solution_block(self, doc, cls, name, on):
-        ctx = self._on_context(doc, cls, on)
+        scope = self._on_scope(doc, cls, on)
+        ctx = scope.ctx
         rules: List[SolutionRule] = []
         bindings: List[Tuple[Sym, Expr]] = []
-        scope = _Scope(doc, ctx)
 
         def bind(at):
-            v = Sym(self._name(), REDUCED)
-            bindings.append((v, self._assigned(lambda: self.parse_expr(scope))))
-            scope.extra[v.name] = v
+            vname = self._name()
+            e = self._assigned(lambda: self.parse_expr(scope))
+            bindings.append((scope.introduce(vname, Sym(vname, REDUCED), "bind", at), e))
 
         def sub(at):
             self._dependent(ctx, on)
@@ -718,13 +715,6 @@ class _Parser:
         self.error("expected an expression", expected={"NUMBER", "NAME", "("})
 
 
-def _lookup_var(ctx: Context, name: str) -> Optional[Sym]:
-    for v in ctx.independents:
-        if v.name == name:
-            return v
-    return None
-
-
 def _apply_power(base: Expr, expexpr: Expr) -> Expr:
     if expexpr.is_rational():
         q = expexpr.as_rational()
@@ -762,79 +752,69 @@ def _detect_ansatz_function(rule: Expr, new_vars: tuple, sub: Token):
 
 
 class _Scope:
-    """Name resolution for expression parsing inside one block."""
+    """A name table: each name maps to a Sym (an independent, the dependent, a
+    parameter, or a bound or new variable) or to a function's argument names,
+    declared or inline alike.  Every clause resolves its names here and adds
+    them with introduce, which refuses a name already there."""
 
-    def __init__(self, doc: ModelDocument, ctx: Context, extra_vars: Optional[List[Sym]] = None):
-        self.doc = doc
+    def __init__(self, names: Dict[str, object], ctx: Optional[Context] = None):
+        self.names = dict(names)
         self.ctx = ctx
-        self.extra = {v.name: v for v in (extra_vars or [])}
-        self.local_funcs: Dict[str, Tuple[Sym, ...]] = {}
+
+    @classmethod
+    def of(cls, doc: ModelDocument, ctx: Context, at: Token) -> "_Scope":
+        """The declared names of doc and the variables of ctx; a ParseError at at if they clash."""
+        scope = cls({**doc.params, **doc.funcs}, ctx)
+        for v in ctx.independents:
+            scope.introduce(v.name, v, "vars name", at)
+        scope.introduce(ctx.dependent.name, ctx.dependent, "dep name", at)
+        return scope
+
+    def introduce(self, name: str, entry, role: str, at: Token):
+        """Add name as entry and return entry; a ParseError at at if name is taken."""
+        return _introduce(self.names, name, entry, role, lambda msg: ParseError(msg, at.line, at.col))
 
     def variable(self, name: str) -> Optional[Sym]:
-        v = _lookup_var(self.ctx, name)
-        if v is not None:
-            return v
-        return self.extra.get(name)
-
-    def _resolve_name(self, name: str) -> Optional[Sym]:
-        v = self.variable(name)
-        if v is not None:
-            return v
-        if name == self.ctx.dependent.name:
-            return self.ctx.dependent
-        if name in self.doc.params:
-            return self.doc.params[name]
-        return None
+        """The independent variable of the context called name, or None."""
+        v = self.names.get(name)
+        return v if v in self.ctx.independents else None
 
     def symbol(self, parser: _Parser, name: str) -> Expr:
-        s = self._resolve_name(name)
-        if s is not None:
-            return Expr.atom(s)
-        if name in self.doc.funcs or name in self.local_funcs:
-            args = self.func_args(name)
-            return Expr.atom(Func(name, args))
-        parser.error(
-            "unknown identifier %r; declare it with param or func, or as a block variable" % name
-        )
+        entry = self.names.get(name)
+        if entry is None:
+            parser.error(
+                "unknown identifier %r; declare it with param or func, or as a block variable" % name
+            )
+        return Expr.atom(entry if isinstance(entry, Sym) else Func(name, self.func_args(name)))
+
+    def _syms(self, argnames, fname: str) -> Tuple[Sym, ...]:
+        args = tuple(self.names.get(an) for an in argnames)
+        for an, a in zip(argnames, args):
+            if not isinstance(a, Sym):
+                raise ExprError("argument %r of %s is not in scope" % (an, fname))
+        return args
 
     def func_args(self, name: str) -> Optional[Tuple[Sym, ...]]:
-        argnames = self.doc.funcs.get(name) or self.local_funcs.get(name)
-        if argnames is None:
-            return None
-        if argnames and isinstance(argnames[0], Sym):
-            return tuple(argnames)
-        out = []
-        for an in argnames:
-            s = self._resolve_name(an)
-            if s is None:
-                raise ExprError("argument %r of %s is not in scope" % (an, name))
-            out.append(s)
-        return tuple(out)
+        """The arguments of function name in this scope, or None if name is no function."""
+        argnames = self.names.get(name)
+        return self._syms(argnames, name) if isinstance(argnames, tuple) else None
 
     def apply_function(self, parser: _Parser, name: str, argnames: List[str]) -> Expr:
-        if self._resolve_name(name) is not None:
+        if isinstance(self.names.get(name), Sym):
             parser.error("%r is a symbol, not a function" % name)
-        args = []
-        for an in argnames:
-            s = self._resolve_name(an)
-            if s is None:
-                parser.error("unknown function argument %r" % an)
-            args.append(s)
-        declared = self.doc.funcs.get(name) or self.local_funcs.get(name)
-        if declared is not None:
-            want = self.func_args(name)
-            if tuple(args) != tuple(want):
-                parser.error("function %s was declared with arguments (%s)" % (name, ",".join(a.name for a in want)))
-        else:
-            self.local_funcs[name] = tuple(args)
-        return Expr.atom(Func(name, tuple(args)))
+        args = self._syms(argnames, name)
+        if name not in self.names:  # an inline function: its first use declares it
+            self.names[name] = tuple(argnames)
+        elif args != self.func_args(name):
+            parser.error("function %s was declared with arguments (%s)" % (name, ",".join(self.names[name])))
+        return Expr.atom(Func(name, args))
 
     def jet(self, parser: _Parser, name: str, idxnames: List[str]) -> Expr:
         if name != self.ctx.dependent.name:
             parser.error("jet shorthand applies to the dependent variable %r" % self.ctx.dependent.name)
         counts = [0] * len(self.ctx.independents)
         for ix in idxnames:
-            v = _lookup_var(self.ctx, ix)
+            v = self.variable(ix)
             if v is None:
                 parser.error("unknown jet variable %r" % ix)
             counts[self.ctx.var_index(v)] += 1
@@ -847,7 +827,7 @@ def parse_model(text: str) -> ModelDocument:
 
 def parse_expression(doc: ModelDocument, ctx: Context, text: str) -> Expr:
     p = _Parser(text)
-    e = p.parse_expr(_Scope(doc, ctx))
+    e = p.parse_expr(_Scope.of(doc, ctx, p.peek()))
     p.skip_newlines()
     if p.peek().type != "EOF":
         p.error("trailing input after expression")
@@ -865,8 +845,7 @@ def print_model(doc: ModelDocument) -> str:
         elif isinstance(d, ExponentDecl):
             out.append("exponent " + d.name)
         elif isinstance(d, FuncDecl):
-            args = d.args if isinstance(d.args[0], str) else tuple(a.name for a in d.args)
-            out.append("func %s(%s)" % (d.name, ", ".join(args)))
+            out.append("func %s(%s)" % (d.name, ", ".join(d.args)))
     if out:
         out.append("")
     for b in doc.blocks:

@@ -21,7 +21,7 @@ from .expr import (
     ZERO,
     derivative_table,
 )
-from .jet import Context, Pde, expand_pde, total_derivative
+from .jet import Context, Pde, _introduce, expand_pde, total_derivative
 from .symmetry import VectorField, eliminate
 
 
@@ -125,6 +125,8 @@ def invariants_for(
     UnsupportedField for anything else (projective coefficients, mixed
     translation and scaling, exponents outside the half-integer lattice, a
     power the kernel cannot take of a shifted pivot): supply the ansatz by hand.
+    Raises ReductionError for too few names, or for a new name or dep_name
+    that is already a name of ctx or of an earlier new variable.
     """
     ctx = X.ctx
     lin = {v: _affine_parts(X.coefficient(v), v, ctx) for v in ctx.independents}
@@ -186,12 +188,17 @@ def invariants_for(
     if not e_coeff.is_rational():
         raise UnsupportedField("unsupported field shape: non-rational dependent weight")
 
-    fn = Func(dep_name, tuple(v for v, _ in new_vars))
-    rule = Expr.atom(fn)
+    shift, scale = ZERO, ONE
     if not X.eta.is_zero:
         shift, k = flow(e_coeff, f_coeff, 1)
-        rule = shift + rule * power(k)
-    return Ansatz(ctx, new_vars, Sym(dep_name, DEPENDENT), fn, rule, hints,
+        scale = power(k)
+    # the shape is supported; the names come last
+    taken = {s.name: s for s in ctx.independents + ctx.parameters + (ctx.dependent,)}
+    for name in names[:len(moving) - 1]:
+        _introduce(taken, name, Sym(name, REDUCED), "new variable", ReductionError)
+    dep = _introduce(taken, dep_name, Sym(dep_name, DEPENDENT), "dep_name", ReductionError)
+    fn = Func(dep_name, tuple(v for v, _ in new_vars))
+    return Ansatz(ctx, new_vars, dep, fn, shift + Expr.atom(fn) * scale, hints,
                   name="invariants(%s)" % (X.name or "X"))
 
 

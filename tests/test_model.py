@@ -135,9 +135,15 @@ MINI_LINES = MINI.count("\n")
     ("ansatz A on cc {\n  var t = t\n  var u = x + y\n  sub u = U(t,u)\n}", 3, 3),
     ("ansatz A on cc {\n  var t = t\n  var phi = x + y\n  sub u = U(t,phi)\n}", 3, 3),
     ("ansatz A on cc {\n  var w = x\n  var w = y\n  sub u = U(w,w)\n}", 3, 3),
+    ("solution S on cc {\n  bind x = t - x\n  sub u = f(x)\n}", 2, 3),
+    ("solution S on cc {\n  bind alpha = t - x\n  sub u = f(alpha)\n}", 2, 3),
+    ("solution S on cc {\n  bind u = t - x\n  sub u = f(u)\n}", 2, 3),
+    ("solution S on cc {\n  bind lam = t - x\n  bind lam = y\n  sub u = f(lam)\n}", 3, 3),
 ], ids=["field on unknown", "ansatz on unknown", "ansatz on field", "solution on field",
         "ansatz without new function", "jet-valued field coefficient", "ansatz var named like a parameter",
-        "ansatz var named like the old dependent", "ansatz var named like a function", "repeated ansatz var"])
+        "ansatz var named like the old dependent", "ansatz var named like a function", "repeated ansatz var",
+        "bind named like an old variable", "bind named like a parameter", "bind named like the dependent",
+        "repeated bind"])
 def test_bad_block_references_are_parse_errors(block, line, col):
     with pytest.raises(ParseError) as err:
         parse_model(MINI + block + "\n")
@@ -172,11 +178,18 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     ("pde p { vars = t; dep = u; eq u[t] = 0 }\node q on p { vars = s; dep = H; eq H[s] = 0 }\n",
      2, 7, "ode blocks take no 'on'"),
     (RUN.replace("run r {", "run r on o {") % ("1", "0, 1"), 2, 7, "run blocks take no 'on'"),
+    ("param alpha\n" + _block(["vars = t, alpha", "dep = u", "eq alpha*u[t] = 0"]), 5, 3,
+     "vars name 'alpha' is already a parameter"),
+    ("func f(t)\n" + _block(["vars = t, f", "dep = u", "eq u[t] + f(t) = 0"]), 5, 3,
+     "vars name 'f' is already a function"),
+    ("param alpha\n" + _block(["vars = t", "dep = alpha", "eq alpha[t] + alpha = 0"]), 5, 3,
+     "dep name 'alpha' is already a parameter"),
 ], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
         "leading coefficient with a variable", "vars after eq", "dep after eq", "constants in a pde",
         "two decimal points", "exponent without digits", "zero divisor in an equation",
         "zero divisor in ic", "exponent without digits in span", "on in an ode block",
-        "on in a run block"])
+        "on in a run block", "variable named like a parameter", "variable named like a function",
+        "dependent named like a parameter"])
 def test_malformed_blocks_are_parse_errors(text, line, col, match):
     with pytest.raises(ParseError, match=match) as err:
         parse_model(text)

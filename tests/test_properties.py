@@ -1192,6 +1192,7 @@ def test_invariants_for_matches_the_two_branch_reference():
     ctxs = [doc.block(PdeBlock, name).pde.ctx for name in ("cc", "cc19", "eq33")]
     rng = random.Random(137)
     seen = {"ansatz": 0, "hints": 0, "unsupported": 0, "power": 0, "names": 0}
+    reused = 0
     for _ in range(1200):
         ctx = rng.choice(ctxs)
         X = _random_diagonal_field(rng, ctx, doc)
@@ -1199,12 +1200,18 @@ def test_invariants_for_matches_the_two_branch_reference():
         dep_name = rng.choice(["F", "V"])
         got = _invariants_outcome(invariants_for, X, names, dep_name)
         want = _invariants_outcome(_reference_invariants_for, X, names, dep_name)
+        # the names the reference gave its new variables and dependent, and the names of ctx
+        new_names = [v.name for v, e in want[0] if e != Expr.atom(v)] + [want[3].name] if len(want) > 2 else []
+        old_names = {s.name for s in ctx.independents + ctx.parameters + (ctx.dependent,)}
         if want[0] is ExprError:  # the kernel's refusal of a power of a shifted pivot
             assert got[0] is UnsupportedField and got[1].startswith("unsupported field shape: power ")
             seen["power"] += 1
         elif want[0] is StopIteration:  # too few names
             assert got[0] is ReductionError and "names" in got[1]
             seen["names"] += 1
+        elif old_names & set(new_names) or len(set(new_names)) < len(new_names):  # a name reused
+            assert got[0] is ReductionError and " is already " in got[1]
+            reused += 1
         else:
             assert got == want
             if want[0] is UnsupportedField:
@@ -1212,4 +1219,4 @@ def test_invariants_for_matches_the_two_branch_reference():
             else:
                 seen["ansatz"] += 1
                 seen["hints"] += bool(want[2])
-    assert min(seen.values()) >= 30, seen
+    assert min(seen.values()) >= 30 and reused >= 20, (seen, reused)

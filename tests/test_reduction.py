@@ -129,6 +129,20 @@ def test_invariants_need_a_name_per_moving_variable(doc):
     assert [v.name for v, _ in invariants_for(X, names=["w", "z"]).new_independent] == ["w", "z"]
 
 
+def test_invariants_refuse_a_name_already_taken(doc):
+    ctx = pde(doc, "cc").ctx
+    t, x, y = ctx.independents
+    for xi, kw, message in [
+        ((t, x), dict(names=["y"]), "new variable 'y' is already a variable"),
+        ((x, y), dict(names=["alpha"]), "new variable 'alpha' is already a parameter"),
+        ((x,), dict(dep_name="u"), "dep_name 'u' is already the dependent variable"),
+        ((x, y), dict(names=["w"], dep_name="w"), "dep_name 'w' is already a variable"),
+    ]:
+        with pytest.raises(ReductionError) as err:
+            invariants_for(VectorField(ctx, {v: ONE for v in xi}, ZERO), **kw)
+        assert str(err.value) == message
+
+
 # -- pullback -----------------------------------------------------------------
 
 
@@ -364,7 +378,7 @@ def test_verify_cc24_exact(doc, case_results):
 
 def test_verify_constant_solution(doc):
     cc = pde(doc, "cc")
-    res, _ = verify_closed_form(cc.as_reduced(), Expr.atom(doc.params["Y0"]))
+    res, _ = verify_closed_form(cc, Expr.atom(doc.params["Y0"]))
     assert res.is_zero
 
 
