@@ -20,7 +20,8 @@ Kernel invariants:
 * An Expr's terms are strictly descending by ``_mono_sort_key`` and carry no
   zero coefficient; a monomial's factors are strictly ascending by atom sort
   key, and a RatPow never carries an integer exponent.  Sums merge the two
-  term tuples; each atom computes its sort key once.
+  term tuples; each atom computes its sort key once, and each distinct
+  monomial once (``_MONO_KEYS``).
 * A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
   atoms, ``ONE``, ``collect`` keys and ``content_normalized`` store an int
   where the value is integral, and arithmetic may leave an integral Fraction.
@@ -32,6 +33,7 @@ Kernel invariants:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -326,12 +328,22 @@ def _atom_key(factor):
     return factor[0]._key
 
 
+# The canonical key of every monomial met so far, keyed by the monomial.
+# Equal monomials have equal keys (the atoms are interned or, for App, keyed
+# by their argument), so the table grows like the atom intern tables.
+_MONO_KEYS: dict = {}
+
+
 def _mono_sort_key(mono: Mono):
-    return (
-        sum([e.n for _, e in mono]),
-        sum([e.num2 for _, e in mono]),
-        tuple([(a._key, e._key) for a, e in mono]),
-    )
+    """(n-degree, doubled constant degree, per-factor keys), computed once."""
+    key = _MONO_KEYS.get(mono)
+    if key is None:
+        key = _MONO_KEYS[mono] = (
+            sum([e.n for _, e in mono]),
+            sum([e.num2 for _, e in mono]),
+            tuple([(a._key, e._key) for a, e in mono]),
+        )
+    return key
 
 
 class Expr:
@@ -411,7 +423,7 @@ class Expr:
     def key(self):
         if self._key is None:
             self._key = tuple(
-                (tuple([(a._key, e._key) for a, e in mono]), c.numerator, c.denominator)
+                (_mono_sort_key(mono)[2], c.numerator, c.denominator)
                 for mono, c in self.terms
             )
         return self._key
@@ -727,8 +739,6 @@ class Expr:
         """Divide by the rational content; leading coefficient becomes +1-signed."""
         if self.is_zero:
             return self
-        from math import gcd
-
         num = 0
         den = 1
         for _, c in self.terms:

@@ -15,6 +15,7 @@ from .expr import (
     Sym,
     ZERO,
     ONE,
+    _mono_sort_key,
     as_expr,
     derivative_table,
 )
@@ -295,7 +296,7 @@ def _component_rows(fields: List[VectorField], target: VectorField):
     rhs: List[Expr] = []
     for column in zip(*(f.components() for f in list(fields) + [target])):
         splits = [_split_by_nonparameters(e) for _slot, e in column]
-        keys = sorted(set().union(*splits), key=lambda kk: tuple((a.sort_key(), x.key()) for a, x in kk))
+        keys = sorted(set().union(*splits), key=lambda kk: _mono_sort_key(kk)[2])
         for key in keys:
             rows.append([split.get(key, ZERO) for split in splits[:-1]])
             rhs.append(splits[-1].get(key, ZERO))

@@ -11,7 +11,7 @@ from camchoi.expr import (
     PARAMETER,
     Sym,
 )
-from camchoi.jet import Context, JetError, expand_pde, on_manifold, total_derivative
+from camchoi.jet import MAX_JET_ORDER, Context, JetError, expand_pde, on_manifold, total_derivative
 
 t = Sym("t", INDEPENDENT)
 x = Sym("x", INDEPENDENT)
@@ -115,7 +115,7 @@ def test_nonlinear_leading_rejected():
 
 def test_jet_order_cap():
     with pytest.raises(JetError, match="cap"):
-        ctx.jet((0, 5, 0))
+        ctx.jet((0, MAX_JET_ORDER + 1, 0))
 
 
 def test_reduced_equation_leading():

@@ -28,13 +28,14 @@ from camchoi.expr import (
     Sym,
     ONE,
     ZERO,
+    _MONO_KEYS,
     _exponent_expr,
     _mono_sort_key,
     _power_of,
     app,
     as_expr,
 )
-from camchoi.jet import Context, JetError, on_manifold, total_derivative
+from camchoi.jet import MAX_JET_ORDER, Context, JetError, on_manifold, total_derivative
 from camchoi.library import load_builtin
 from camchoi.modelfile import PdeBlock, parse_expression
 from camchoi.reduction import (
@@ -102,18 +103,27 @@ def test_normalize_idempotent_and_order_independent():
         assert total1 * ONE == total1
 
 
+def _reference_mono_sort_key(mono):
+    """A monomial's canonical key built from its factors, bypassing the table."""
+    return (
+        sum([e.n for _, e in mono]),
+        sum([e.num2 for _, e in mono]),
+        tuple([(atom.sort_key(), e.key()) for atom, e in mono]),
+    )
+
+
 def _reference_sum(e, f):
     """Sum built the slow way: accumulate, drop zeros, stable sort descending."""
     m = {}
     for mono, c in e.terms + f.terms:
         m[mono] = m.get(mono, Fraction(0)) + c
     items = [(mono, c) for mono, c in m.items() if c != 0]
-    items.sort(key=lambda term: _mono_sort_key(term[0]), reverse=True)
+    items.sort(key=lambda term: _reference_mono_sort_key(term[0]), reverse=True)
     return tuple(items)
 
 
 def _assert_canonical(e):
-    keys = [_mono_sort_key(mono) for mono, _ in e.terms]
+    keys = [_reference_mono_sort_key(mono) for mono, _ in e.terms]
     assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
     assert all(c != 0 for _, c in e.terms)
     assert e._mono_keys() == keys
@@ -135,6 +145,28 @@ def test_sum_matches_reference_accumulation():
             f = f - e  # force cancellations
         assert (e + f).terms == _reference_sum(e, f)
         assert (f + e).terms == _reference_sum(f, e)
+
+
+def test_monomial_key_table_matches_a_fresh_construction():
+    rng = random.Random(67)
+    targets = [t, x, u, Jet(u, (t, x), (0, 1))]
+    for _ in range(120):
+        e, f = random_expr(rng, 3), random_expr(rng, 3)
+        s = rng.choice(targets)
+        for r in (e + f, e * f, e.diff(s), e.subst(s, f)):
+            for mono, c in r.terms:
+                assert _mono_sort_key(mono) == _reference_mono_sort_key(mono)
+            assert r.key() == tuple((tuple([(atom.sort_key(), ex.key()) for atom, ex in mono]),
+                                     c.numerator, c.denominator) for mono, c in r.terms)
+    assert len(_MONO_KEYS) > 100
+    for mono, key in list(_MONO_KEYS.items()):
+        assert key == _reference_mono_sort_key(mono)
+    # equal applications are distinct objects, and their monomials share one entry
+    arg = Expr.atom(t) * Expr.atom(a) + Expr.rational(Fraction(-1, 3)) * Expr.atom(x)
+    first, second = App("exp", arg), App("exp", Expr(arg.terms))
+    assert first is not second and first == second
+    m1, m2 = ((u, EXP_ONE), (first, EXP_ONE)), ((u, EXP_ONE), (second, EXP_ONE))
+    assert _mono_sort_key(m2) is _mono_sort_key(m1) == _reference_mono_sort_key(m2)
 
 
 def test_results_are_strictly_descending_without_zeros():
@@ -740,7 +772,7 @@ def test_total_derivative_matches_the_per_jet_reference():
 
 
 def test_total_derivative_past_the_jet_cap_still_raises():
-    top = Expr.atom(Jet(u, (t, x), (1, 3)))  # order MAX_JET_ORDER
+    top = Expr.atom(Jet(u, (t, x), (1, MAX_JET_ORDER - 1)))
     for e in (top, app("exp", top) + Expr.atom(t), Expr.atom(x) * top ** 2):
         for fn in (total_derivative, _reference_total_derivative):
             with pytest.raises(JetError, match="cap"):
