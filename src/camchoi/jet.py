@@ -77,8 +77,7 @@ class Context:
         return Jet(self.dependent, self.independents, counts)
 
     def jet_expr(self, counts) -> Expr:
-        a = self.jet(counts)
-        return Expr.atom(a) if not isinstance(a, Expr) else a
+        return Expr.atom(self.jet(counts))
 
     def var_index(self, v: Sym) -> int:
         for i, w in enumerate(self.independents):

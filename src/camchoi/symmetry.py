@@ -150,15 +150,19 @@ def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
     return as_expr(e).derive(d)
 
 
-def check_symmetry(X: VectorField, pde: Pde) -> Expr:
-    """Symmetry residual on the solution manifold; zero certifies a symmetry."""
-    X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
-    order = max(pde.lhs.max_jet_order(), 1)
+def _residual(P: ProlongedField, pde: Pde) -> Expr:
+    """pr X (lhs) on the solution manifold, for a pde of order at most MAX_PROLONG_ORDER."""
+    order = pde.lhs.max_jet_order()
     if order > MAX_PROLONG_ORDER:
         raise SymmetryError("pde %s is of order %d; prolongation is implemented up to order %d"
                             % (pde.name, order, MAX_PROLONG_ORDER))
-    cond = apply_prolonged(prolong(X, order), pde.lhs)
-    return on_manifold(cond, pde)
+    return on_manifold(apply_prolonged(P, pde.lhs), pde)
+
+
+def check_symmetry(X: VectorField, pde: Pde) -> Expr:
+    """Symmetry residual on the solution manifold; zero certifies a symmetry."""
+    X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
+    return _residual(prolong(X, MAX_PROLONG_ORDER), pde)
 
 
 @dataclass
@@ -179,20 +183,24 @@ class DeterminingSystem:
                 for eq in self.equations]
 
 
+# the generic generator's prolongation per jet space (independents, dependent);
+# its unknowns are interned Funcs and its eta^[J] fill on demand, so every
+# determining system on a space shares each eta^[J] once it is computed
+_GENERIC_PROLONGATIONS: Dict[tuple, ProlongedField] = {}
+
+
 def determining_equations(pde: Pde) -> DeterminingSystem:
     """Split the symmetry condition for opaque coefficients by jet monomials."""
     ctx = pde.ctx
     args = tuple(ctx.independents) + (ctx.dependent,)
-    unknowns = []
-    xi: Dict[Sym, Expr] = {}
-    for v in ctx.independents:
-        f = Func("xi_%s" % v.name, args)
-        unknowns.append(f)
-        xi[v] = Expr.atom(f)
-    eta_f = Func("eta", args)
-    unknowns.append(eta_f)
-    X = VectorField(ctx, xi, Expr.atom(eta_f), name="generic")
-    residual = check_symmetry(X, pde)
+    unknowns = [Func("xi_%s" % v.name, args) for v in ctx.independents] + [Func("eta", args)]
+    space = (ctx.independents, ctx.dependent)
+    P = _GENERIC_PROLONGATIONS.get(space)
+    if P is None:
+        X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
+                        Expr.atom(unknowns[-1]), name="generic")
+        P = _GENERIC_PROLONGATIONS[space] = prolong(X, MAX_PROLONG_ORDER)
+    residual = _residual(P, pde)
     jets = sorted(
         {a for a in residual.atoms() if isinstance(a, Jet)},
         key=lambda a: a.sort_key(),

@@ -9,6 +9,7 @@ from camchoi.expr import (
     Expr,
     Func,
     INDEPENDENT,
+    Jet,
     PARAMETER,
     Sym,
     ONE,
@@ -134,6 +135,59 @@ def test_determining_equations_match_the_eager_reference(doc, monkeypatch, eager
                         lambda P, e: _reference_apply_prolonged(eager_eta_table(P.base, P.order, direction),
                                                                 P.base, e))
     assert [determining_equations(p).equations for p in pdes] == got
+
+
+def _reference_determining_equations(p):
+    """Each determining system from its own generic generator, prolonged
+    afresh: the construction the per-space table of prolongations replaced."""
+    ctx = p.ctx
+    args = tuple(ctx.independents) + (ctx.dependent,)
+    unknowns = [Func("xi_%s" % v.name, args) for v in ctx.independents] + [Func("eta", args)]
+    X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
+                    Expr.atom(unknowns[-1]), name="generic")
+    residual = check_symmetry(X, p)
+    jets = sorted({a for a in residual.atoms() if isinstance(a, Jet)}, key=lambda a: a.sort_key())
+    groups = residual.collect(jets) if jets else ({ONE: residual} if not residual.is_zero else {})
+    equations = []
+    for val in groups.values():
+        eq = val.content_normalized()
+        if not eq.is_zero and eq not in equations:
+            equations.append(eq)
+    equations.sort(key=lambda e: e.key())
+    return unknowns, equations
+
+
+def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypatch):
+    from camchoi import symmetry
+
+    monkeypatch.setattr(symmetry, "_GENERIC_PROLONGATIONS", {})
+    rng = random.Random(17)
+    draws = {"alpha": [-2, -1, 0, 1, Fraction(1, 2)], "n": [2, 3, 4, 5],
+             "h0": [-3, 0, 1, Fraction(2, 3)], "beta": [-1, 1, Fraction(5, 2)]}
+    pdes = []
+    for name in ("cc", "gcc", "cc19", "eq33"):
+        base = pde(doc, name)
+        for _ in range(4):
+            p = base
+            for q in sorted(draws):
+                if doc.params[q] in base.lhs.atoms() and rng.random() < 0.7:
+                    p = p.with_parameter(doc.params[q], rng.choice(draws[q]))
+            pdes.append(p)
+    # Burgers' equation on jet spaces that differ only in the order of the
+    # independents, or only in the name of the dependent
+    t, x = Sym("t", INDEPENDENT), Sym("x", INDEPENDENT)
+    for ivars, dep in (((t, x), "u"), ((x, t), "u"), ((t, x), "v")):
+        ctx = Context(ivars, Sym(dep, DEPENDENT), ())
+        ut, ux = (ctx.jet_expr(ctx.unit(v)) for v in (t, x))
+        uxx = ctx.jet_expr(tuple(2 * c for c in ctx.unit(x)))
+        pdes += [expand_pde(ctx, ut + Expr.atom(ctx.dependent) * ux - uxx, name="burgers")] * 2
+    rng.shuffle(pdes)
+    for p in pdes:
+        det = determining_equations(p)
+        assert (det.unknowns, det.equations) == _reference_determining_equations(p)
+    spaces = {(p.ctx.independents, p.ctx.dependent) for p in pdes}
+    assert len(spaces) == 5
+    assert set(symmetry._GENERIC_PROLONGATIONS) == spaces
 
 
 def test_check_symmetry_x4_exact(doc):
