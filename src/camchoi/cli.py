@@ -50,14 +50,18 @@ def _declared(doc: ModelDocument, name: str):
 
 
 def _assignments(doc: ModelDocument, items, option: str, value) -> list:
-    """(declared parameter, value(text)) for each NAME=TEXT item of option."""
+    """(declared parameter, value(text)) for each NAME=TEXT item of option;
+    a name may be given once."""
     out = []
     for item in items or []:
         name, eq, text = (s.strip() for s in item.partition("="))
         try:
             if not eq:
                 raise ValueError("expected NAME=VALUE")
-            out.append((_declared(doc, name), value(text)))
+            p = _declared(doc, name)
+            if any(p is q for q, _v in out):
+                raise ValueError("%s given twice" % name)
+            out.append((p, value(text)))
         except (ValueError, ZeroDivisionError) as e:
             raise UsageError("%s %s: %s" % (option, item, e)) from None
     return out
@@ -84,6 +88,8 @@ def _cmd_check_symmetry(args) -> int:
 
 
 def _cmd_commutators(args) -> int:
+    if len(args.fields) < 2:
+        raise UsageError("commutators needs at least two fields")
     doc = _load_model(args.model)
     named = [(nm, doc.block(FieldBlock, nm).vf) for nm in args.fields]
     return _report(args, [CaseResult("[%s,%s]" % (a, b), "commutators", "pass", {"bracket": str(commutator(X, Y))})

@@ -23,8 +23,9 @@ Kernel invariants:
   term tuples; each atom computes its sort key once, and each distinct
   monomial once (``_MONO_KEYS``).
 * A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
-  atoms, ``ONE``, ``collect`` keys and ``content_normalized`` store an int
-  where the value is integral, and arithmetic may leave an integral Fraction.
+  atoms, ``ONE`` and ``collect`` keys store an int where the value is
+  integral, ``content_normalized`` leaves coprime ints, and arithmetic may
+  leave an integral Fraction.
   Equal values compare and hash equal (``1 == Fraction(1)``), so term tuples,
   ``key()``, ``str()`` and term order never depend on the type;
   ``as_rational`` always returns a Fraction.
@@ -709,13 +710,24 @@ class Expr:
             raise ExprError("collect needs a non-empty atom set")
         groups: dict = {}
         for mono, coeff in self.terms:
-            keypart = tuple((a, e) for a, e in mono if a in atomset)
-            rest = tuple((a, e) for a, e in mono if a not in atomset)
-            for a, _e in rest:
-                if isinstance(a, App) and any(a.arg.contains(t) for t in atomset):
-                    raise ExprError("collect atom occurs inside an opaque application")
-            g = groups.setdefault(keypart, {})
-            g[rest] = g.get(rest, 0) + coeff
+            keypart = []
+            rest = []
+            for f in mono:
+                a = f[0]
+                if a in atomset:
+                    keypart.append(f)
+                else:
+                    rest.append(f)
+                    if a.__class__ is App and any(a.arg.contains(t) for t in atomset):
+                        raise ExprError("collect atom occurs inside an opaque application")
+            keypart = tuple(keypart)
+            rest = tuple(rest)
+            g = groups.get(keypart)
+            if g is None:
+                groups[keypart] = {rest: coeff}
+            else:
+                prev = g.get(rest)
+                g[rest] = coeff if prev is None else prev + coeff
         out = {}
         for keypart, restmap in groups.items():
             keyexpr = Expr(((keypart, 1),))
@@ -736,22 +748,24 @@ class Expr:
         return None if parts else (a, b)
 
     def content_normalized(self) -> "Expr":
-        """Divide by the rational content; leading coefficient becomes +1-signed."""
+        """Divide by the rational content; leading coefficient becomes +1-signed.
+
+        The content is num/den, the gcd of the numerators over the lcm of the
+        denominators, so every quotient c*den/num is an int.
+        """
         if self.is_zero:
             return self
         num = 0
         den = 1
         for _, c in self.terms:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den) if num else Fraction(1)
+            num = gcd(num, c.numerator)
+            d = c.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
         if self.terms[0][1] < 0:
-            content = -content
-        terms = []
-        for mono, c in self.terms:
-            q = c / content
-            terms.append((mono, q.numerator if q.denominator == 1 else q))
-        return Expr(tuple(terms))
+            num = -num
+        return Expr(tuple([(mono, c.numerator * (den // c.denominator) // num) for mono, c in self.terms]),
+                    self._mkeys)
 
     def max_jet_order(self) -> int:
         best = 0

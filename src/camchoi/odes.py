@@ -232,7 +232,10 @@ def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Tra
 
 def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
     a, b = cfg.span
-    nsteps = max(1, int(math.ceil(abs(b - a) / cfg.step)))
+    count = abs(b - a) / cfg.step
+    if not math.isfinite(count):
+        raise OdeError("fixed-rk4 step count %g is not finite (span %g, step %r)" % (count, abs(b - a), cfg.step))
+    nsteps = max(1, math.ceil(count))
     h = (b - a) / nsteps
     samples = _rk4_loop(len(y0))(f, a, h, nsteps, *y0)
     y = samples[-1][1]

@@ -258,10 +258,12 @@ ode root {
      ["error: step must be positive and finite"]),
     (["root", "--ic", "1", "--span", "0", "1", "--method", "fixed-rk4", "--step", "-0.1"], 2,
      ["error: step must be positive and finite"]),
+    (["root", "--ic", "1", "--span", "0", "1", "--method", "fixed-rk4", "--step", "5e-324"], 2,
+     ["error: fixed-rk4 step count inf is not finite (span 1, step 5e-324)\n"]),
     (["root", "--ic", "1", "--span", "0", "1", "--tol", "nan"], 2, ["error: tolerances must be positive and finite"]),
     (["root", "--ic", "1", "--span", "0", "nan"], 2, ["error: integration span must be finite"]),
-], ids=["initial point", "adaptive", "fixed-rk4", "zero step", "nan step", "negative step", "nan tol",
-        "nan span"])
+], ids=["initial point", "adaptive", "fixed-rk4", "zero step", "nan step", "negative step", "subnormal step",
+        "nan tol", "nan span"])
 def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     path = os.path.join(tmp_path, "domain.model")
     with open(path, "w") as fh:
@@ -327,13 +329,21 @@ REDUCE = ("reduce", "builtin", "cc", "cc18", "--printed", "cc19")
     (REDUCE + ("--identify", "zz=alpha"), "--identify zz=alpha: 'zz' is not a declared parameter"),
     (REDUCE + ("--identify", "h0=zz"), "--identify h0=zz: 'zz' is not a declared parameter"),
     (REDUCE[:4] + ("--identify", "zz"), "--identify needs --printed"),
+    (INTEGRATE + ("--param", "Y0=1", "--param", "Y0=5"), "--param Y0=5: Y0 given twice"),
+    (REDUCE + ("--identify", "h0=alpha", "--identify", "h0=beta"), "--identify h0=beta: h0 given twice"),
 ], ids=["non-numeric value", "undeclared param", "param without =", "identify without =",
-        "undeclared identify lhs", "undeclared identify rhs", "identify without printed"])
+        "undeclared identify lhs", "undeclared identify rhs", "identify without printed",
+        "param given twice", "identify given twice"])
 def test_bad_assignment_items_are_usage_errors(capsys, argv, item):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: " + item)
     assert err.count("\n") == 1
+
+
+def test_commutators_need_two_fields(capsys):
+    code, out, err = run(capsys, "commutators", "builtin", "X1")
+    assert (code, out, err) == (2, "", "error: commutators needs at least two fields\n")
 
 
 def test_unbound_parameter_is_named_in_model_text(capsys):

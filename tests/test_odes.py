@@ -123,6 +123,14 @@ def test_time_reversal():
     assert max(abs(a - b) for a, b in zip(back.endpoint()[1], (1.0, -0.5))) < 1e-7
 
 
+def test_fixed_step_count_past_the_float_range_is_an_ode_error():
+    # span / step overflows to inf for a subnormal step
+    sys = compile_rhs(zctx, zj((1,)) - Expr.atom(H), {})
+    cfg = IntegratorConfig(method="fixed-rk4", step=5e-324, span=(0.0, 1.0))
+    with pytest.raises(OdeError, match=r"fixed-rk4 step count inf is not finite \(span 1, step 5e-324\)"):
+        integrate(sys, [1.0], cfg)
+
+
 def test_step_underflow_flagged():
     # 1/(1-t) blows up at t=1; the controller must give up and flag it
     Y = Expr.atom(H)

@@ -6,6 +6,7 @@ Each property runs on at least 100 seeded random instances.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -1252,3 +1253,108 @@ def test_invariants_for_matches_the_two_branch_reference():
                 seen["ansatz"] += 1
                 seen["hints"] += bool(want[2])
     assert min(seen.values()) >= 30 and reused >= 20, (seen, reused)
+
+
+# -- one-pass collect, integer content ------------------------------------------
+
+
+def _reference_collect(expr, atoms):
+    """Two scans per monomial; each group starts from 0 + coeff."""
+    atomset = set(atoms)
+    if not atomset:
+        raise ExprError("collect needs a non-empty atom set")
+    groups: dict = {}
+    for mono, coeff in expr.terms:
+        keypart = tuple((a, e) for a, e in mono if a in atomset)
+        rest = tuple((a, e) for a, e in mono if a not in atomset)
+        for a, _e in rest:
+            if isinstance(a, App) and any(a.arg.contains(t) for t in atomset):
+                raise ExprError("collect atom occurs inside an opaque application")
+        g = groups.setdefault(keypart, {})
+        g[rest] = g.get(rest, 0) + coeff
+    out = {}
+    for keypart, restmap in groups.items():
+        keyexpr = Expr(((keypart, 1),))
+        val = Expr._from_map(restmap)
+        if not val.is_zero:
+            out[keyexpr] = val
+    return out
+
+
+def _reference_content_normalized(e):
+    """A Fraction content, one Fraction division per term."""
+    if e.is_zero:
+        return e
+    num = 0
+    den = 1
+    for _, c in e.terms:
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
+    content = Fraction(num, den) if num else Fraction(1)
+    if e.terms[0][1] < 0:
+        content = -content
+    terms = []
+    for mono, c in e.terms:
+        q = c / content
+        terms.append((mono, q.numerator if q.denominator == 1 else q))
+    return Expr(tuple(terms))
+
+
+def _same_typed_terms(p, q):
+    assert p.terms == q.terms
+    assert [type(c) for _m, c in p.terms] == [type(c) for _m, c in q.terms]
+
+
+def _split_inputs(rng):
+    """A seeded expression as int and as Fraction coefficients, and negated."""
+    e = _derivation_input(rng) * random_expr(rng, 1)
+    if rng.random() < 0.5:
+        e = e * Expr.rational(Fraction(rng.choice([-6, -4, 3, 9]), rng.choice([1, 2, 5])))
+    for f in (_with_coefficients(e, True), _with_coefficients(e, False)):
+        yield f
+        yield -f
+
+
+COLLECT_ATOMS = [t, x, u, a, w2, N_SYMBOL, Jet(u, (t, x), (0, 1)), Jet(u, (t, x), (1, 0)),
+                 Func("F", (t, u)), Func("phi", (t,))]
+
+
+def test_collect_matches_the_two_scan_reference():
+    rng = random.Random(131)
+    n_raised = n_fraction_values = 0
+    for _ in range(150):
+        atoms = rng.sample(COLLECT_ATOMS, rng.randint(1, 3))
+        for e in _split_inputs(rng):
+            try:
+                want = _reference_collect(e, atoms)
+            except ExprError as exc:
+                n_raised += 1
+                with pytest.raises(ExprError, match=str(exc)):
+                    e.collect(atoms)
+                continue
+            got = e.collect(atoms)
+            assert list(got) == list(want)
+            for (gk, gv), (wk, wv) in zip(got.items(), want.items()):
+                assert gk.terms == wk.terms and type(gk.terms[0][1]) is int
+                _same_typed_terms(gv, wv)
+                _assert_canonical(gv)
+                n_fraction_values += any(type(c) is Fraction for _m, c in gv.terms)
+    assert n_raised >= 10 and n_fraction_values >= 100
+
+
+def test_content_normalized_matches_the_fraction_reference():
+    rng = random.Random(137)
+    n_negative = 0
+    for _ in range(150):
+        for e in _split_inputs(rng):
+            want = _reference_content_normalized(e)
+            got = e.content_normalized()
+            _same_typed_terms(got, want)
+            _assert_canonical(got)
+            n_negative += bool(e.terms) and e.terms[0][1] < 0
+            if got.terms:
+                # the docstring's rule: an int where the value is integral;
+                # dividing by the content leaves coprime integers
+                assert all(type(c) is int for _m, c in got.terms)
+                assert got.terms[0][1] > 0 and gcd(*[c for _m, c in got.terms]) == 1
+    assert n_negative >= 100
