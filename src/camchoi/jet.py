@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .expr import (
     DEPENDENT,
     Expr,
@@ -41,18 +40,32 @@ def _introduce(names: dict, name: str, entry, role: str, error):
     return entry
 
 
-@dataclass(frozen=True)
 class Context:
-    """One dependent variable over an ordered tuple of base variables."""
+    """One dependent variable over an ordered tuple of base variables.
 
-    independents: tuple
-    dependent: Sym
-    parameters: tuple = ()
+    Immutable, hashable and equal by its three fields, so it can key a table.
+    """
 
-    def __post_init__(self):
-        names = [v.name for v in self.independents] + [self.dependent.name]
+    def __init__(self, independents: tuple, dependent: Sym, parameters: tuple = ()):
+        names = [v.name for v in independents] + [dependent.name]
         if len(set(names)) != len(names):
             raise JetError("variable names must be unique within a context")
+        self.__dict__.update(independents=independents, dependent=dependent, parameters=parameters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Context is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Context is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Context:
+            return NotImplemented
+        return (self.independents == other.independents and self.dependent == other.dependent
+                and self.parameters == other.parameters)
+
+    def __hash__(self) -> int:
+        return hash((self.independents, self.dependent, self.parameters))
 
     def __str__(self) -> str:
         return "(%s; %s)" % (", ".join(v.name for v in self.independents), self.dependent.name)
@@ -110,16 +123,17 @@ def total_derivative(e: Expr, v: Sym, ctx: Context) -> Expr:
     return as_expr(e).derive(d)
 
 
-@dataclass
 class Pde:
     """lhs = 0 with a designated leading derivative solved as leading = leading_rhs."""
 
-    ctx: Context
-    lhs: Expr
-    leading: Jet
-    leading_coeff: Expr
-    leading_rhs: Expr
-    name: str = ""
+    def __init__(self, ctx: Context, lhs: Expr, leading: Jet, leading_coeff: Expr, leading_rhs: Expr,
+                 name: str = ""):
+        self.ctx = ctx
+        self.lhs = lhs
+        self.leading = leading
+        self.leading_coeff = leading_coeff
+        self.leading_rhs = leading_rhs
+        self.name = name
 
     def with_parameter(self, p: Sym, value) -> "Pde":
         return expand_pde(self.ctx, self.lhs.subst(p, as_expr(value)), name=self.name)

@@ -4,8 +4,6 @@ verification cases keyed by stable labels (cc.NN, eq.NN, table-N, fig-1)."""
 from __future__ import annotations
 
 import importlib.resources as resources
-import traceback
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -58,31 +56,32 @@ def load_builtin() -> ModelDocument:
     return _DOC
 
 
-@dataclass
 class LedgerEntry:
-    label: str
-    subject: str
-    printed: str
-    computed: str
-    residual: str
-    note: str = ""
+    def __init__(self, label: str, subject: str, printed: str, computed: str, residual: str, note: str = ""):
+        self.label = label
+        self.subject = subject
+        self.printed = printed
+        self.computed = computed
+        self.residual = residual
+        self.note = note
 
 
-@dataclass
 class CaseResult:
-    label: str
-    kind: str
-    verdict: str  # pass | fail | mismatch-recorded | unsupported
-    detail: Dict[str, object] = field(default_factory=dict)
-    ledger: List[LedgerEntry] = field(default_factory=list)
+    def __init__(self, label: str, kind: str, verdict: str, detail: Optional[Dict[str, object]] = None,
+                 ledger: Optional[List[LedgerEntry]] = None):
+        self.label = label
+        self.kind = kind
+        self.verdict = verdict  # pass | fail | mismatch-recorded | unsupported
+        self.detail = {} if detail is None else detail
+        self.ledger = [] if ledger is None else ledger
 
 
-@dataclass
 class Case:
-    label: str
-    kind: str
-    title: str
-    run: Callable[[ModelDocument], CaseResult]
+    def __init__(self, label: str, kind: str, title: str, run: Callable[[ModelDocument], CaseResult]):
+        self.label = label
+        self.kind = kind
+        self.title = title
+        self.run = run
 
 
 def run_case(case: Case, doc: ModelDocument) -> CaseResult:
@@ -92,6 +91,8 @@ def run_case(case: Case, doc: ModelDocument) -> CaseResult:
     try:
         return case.run(doc)
     except Exception as exc:
+        import traceback  # only a failing case pays for importing it
+
         traceback.print_exc()
         return CaseResult(case.label, case.kind, "fail", {"error": "%s: %s" % (type(exc).__name__, exc)})
 
@@ -234,10 +235,13 @@ def _expect(result: CaseResult, ok: bool) -> CaseResult:
 
 
 def _at_alpha_zero(doc: ModelDocument) -> ModelDocument:
-    """doc with alpha = 0 substituted into every pde block."""
+    """A new doc with alpha = 0 substituted into every pde block, each block's
+    solved form expanded again; doc itself is left as it is."""
     alpha = doc.params["alpha"]
-    return replace(doc, blocks=[replace(b, lhs=b.lhs.subst(alpha, ZERO)) if isinstance(b, PdeBlock) else b
-                                for b in doc.blocks])
+    return ModelDocument(doc.declarations,
+                         [PdeBlock(b.name, b.ctx, b.lhs.subst(alpha, ZERO), b.note, b.constants)
+                          if isinstance(b, PdeBlock) else b for b in doc.blocks],
+                         doc.params, doc.funcs)
 
 
 def _sym_case(label: str, title: str, pairs: List[Tuple[str, str]], alpha_zero: bool = False) -> Case:

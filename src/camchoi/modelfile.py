@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -53,12 +52,12 @@ _PUNCT = "{}()[]=;,^+-*/"
 _NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
-@dataclass
 class Token:
-    type: str  # NAME NUMBER STRING NEWLINE EOF or a punctuation character
-    value: str
-    line: int
-    col: int
+    def __init__(self, type: str, value: str, line: int, col: int):
+        self.type = type  # NAME NUMBER STRING NEWLINE EOF or a punctuation character
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> List[Token]:
@@ -126,42 +125,61 @@ def tokenize(text: str) -> List[Token]:
 
 
 # -- document model --------------------------------------------------------------
+# Declarations, blocks and the document are equal when they are of one class
+# and every field is equal, so a printed and re-parsed document equals its source.
 
 
-@dataclass
 class ParamDecl:
-    names: List[str]
+    def __init__(self, names: List[str]):
+        self.names = names
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is ParamDecl and self.names == other.names
 
 
-@dataclass
 class ExponentDecl:
-    name: str
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is ExponentDecl and self.name == other.name
 
 
-@dataclass
 class FuncDecl:
-    name: str
-    args: Tuple[str, ...]
+    def __init__(self, name: str, args: Tuple[str, ...]):
+        self.name = name
+        self.args = args
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is FuncDecl and (self.name, self.args) == (other.name, other.args)
 
 
-@dataclass
 class EquationBlock:
     """lhs = 0 in the jet context ctx: the record of every equation block kind."""
 
-    name: str
-    ctx: Context
-    lhs: Expr
-    note: str = ""
-    constants: Tuple[Sym, ...] = ()  # integral blocks only
     var_kind = REDUCED
 
+    def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
+        self.name = name
+        self.ctx = ctx
+        self.lhs = lhs
+        self.note = note
+        self.constants = constants  # integral blocks only
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is self.__class__
+                and (self.name, self.ctx, self.lhs, self.note, self.constants)
+                == (other.name, other.ctx, other.lhs, other.note, other.constants))
+
+
 class PdeBlock(EquationBlock):
+    """An equation block that also holds its solved form ``pde``, expanded at construction."""
+
     kind, var_kind = "pde", INDEPENDENT
 
-    def __post_init__(self):
-        self.pde = expand_pde(self.ctx, self.lhs, name=self.name)
+    def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
+        super().__init__(name, ctx, lhs, note, constants)
+        self.pde = expand_pde(ctx, lhs, name=name)
 
 
 class ReducedBlock(EquationBlock):
@@ -180,49 +198,76 @@ class OdeBlock(EquationBlock):
     kind = "ode"
 
 
-@dataclass
 class FieldBlock:
-    name: str
-    on: str
-    vf: VectorField
-    note: str = ""
     kind = "field"
 
+    def __init__(self, name: str, on: str, vf: VectorField, note: str = ""):
+        self.name = name
+        self.on = on
+        self.vf = vf
+        self.note = note
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is FieldBlock
+                and (self.name, self.on, self.vf, self.note) == (other.name, other.on, other.vf, other.note))
+
+
 class AnsatzBlock:
-    name: str
-    on: str
-    ansatz: Ansatz
-    note: str = ""
     kind = "ansatz"
 
+    def __init__(self, name: str, on: str, ansatz: Ansatz, note: str = ""):
+        self.name = name
+        self.on = on
+        self.ansatz = ansatz
+        self.note = note
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is AnsatzBlock
+                and (self.name, self.on, self.ansatz, self.note) == (other.name, other.on, other.ansatz, other.note))
+
+
 class SolutionBlock:
-    name: str
-    on: str
-    dep_name: str
-    sol: Expr
-    rules: Tuple[SolutionRule, ...]
-    bindings: List[Tuple[Sym, Expr]]
-    note: str = ""
     kind = "solution"
 
+    def __init__(self, name: str, on: str, dep_name: str, sol: Expr, rules: Tuple[SolutionRule, ...],
+                 bindings: List[Tuple[Sym, Expr]], note: str = ""):
+        self.name = name
+        self.on = on
+        self.dep_name = dep_name
+        self.sol = sol
+        self.rules = rules
+        self.bindings = bindings
+        self.note = note
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is SolutionBlock
+                and (self.name, self.on, self.dep_name, self.sol, self.rules, self.bindings, self.note)
+                == (other.name, other.on, other.dep_name, other.sol, other.rules, other.bindings, other.note))
+
+
 class RunBlock:
-    name: str
-    ode: str
-    settings: List[Tuple[str, Fraction]]
-    ic: List[Fraction]
-    span: Tuple[Fraction, Fraction]
-    method: str = "adaptive-rk45"
-    tol: Fraction = Fraction(1, 10 ** 9)
-    step: Fraction = Fraction(1, 10 ** 4)
-    color: str = "black"
-    note: str = ""
     kind = "run"
+
+    def __init__(self, name: str, ode: str, settings: List[Tuple[str, Fraction]], ic: List[Fraction],
+                 span: Tuple[Fraction, Fraction], method: str = "adaptive-rk45", tol: Fraction = Fraction(1, 10 ** 9),
+                 step: Fraction = Fraction(1, 10 ** 4), color: str = "black", note: str = ""):
+        self.name = name
+        self.ode = ode
+        self.settings = settings
+        self.ic = ic
+        self.span = span
+        self.method = method
+        self.tol = tol
+        self.step = step
+        self.color = color
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is RunBlock
+                and (self.name, self.ode, self.settings, self.ic, self.span, self.method, self.tol, self.step,
+                     self.color, self.note)
+                == (other.name, other.ode, other.settings, other.ic, other.span, other.method, other.tol,
+                    other.step, other.color, other.note))
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -231,12 +276,18 @@ _BLOCKS = {cls.kind: cls for cls in (PdeBlock, ReducedBlock, IntegralBlock, OdeB
 _TOP_LEVEL = set(_BLOCKS) | {"param", "exponent", "func"}
 
 
-@dataclass
 class ModelDocument:
-    declarations: List[object]
-    blocks: List[object]
-    params: Dict[str, Sym]
-    funcs: Dict[str, Tuple[str, ...]]  # argument names, resolved in each block's scope
+    def __init__(self, declarations: List[object], blocks: List[object], params: Dict[str, Sym],
+                 funcs: Dict[str, Tuple[str, ...]]):
+        self.declarations = declarations
+        self.blocks = blocks
+        self.params = params
+        self.funcs = funcs  # argument names, resolved in each block's scope
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is ModelDocument
+                and (self.declarations, self.blocks, self.params, self.funcs)
+                == (other.declarations, other.blocks, other.params, other.funcs))
 
     def block(self, kind, name: str):
         key = _normalize_name(name)
@@ -353,7 +404,7 @@ class _Parser:
         name = self.expect("NAME")
         on = self.accept("NAME", "on")
         if on is not None:
-            if "on" not in cls.__dataclass_fields__:
+            if issubclass(cls, (EquationBlock, RunBlock)):
                 raise ParseError("%s blocks take no 'on'" % cls.kind, on.line, on.col)
             on = self.expect("NAME")
         key = _normalize_name(name.value)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,15 +23,16 @@ class OdeError(ExprError):
     pass
 
 
-@dataclass
 class OdeSystem:
-    ctx: Context
-    order: int
-    rhs: List[Expr]  # d state_i / d indep as expressions in state, indep, params
-    state_atoms: List[object]
-    params: Dict[Sym, float]
-    name: str = ""
-    _fn: Optional[Callable] = None
+    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object],
+                 params: Dict[Sym, float], name: str = "", _fn: Optional[Callable] = None):
+        self.ctx = ctx
+        self.order = order
+        self.rhs = rhs  # d state_i / d indep as expressions in state, indep, params
+        self.state_atoms = state_atoms
+        self.params = params
+        self.name = name
+        self._fn = _fn  # the compiled right-hand side, built by compiled()
 
     @property
     def dimension(self) -> int:
@@ -149,35 +149,36 @@ def _define(src: str, name: str) -> Callable:
     return ns[name]
 
 
-@dataclass
 class IntegratorConfig:
-    method: str = "adaptive-rk45"  # or "fixed-rk4"
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    step: float = 1e-4  # fixed-rk4 step
-    span: Tuple[float, float] = (0.0, 1.0)
-    dense: Optional[Sequence[float]] = None
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+    def __init__(self, method: str = "adaptive-rk45", abs_tol: float = 1e-9, rel_tol: float = 1e-9,
+                 step: float = 1e-4, span: Tuple[float, float] = (0.0, 1.0),
+                 dense: Optional[Sequence[float]] = None):
+        self.method = method  # or "fixed-rk4"
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
+        self.step = step  # fixed-rk4 step
+        self.span = span
+        self.dense = dense
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise OdeError("tolerances must be positive and finite")
-        if not 0 < self.step < math.inf:
+        if not 0 < step < math.inf:
             raise OdeError("step must be positive and finite")
-        if not (math.isfinite(self.span[0]) and math.isfinite(self.span[1])):
+        if not (math.isfinite(span[0]) and math.isfinite(span[1])):
             raise OdeError("integration span must be finite")
-        if self.span[0] == self.span[1]:
+        if span[0] == span[1]:
             raise OdeError("degenerate integration span")
 
 
-@dataclass
 class Trajectory:
-    samples: List[Tuple[float, Tuple[float, ...]]]
-    method: str
-    config: IntegratorConfig
-    params: Dict[str, float]
-    accepted: int = 0
-    rejected: int = 0
-    flag: str = ""
+    def __init__(self, samples: List[Tuple[float, Tuple[float, ...]]], method: str, config: IntegratorConfig,
+                 params: Dict[str, float], accepted: int = 0, rejected: int = 0, flag: str = ""):
+        self.samples = samples
+        self.method = method
+        self.config = config
+        self.params = params
+        self.accepted = accepted
+        self.rejected = rejected
+        self.flag = flag
 
     def endpoint(self) -> Tuple[float, Tuple[float, ...]]:
         return self.samples[-1]
@@ -204,6 +205,7 @@ _RKF_A = (
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
+_MAX_RK4_STEPS = 10 ** 7  # fig-1 takes 10^4 fixed steps per curve
 _INITIAL_STEP = 1e-3  # adaptive steps are capped at the span length
 _UNDERFLOW_FRACTION = 1e-14
 _SAFETY = 0.7
@@ -235,6 +237,9 @@ def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
     count = abs(b - a) / cfg.step
     if not math.isfinite(count):
         raise OdeError("fixed-rk4 step count %g is not finite (span %g, step %r)" % (count, abs(b - a), cfg.step))
+    if count > _MAX_RK4_STEPS:
+        raise OdeError("fixed-rk4 step count %g is above the cap of %d steps (span %g, step %r)"
+                       % (count, _MAX_RK4_STEPS, abs(b - a), cfg.step))
     nsteps = max(1, math.ceil(count))
     h = (b - a) / nsteps
     samples = _rk4_loop(len(y0))(f, a, h, nsteps, *y0)

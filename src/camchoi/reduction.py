@@ -4,7 +4,6 @@ closed-form solution checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
@@ -33,24 +32,34 @@ class UnsupportedField(ReductionError):
     """Raised by invariants_for when the generator shape is out of scope."""
 
 
-@dataclass
 class Ansatz:
     """New independent variables as expressions of the old, plus a dependent rule.
 
     ``dependent_rule`` expresses the old dependent variable through a new
     function symbol applied to the new variables.  It may be None for
     catalogued substitutions that fall outside the representable fragment;
-    such an ansatz cannot be pulled back.
+    such an ansatz cannot be pulled back.  Two ansatz records are equal when
+    every field is.
     """
 
-    src: Context
-    new_independent: List[Tuple[Sym, Expr]]
-    new_dep: Optional[Sym]
-    func: Optional[Func]
-    dependent_rule: Optional[Expr]
-    inverse_hints: List[Tuple[Sym, Expr]] = field(default_factory=list)
-    name: str = ""
-    note: str = ""
+    def __init__(self, src: Context, new_independent: List[Tuple[Sym, Expr]], new_dep: Optional[Sym],
+                 func: Optional[Func], dependent_rule: Optional[Expr],
+                 inverse_hints: Optional[List[Tuple[Sym, Expr]]] = None, name: str = "", note: str = ""):
+        self.src = src
+        self.new_independent = new_independent
+        self.new_dep = new_dep
+        self.func = func
+        self.dependent_rule = dependent_rule
+        self.inverse_hints = [] if inverse_hints is None else inverse_hints
+        self.name = name
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is Ansatz
+                and (self.src, self.new_independent, self.new_dep, self.func, self.dependent_rule,
+                     self.inverse_hints, self.name, self.note)
+                == (other.src, other.new_independent, other.new_dep, other.func, other.dependent_rule,
+                    other.inverse_hints, other.name, other.note))
 
     def new_context(self) -> Context:
         if self.new_dep is None:
@@ -87,11 +96,11 @@ def jacobian_rank_ok(a: Ansatz) -> bool:
     return 0 < len(rows) == len(eliminate(rows, len(a.src.independents)))
 
 
-@dataclass
 class ReducedEquation:
-    ctx: Context
-    lhs: Expr
-    name: str = ""
+    def __init__(self, ctx: Context, lhs: Expr, name: str = ""):
+        self.ctx = ctx
+        self.lhs = lhs
+        self.name = name
 
     def normalized(self) -> Expr:
         return self.lhs.content_normalized()
@@ -100,12 +109,12 @@ class ReducedEquation:
         return expand_pde(self.ctx, self.lhs, name=self.name)
 
 
-@dataclass
 class FirstIntegralCandidate:
-    ctx: Context
-    lhs: Expr
-    constants: Tuple[Sym, ...] = ()
-    name: str = ""
+    def __init__(self, ctx: Context, lhs: Expr, constants: Tuple[Sym, ...] = (), name: str = ""):
+        self.ctx = ctx
+        self.lhs = lhs
+        self.constants = constants
+        self.name = name
 
 
 # -- invariants of translation and scaling generators -------------------------
@@ -319,11 +328,11 @@ def compose_ansatz(a1: Ansatz, a2: Ansatz, name: str = "") -> Ansatz:
 # -- comparison against printed forms -----------------------------------------
 
 
-@dataclass
 class CompareReport:
-    verdict: str  # exact | constant-multiple | under-substitution | mismatch
-    residual: Expr
-    substitution: Optional[List[Tuple[Sym, Expr]]] = None
+    def __init__(self, verdict: str, residual: Expr, substitution: Optional[List[Tuple[Sym, Expr]]] = None):
+        self.verdict = verdict  # exact | constant-multiple | under-substitution | mismatch
+        self.residual = residual
+        self.substitution = substitution
 
 
 def compare_reduced(
@@ -407,12 +416,15 @@ def check_first_integral(eq, fi: FirstIntegralCandidate) -> Expr:
 # -- closed-form verification ---------------------------------------------------
 
 
-@dataclass
 class SolutionRule:
-    """Defining relation for an opaque helper: D^orders f = expr."""
+    """Defining relation for an opaque helper: D^orders f = expr; equal by both fields."""
 
-    func: Func  # carries the base derivative orders
-    expr: Expr
+    def __init__(self, func: Func, expr: Expr):
+        self.func = func  # carries the base derivative orders
+        self.expr = expr
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is SolutionRule and self.func == other.func and self.expr == other.expr
 
 
 def verify_closed_form(

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .library import CaseResult
 
@@ -13,10 +12,10 @@ SCHEMA = "camchoi-report/1"
 VERDICTS = ("pass", "fail", "mismatch-recorded", "unsupported")
 
 
-@dataclass
 class Report:
-    command: str
-    results: List[CaseResult] = field(default_factory=list)
+    def __init__(self, command: str, results: Optional[List[CaseResult]] = None):
+        self.command = command
+        self.results = [] if results is None else results
 
     def add(self, result: CaseResult) -> None:
         if result.verdict not in VERDICTS:
@@ -50,7 +49,8 @@ class Report:
                 }
             )
             for e in r.ledger:
-                ledger.append(asdict(e))
+                ledger.append({"label": e.label, "subject": e.subject, "printed": e.printed,
+                               "computed": e.computed, "residual": e.residual, "note": e.note})
         ledger.sort(key=lambda d: (d["label"], d["subject"]))
         return {
             "schema": SCHEMA,

@@ -3,7 +3,6 @@ commutators, and Lie-algebra closure analysis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
@@ -26,24 +25,23 @@ class SymmetryError(ExprError):
     pass
 
 
-@dataclass
 class VectorField:
-    """Infinitesimal generator xi^i d_i + eta d_u on a base context."""
+    """Infinitesimal generator xi^i d_i + eta d_u on a base context.
 
-    ctx: Context
-    xi: Dict[Sym, Expr]
-    eta: Expr
-    name: str = ""
+    ``xi`` keeps only the nonzero coefficients of ctx's independents.
+    """
 
-    def __post_init__(self):
-        self.eta = as_expr(self.eta)
+    def __init__(self, ctx: Context, xi: Dict[Sym, Expr], eta: Expr, name: str = ""):
+        self.ctx = ctx
+        self.eta = eta = as_expr(eta)
         clean = {}
-        for v in self.ctx.independents:
-            e = as_expr(self.xi.get(v, ZERO))
+        for v in ctx.independents:
+            e = as_expr(xi.get(v, ZERO))
             if not e.is_zero:
                 clean[v] = e
         self.xi = clean
-        for e in list(self.xi.values()) + [self.eta]:
+        self.name = name
+        for e in list(clean.values()) + [eta]:
             if any(isinstance(a, Jet) for a in e.atoms()):
                 raise SymmetryError("point-symmetry coefficients must be jet free")
 
@@ -165,11 +163,11 @@ def check_symmetry(X: VectorField, pde: Pde) -> Expr:
     return _residual(prolong(X, MAX_PROLONG_ORDER), pde)
 
 
-@dataclass
 class DeterminingSystem:
-    unknowns: List[Func]
-    equations: List[Expr]
-    pde: Pde
+    def __init__(self, unknowns: List[Func], equations: List[Expr], pde: Pde):
+        self.unknowns = unknowns
+        self.equations = equations
+        self.pde = pde
 
     def substitute_solution(self, rules: Dict[str, Expr]) -> List[Expr]:
         """Substitute concrete coefficient expressions for the unknown functions:
@@ -279,10 +277,10 @@ def solve_linear_exprs(rows: List[List[Expr]], rhs: List[Expr]) -> Optional[List
     return sol
 
 
-@dataclass
 class Decomposition:
-    ok: bool
-    coefficients: Optional[List[Tuple[Expr, Expr]]] = None
+    def __init__(self, ok: bool, coefficients: Optional[List[Tuple[Expr, Expr]]] = None):
+        self.ok = ok
+        self.coefficients = coefficients
 
     def coefficient_strings(self) -> List[str]:
         out = []
@@ -333,11 +331,12 @@ def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposit
     return Decomposition(False) if sol is None else Decomposition(True, sol)
 
 
-@dataclass
 class ClosureReport:
-    basis: List[VectorField]
-    table: Dict[Tuple[int, int], Tuple[VectorField, Decomposition]]
-    witnesses: List[Tuple[int, int, VectorField]]
+    def __init__(self, basis: List[VectorField], table: Dict[Tuple[int, int], Tuple[VectorField, Decomposition]],
+                 witnesses: List[Tuple[int, int, VectorField]]):
+        self.basis = basis
+        self.table = table
+        self.witnesses = witnesses
 
     @property
     def closed(self) -> bool:

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from camchoi import odes
 from camchoi.cli import main
 from camchoi.report import SCHEMA
 
@@ -272,6 +273,17 @@ def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     assert got == code
     for text in expect:
         assert text in out + err
+
+
+def test_fixed_step_count_above_the_cap_exits_2_before_stepping(capsys, monkeypatch):
+    def no_loop(dim):
+        raise AssertionError("the fixed-rk4 loop started")
+
+    monkeypatch.setattr(odes, "_rk4_loop", no_loop)
+    code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",
+                         "--param", "Y0=1", "--param", "Y1=0", "--method", "fixed-rk4", "--step", "1e-300")
+    assert code == 2 and out == ""
+    assert err == "error: fixed-rk4 step count 1e+300 is above the cap of 10000000 steps (span 1, step 1e-300)\n"
 
 
 def test_integrate_svg_draws_only_the_finite_samples(capsys, tmp_path):

@@ -131,6 +131,27 @@ def test_fixed_step_count_past_the_float_range_is_an_ode_error():
         integrate(sys, [1.0], cfg)
 
 
+def _no_loop(dim):
+    raise AssertionError("the fixed-rk4 loop started")
+
+
+def test_fixed_step_count_above_the_cap_is_refused_before_the_loop(monkeypatch):
+    monkeypatch.setattr(odes, "_rk4_loop", _no_loop)
+    sys = compile_rhs(zctx, zj((1,)) - Expr.atom(H), {})
+    cfg = IntegratorConfig(method="fixed-rk4", step=1e-300, span=(0.0, 1.0))
+    with pytest.raises(OdeError, match=r"fixed-rk4 step count 1e\+300 is above the cap of 10000000 steps "
+                                       r"\(span 1, step 1e-300\)"):
+        integrate(sys, [1.0], cfg)
+    # one step over the cap on a span of 2 is refused; the cap itself reaches the loop
+    over = IntegratorConfig(method="fixed-rk4", step=2 / (odes._MAX_RK4_STEPS + 1), span=(0.0, 2.0))
+    with pytest.raises(OdeError, match="above the cap"):
+        integrate(sys, [1.0], over)
+    counts = []
+    monkeypatch.setattr(odes, "_rk4_loop", lambda dim: lambda f, a, h, n, *y: counts.append(n) or [(a, y)])
+    integrate(sys, [1.0], IntegratorConfig(method="fixed-rk4", step=2 / odes._MAX_RK4_STEPS, span=(0.0, 2.0)))
+    assert counts == [odes._MAX_RK4_STEPS]
+
+
 def test_step_underflow_flagged():
     # 1/(1-t) blows up at t=1; the controller must give up and flag it
     Y = Expr.atom(H)

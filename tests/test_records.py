@@ -1,0 +1,119 @@
+"""The record classes: no code generated at import, per-instance mutable
+defaults, an immutable hashable Context, and the copies and failure path the
+case library builds on them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from camchoi import library
+from camchoi.expr import DEPENDENT, INDEPENDENT, PARAMETER, ZERO, Expr, Func, Sym
+from camchoi.jet import Context, JetError
+from camchoi.library import Case, CaseResult, builtin_text, load_builtin, run_case
+from camchoi.modelfile import AnsatzBlock, PdeBlock, SolutionBlock, parse_model, print_model
+from camchoi.reduction import Ansatz
+from camchoi.report import Report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+t, x = Sym("t", INDEPENDENT), Sym("x", INDEPENDENT)
+u = Sym("u", DEPENDENT)
+alpha = Sym("alpha", PARAMETER)
+
+_IMPORT_PROBE = """
+import json, sys
+import camchoi.cli
+records = sorted("%s.%s" % (name, k) for name, mod in list(sys.modules.items()) if name.startswith("camchoi")
+                 for k, v in vars(mod).items() if isinstance(v, type) and hasattr(v, "__dataclass_fields__"))
+print(json.dumps({"loaded": sorted(m for m in ("dataclasses", "inspect", "traceback") if m in sys.modules),
+                  "dataclasses": records}))
+"""
+
+
+def test_importing_the_cli_loads_no_code_generation_machinery():
+    # a fresh interpreter: pytest itself has loaded dataclasses and inspect
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert json.loads(out) == {"loaded": [], "dataclasses": []}
+
+
+def test_mutable_defaults_are_per_instance():
+    a, b = CaseResult("a", "symmetry", "pass"), CaseResult("b", "symmetry", "pass")
+    a.detail["k"] = 1
+    a.ledger.append("entry")
+    assert b.detail == {} and b.ledger == []
+    r1, r2 = Report("x"), Report("y")
+    r1.add(a)
+    assert r2.results == []
+    ctx = Context((t, x), u)
+    fn = Func("F", (t,))
+    h1, h2 = (Ansatz(ctx, [(t, Expr.atom(t))], Sym("F", DEPENDENT), fn, Expr.atom(fn)) for _ in range(2))
+    h1.inverse_hints.append((x, Expr.atom(t)))
+    assert h2.inverse_hints == []
+
+
+def test_context_is_immutable_hashable_and_equal_by_fields():
+    c1, c2 = Context((t, x), u, (alpha,)), Context((t, x), u, (alpha,))
+    assert c1 == c2 and c1 is not c2
+    assert hash(c1) == hash(c2) and {c1: "ok"}[c2] == "ok"
+    assert c1 != Context((t, x), u) and c1 != Context((x, t), u, (alpha,))
+    with pytest.raises(AttributeError):
+        c1.dependent = Sym("v", DEPENDENT)
+    with pytest.raises(AttributeError):
+        del c1.parameters
+    assert c1.dependent == u and c1.parameters == (alpha,)
+    with pytest.raises(JetError, match="unique"):
+        Context((t, Sym("u", INDEPENDENT)), u)
+
+
+def test_model_records_are_equal_field_by_field():
+    d1, d2 = parse_model(builtin_text()), parse_model(builtin_text())
+    assert d1 == d2 and d1 is not d2
+    for b in d2.blocks:
+        note, b.note = b.note, b.note + "!"
+        assert d1 != d2, b.name
+        b.note = note
+    d2.declarations[0].names.append("zz")
+    assert d1 != d2
+    d2.declarations[0].names.pop()
+    a = next(b for b in d2.blocks if isinstance(b, AnsatzBlock)).ansatz
+    a.inverse_hints.append((t, Expr.atom(x)))
+    assert d1 != d2
+    a.inverse_hints.pop()
+    rule = next(b for b in d2.blocks if isinstance(b, SolutionBlock) and b.rules).rules[0]
+    rule.expr = rule.expr + 1
+    assert d1 != d2
+    rule.expr = rule.expr - 1
+    assert d1 == d2
+
+
+def test_alpha_zero_copy_expands_every_pde_again_and_leaves_the_source():
+    doc = load_builtin()
+    text = print_model(doc)
+    gcc = doc.block(PdeBlock, "gcc")
+    zero = library._at_alpha_zero(doc)
+    zgcc = zero.block(PdeBlock, "gcc")
+    a = doc.params["alpha"]
+    assert gcc.lhs.contains(a) and gcc.pde.leading_rhs.contains(a)
+    assert zgcc.lhs == gcc.lhs.subst(a, ZERO)
+    assert zgcc.pde.lhs == zgcc.lhs and not zgcc.pde.leading_rhs.contains(a)
+    assert zgcc.pde.leading == gcc.pde.leading
+    assert doc.block(PdeBlock, "gcc") is gcc and gcc.pde.leading_rhs.contains(a)
+    assert print_model(doc) == text
+
+
+def test_run_case_turns_an_exception_into_a_fail_with_the_traceback_on_stderr(capsys):
+    def boom(doc):
+        raise ZeroDivisionError("no quotient")
+
+    result = run_case(Case("x.1", "symmetry", "raises", boom), load_builtin())
+    assert (result.label, result.kind, result.verdict) == ("x.1", "symmetry", "fail")
+    assert result.detail == {"error": "ZeroDivisionError: no quotient"}
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in boom" in err and err.endswith("ZeroDivisionError: no quotient\n")
