@@ -25,7 +25,8 @@ class OdeError(ExprError):
 
 class OdeSystem:
     def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object],
-                 params: Dict[Sym, float], name: str = "", _fn: Optional[Callable] = None):
+                 params: Dict[Sym, float], name: str = "", _fn: Optional[Callable] = None,
+                 _solved: Optional["_SolvedOde"] = None):
         self.ctx = ctx
         self.order = order
         self.rhs = rhs  # d state_i / d indep as expressions in state, indep, params
@@ -33,6 +34,7 @@ class OdeSystem:
         self.params = params
         self.name = name
         self._fn = _fn  # the compiled right-hand side, built by compiled()
+        self._solved = _solved  # the equation's shared entry; None for a system built directly
 
     @property
     def dimension(self) -> int:
@@ -40,8 +42,44 @@ class OdeSystem:
 
     def compiled(self) -> Callable:
         if self._fn is None:
-            self._fn = _compile_callable(self)
+            solved = self._solved or _SolvedOde(self.ctx, self.order, self.rhs, self.state_atoms)
+            self._fn = solved.bind(self.params)
         return self._fn
+
+
+class _SolvedOde:
+    """An equation solved for its highest derivative, shared by every system
+    compiled from it: the order, the right-hand sides, the state atoms and the
+    parameter atoms in order of first appearance.  make(p0, p1, ...) returns
+    the right-hand side with those parameters bound; it is generated on the
+    first bind and its source holds no parameter value.
+    """
+
+    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object]):
+        self.ctx = ctx
+        self.order = order
+        self.rhs = rhs
+        self.state_atoms = state_atoms
+        known = set(state_atoms)
+        known.add(ctx.independents[0])
+        params: List[object] = []
+        for e in rhs:
+            for a in e.atoms():
+                if a not in known and not isinstance(a, RatPow):
+                    known.add(a)
+                    params.append(a)
+        self.params = tuple(params)
+        self.make: Optional[Callable] = None
+
+    def bind(self, values: Dict[Sym, float]) -> Callable:
+        if self.make is None:
+            self.make = _define(_factory_source(self), "make")
+        return self.make(*[values[p] for p in self.params])
+
+
+# (ctx, lhs, n) -> _SolvedOde, where n is the bound exponent when the equation
+# holds n and None otherwise; a failed solve raises and is not stored
+_SOLVED_ODES: Dict[tuple, _SolvedOde] = {}
 
 
 def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = "") -> OdeSystem:
@@ -49,23 +87,58 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
 
     The symbolic exponent parameter must be bound to a concrete integer so
     powers compile to repeated multiplication.  Every remaining parameter
-    needs a numeric value.
+    needs a finite float value.  The equation is solved once per context,
+    lhs and n; parameter values are bound when the system is compiled.
     """
+    e = as_expr(lhs)
+    solved = _SOLVED_ODES.get((ctx, e, None))
+    if solved is None:
+        solved = _solve(ctx, e, params)
+    values: Dict[Sym, float] = {}
+    for p, v in params.items():
+        if p != N_SYMBOL:
+            values[p] = _finite_float(p, v)
+    for p in solved.params:
+        if p not in values:
+            raise OdeError("unbound parameter %s" % Expr.atom(p))
+    # each system gets its own lists, so a caller's edit cannot reach the table
+    return OdeSystem(ctx, solved.order, list(solved.rhs), list(solved.state_atoms), values,
+                     name=name, _solved=solved)
+
+
+def _finite_float(p: Sym, v: object) -> float:
+    try:
+        f = float(v)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise OdeError("parameter %s is not a finite float: %s" % (p.name, exc)) from None
+    if not math.isfinite(f):
+        raise OdeError("parameter %s is not a finite float: %r" % (p.name, f))
+    return f
+
+
+def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
+    """The table entry for e = 0, solved and stored on first use."""
     if len(ctx.independents) != 1:
         raise OdeError("ODE compilation needs a single independent variable")
-    var = ctx.independents[0]
-    e = as_expr(lhs)
+    n = None
     if e.contains(N_SYMBOL) or any(x.n for mono, _ in e.terms for _a, x in mono):
         if N_SYMBOL not in params:
             raise OdeError("unbound parameter n")
-        nval = Fraction(params[N_SYMBOL])
-        if nval.denominator != 1:
+        try:
+            nval = Fraction(params[N_SYMBOL])
+        except (OverflowError, TypeError, ValueError):
+            nval = None
+        if nval is None or nval.denominator != 1:
             raise OdeError("exponent parameter n must be an integer")
-        e = e.subst(N_SYMBOL, Expr.rational(nval))
-    order = e.max_jet_order()
+        n = nval.numerator
+        solved = _SOLVED_ODES.get((ctx, e, n))
+        if solved is not None:
+            return solved
+    eq = e if n is None else e.subst(N_SYMBOL, Expr.rational(n))
+    order = eq.max_jet_order()
     if order == 0:
         raise OdeError("no derivatives present in the equation")
-    split = e.affine_in(ctx.jet((order,)))
+    split = eq.affine_in(ctx.jet((order,)))
     if split is None:
         raise OdeError("nonlinear in highest derivative")
     coeff, rest = split
@@ -73,40 +146,28 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
         raise OdeError("highest derivative vanished")
     if not coeff.is_monomial():
         raise OdeError("nonlinear in highest derivative: coefficient %s" % coeff)
-    solved = (-rest) / coeff
 
     state_atoms: List[object] = [ctx.dependent]
     for k in range(1, order):
         state_atoms.append(ctx.jet((k,)))
-    rhs = [Expr.atom(a) for a in state_atoms[1:]] + [solved]
-
-    values: Dict[Sym, float] = {}
-    for p, v in params.items():
-        if p == N_SYMBOL:
-            continue
-        values[p] = float(v)
-    allowed = set(state_atoms) | {var} | set(values.keys())
-    for expr in rhs:
-        for a in expr.atoms():
-            if isinstance(a, RatPow):
-                continue
-            if a not in allowed:
-                raise OdeError("unbound parameter %s" % Expr.atom(a))
-    return OdeSystem(ctx, order, rhs, state_atoms, values, name=name)
+    rhs = [Expr.atom(a) for a in state_atoms[1:]] + [(-rest) / coeff]
+    solved = _SOLVED_ODES[(ctx, e, n)] = _SolvedOde(ctx, order, rhs, state_atoms)
+    return solved
 
 
-def _compile_callable(sys: OdeSystem) -> Callable:
-    """Generate a plain Python function for the right-hand side.
+def _factory_source(solved: _SolvedOde) -> str:
+    """Source of make(p0, p1, ...), which returns _rhs(x, y0, y1, ...).
 
-    A domain error in the generated code (0.0 ** -1, math.sqrt of a negative)
+    The parameters are arguments of make; coefficients and RatPow bases are
+    literals.  A domain error in _rhs (0.0 ** -1, math.sqrt of a negative)
     returns NaNs, which the integrators treat as a non-finite evaluation.
     """
-    var = sys.ctx.independents[0]
+    var = solved.ctx.independents[0]
     names: Dict[object, str] = {var: "x"}
-    for i, a in enumerate(sys.state_atoms):
+    for i, a in enumerate(solved.state_atoms):
         names[a] = "y%d" % i
-    for p, v in sys.params.items():
-        names[p] = repr(v)
+    for i, p in enumerate(solved.params):
+        names[p] = "p%d" % i
 
     def emit(e: Expr) -> str:
         if e.is_zero:
@@ -134,12 +195,16 @@ def _compile_callable(sys: OdeSystem) -> Callable:
             chunks.append("*".join(parts))
         return " + ".join(chunks)
 
-    args = ", ".join(["x"] + ["y%d" % i for i in range(sys.order)])
-    body = ", ".join(emit(e) for e in sys.rhs)
-    src = ("def _rhs(%s):\n    try:\n        return (%s,)\n"
-           "    except (ArithmeticError, ValueError):\n        return (%s)\n"
-           % (args, body, "nan, " * sys.order))
-    return _define(src, "_rhs")
+    args = ", ".join(["x"] + ["y%d" % i for i in range(solved.order)])
+    body = ", ".join(emit(e) for e in solved.rhs)
+    return ("def make(%s):\n"
+            "    def _rhs(%s):\n"
+            "        try:\n"
+            "            return (%s,)\n"
+            "        except (ArithmeticError, ValueError):\n"
+            "            return (%s)\n"
+            "    return _rhs\n"
+            % (", ".join("p%d" % i for i in range(len(solved.params))), args, body, "nan, " * solved.order))
 
 
 def _define(src: str, name: str) -> Callable:
@@ -398,8 +463,9 @@ def _hermite(t0, y0, f0, t1, y1, f1, xq):
 def write_csv(traj: Trajectory, path: str, names: Sequence[str]) -> None:
     """One sample per line at full double precision."""
     lines = [",".join(names)]
-    for t, y in traj.samples:
-        lines.append(",".join("%.17g" % v for v in (t,) + tuple(y)))
+    if traj.samples:
+        row = ",".join(["%.17g"] * (1 + len(traj.samples[0][1])))
+        lines += [row % (t, *y) for t, y in traj.samples]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import camchoi
 from camchoi.expr import Expr
+from camchoi.modelfile import OdeBlock
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +47,14 @@ def test_every_package_name_the_workloads_use_resolves():
     for module, imported in re.findall(r"^from (camchoi[.\w]*) import (.+)$", text, re.M):
         for name in imported.split(","):
             assert hasattr(importlib.import_module(module), name.strip()), module + "." + name.strip()
+
+
+def test_a_system_compiles_its_right_hand_side_once_through_fn(doc):
+    # the tracer times the compiled() call that finds _fn None as code
+    # generation and counts evaluations through the callable it returns
+    assert "sys_._fn is None" in (PERFBENCH / "tracer.py").read_text()
+    ob = doc.block(OdeBlock, "cc33ode")
+    system = camchoi.compile_rhs(ob.ctx, ob.lhs, {doc.params["Y0"]: 1, doc.params["Y1"]: 0})
+    assert system._fn is None
+    f = system.compiled()
+    assert callable(f) and system._fn is f and system.compiled() is f

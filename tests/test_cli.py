@@ -286,6 +286,14 @@ def test_fixed_step_count_above_the_cap_exits_2_before_stepping(capsys, monkeypa
     assert err == "error: fixed-rk4 step count 1e+300 is above the cap of 10000000 steps (span 1, step 1e-300)\n"
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+def test_parameter_beyond_the_float_range_exits_2(capsys, value):
+    code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",
+                         "--param", "Y0=" + value, "--param", "Y1=0")
+    assert code == 2 and out == ""
+    assert err == "error: parameter Y0 is not a finite float: integer division result too large for a float\n"
+
+
 def test_integrate_svg_draws_only_the_finite_samples(capsys, tmp_path):
     # H' = H^2 from H(0) = 1 blows up at z = 1
     model, csv, svg = (os.path.join(tmp_path, f) for f in ("blowup.model", "q.csv", "q.svg"))

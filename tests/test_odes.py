@@ -1,12 +1,13 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from camchoi import odes
-from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, REDUCED, Sym
+from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, REDUCED, RatPow, Sym
 from camchoi.jet import Context
 from camchoi.library import FIG1_RUNS, fig1_trajectory
 from camchoi.odes import (
@@ -398,3 +399,212 @@ def test_generated_steppers_flag_domain_errors(monkeypatch, method, flag):
     cfg = IntegratorConfig(method=method, step=0.01, span=(0.0, 3.0))
     (got, _), _ = _same_as_reference(monkeypatch, sys, [1.0], cfg)
     assert got.flag == flag
+
+
+# -- the equation table and its value-free right-hand sides against the -------
+# -- compiler that wrote each parameter value into the source -----------------
+
+
+def _reference_compile_callable(sys):
+    """The right-hand side with every parameter value in its source as a literal.
+
+    A negative value raised to a power above 6 reads as -(v**k) here; the
+    builtin ODEs hold their parameters to the first power only.
+    """
+    var = sys.ctx.independents[0]
+    names = {var: "x"}
+    for i, a in enumerate(sys.state_atoms):
+        names[a] = "y%d" % i
+    for p, v in sys.params.items():
+        names[p] = repr(v)
+
+    def emit(e):
+        if e.is_zero:
+            return "0.0"
+        chunks = []
+        for mono, coeff in e.terms:
+            parts = [repr(float(coeff))]
+            for a, ex in mono:
+                if isinstance(a, RatPow):
+                    base = repr(float(a.base))
+                else:
+                    base = names[a]
+                if not ex.is_integer():
+                    parts.append("math.sqrt(%s)**%d" % (base, ex.num2))
+                    continue
+                k = ex.int_value()
+                if k == 1:
+                    parts.append(base)
+                elif 2 <= k <= 6:
+                    parts.append("(" + "*".join([base] * k) + ")")
+                else:
+                    parts.append("%s**%d" % (base, k))
+            chunks.append("*".join(parts))
+        return " + ".join(chunks)
+
+    args = ", ".join(["x"] + ["y%d" % i for i in range(sys.order)])
+    body = ", ".join(emit(e) for e in sys.rhs)
+    src = ("def _rhs(%s):\n    try:\n        return (%s,)\n"
+           "    except (ArithmeticError, ValueError):\n        return (%s)\n"
+           % (args, body, "nan, " * sys.order))
+    return odes._define(src, "_rhs")
+
+
+_EDGE_VALUES = (0, -0.0, 1e308, -1e308, 1e-320, -1e-320)
+
+
+def _drawn_value(rng):
+    r = rng.random()
+    if r < 0.4:
+        return rng.choice(_EDGE_VALUES)
+    if r < 0.7:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    return rng.uniform(-2.0, 2.0)
+
+
+def _outcome(sys, ic, cfg):
+    """(what ended the run, everything it produced, by repr)."""
+    try:
+        tr = integrate(sys, ic, cfg)
+    except OdeError as e:
+        return "OdeError", str(e)
+    return tr.flag, repr((tr.samples, tr.accepted, tr.rejected, tr.params))
+
+
+def test_bound_rhs_matches_the_literal_inlining_reference(doc):
+    from camchoi.modelfile import OdeBlock
+
+    rng = random.Random(31)
+    seen = set()
+    for i in range(48):
+        ode = ("fig1ode", "fig1ode_alt", "cc33ode", "cc28ode")[i % 4]
+        ob = doc.block(OdeBlock, ode)
+        if ode.startswith("fig1"):
+            params = {N_SYMBOL: rng.choice([2, 3, 5, 7]), doc.params["H1"]: _drawn_value(rng)}
+            ic = [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 0.5)]
+        else:
+            params = {doc.params["Y0"]: _drawn_value(rng), doc.params["Y1"]: _drawn_value(rng)}
+            ic = [rng.uniform(-1.0, 1.0)]
+        got = compile_rhs(ob.ctx, ob.lhs, params)
+        want = compile_rhs(ob.ctx, ob.lhs, params)
+        want._fn = _reference_compile_callable(want)
+        span = (0.0, rng.uniform(0.1, 2.0))
+        for cfg in (IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8, span=span, dense=[span[1] / 2]),
+                    IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.02, 0.05), span=span)):
+            a = _outcome(got, ic, cfg)
+            assert a == _outcome(want, ic, cfg), (ode, params)
+            seen.add(a[0])
+    assert seen == {"", "non-finite", "step-underflow"}
+
+
+def test_generated_source_holds_no_parameter_value(doc):
+    from camchoi.modelfile import OdeBlock
+
+    ob = doc.block(OdeBlock, "cc33ode")
+    sys = compile_rhs(ob.ctx, ob.lhs, {doc.params["Y0"]: 0.123456789, doc.params["Y1"]: -0.987654321})
+    src = odes._factory_source(sys._solved)
+    assert src.startswith("def make(p0, p1):\n")
+    assert "123456789" not in src and "987654321" not in src
+    assert sys.compiled()(0.3, 0.7) == _reference_compile_callable(sys)(0.3, 0.7)
+
+
+@pytest.mark.parametrize("k", [2, 7, 8])
+def test_a_negative_parameter_to_a_high_power_keeps_its_sign(k):
+    sys = compile_rhs(zctx, zj((1,)) - Expr.atom(H1) ** k, {H1: -1.0})
+    assert sys.compiled()(0.0, 0.0) == ((-1.0) ** k,)
+
+
+def test_one_table_entry_per_equation_and_exponent(doc):
+    from camchoi.modelfile import OdeBlock
+
+    ob = doc.block(OdeBlock, "cc28ode")
+    Y0, Y1 = doc.params["Y0"], doc.params["Y1"]
+    a = compile_rhs(ob.ctx, ob.lhs, {Y0: 1, Y1: 0})
+    b = compile_rhs(ob.ctx, ob.lhs, {Y0: Fraction(1, 3), Y1: -2.5, N_SYMBOL: Fraction(7, 2)})
+    assert a._solved is b._solved
+    assert [k for k in odes._SOLVED_ODES if k[1] == ob.lhs] == [(ob.ctx, ob.lhs, None)]
+    fa = a.compiled()
+    make = a._solved.make
+    fb = b.compiled()
+    assert a._solved.make is make and fa is not fb
+    assert fa(0.5, 0.25) != fb(0.5, 0.25)
+    assert (a.params, b.params) == ({Y0: 1.0, Y1: 0.0}, {Y0: 1 / 3, Y1: -2.5})
+
+    fig1 = doc.block(OdeBlock, "fig1ode")
+    H1_ = doc.params["H1"]
+    two = compile_rhs(fig1.ctx, fig1.lhs, {N_SYMBOL: 2, H1_: 0})
+    assert compile_rhs(fig1.ctx, fig1.lhs, {N_SYMBOL: 2.0, H1_: 1})._solved is two._solved
+    assert compile_rhs(fig1.ctx, fig1.lhs, {N_SYMBOL: 3, H1_: 0})._solved is not two._solved
+    ns = [k[2] for k in odes._SOLVED_ODES if k[:2] == (fig1.ctx, fig1.lhs)]
+    assert 2 in ns and 3 in ns and None not in ns and len(set(ns)) == len(ns)
+
+
+def test_a_fig1_adaptive_and_fixed_pair_shares_one_entry(doc):
+    sa, _, _ = fig1_trajectory(doc, "fig1n3", span=(0.0, 1.0))
+    sf, _, _ = fig1_trajectory(doc, "fig1n3", span=(0.0, 1.0), method="fixed-rk4", step=1e-2)
+    assert sa._solved is sf._solved and sa._solved.make is not None
+
+
+def test_per_call_checks_hold_after_a_successful_compile():
+    compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: 2, H1: 0})
+    for _ in range(2):
+        with pytest.raises(OdeError, match="unbound parameter H1"):
+            compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: 2})
+        with pytest.raises(OdeError, match="unbound parameter n"):
+            compile_rhs(zctx, eq38_lhs(), {H1: 0})
+        for n in (Fraction(5, 2), 2.5, math.inf, math.nan):
+            with pytest.raises(OdeError, match="exponent parameter n must be an integer"):
+                compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: n, H1: 0})
+
+
+def test_a_failed_solve_is_not_stored():
+    bad = zj((2,)) ** 2 + Expr.atom(H)
+    before = dict(odes._SOLVED_ODES)
+    for _ in range(2):
+        with pytest.raises(OdeError, match="nonlinear in highest derivative"):
+            compile_rhs(zctx, bad, {})
+    assert odes._SOLVED_ODES == before
+
+
+@pytest.mark.parametrize("value, shown", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), ("1e400", "inf"),
+    (Fraction(10 ** 400), "integer division result too large for a float"),
+    (None, "must be a string or a real number"),
+], ids=["inf", "-inf", "nan", "string", "overflow", "none"])
+def test_a_parameter_that_is_not_a_finite_float_is_refused(doc, value, shown):
+    from camchoi.modelfile import OdeBlock
+
+    ob = doc.block(OdeBlock, "cc33ode")
+    with pytest.raises(OdeError, match=r"parameter Y0 is not a finite float: .*%s" % re.escape(shown)):
+        compile_rhs(ob.ctx, ob.lhs, {doc.params["Y0"]: value, doc.params["Y1"]: 0})
+
+
+# -- write_csv against the writer that formatted each value on its own --------
+
+
+def _reference_write_csv(traj, path, names):
+    lines = [",".join(names)]
+    for t, y in traj.samples:
+        lines.append(",".join("%.17g" % v for v in (t,) + tuple(y)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_write_csv_bytes_match_the_reference(tmp_path, dim):
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 5e-324, 1 / 3, -1e308, 2]
+    rng = random.Random(dim)
+    samples = [(rng.choice(values), tuple(rng.choice(values) for _ in range(dim))) for _ in range(60)]
+    tr = Trajectory(samples, "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
+    # the header may be longer or shorter than a row
+    for names in (["t", "H", "Hp"][:dim + 1], ["t"], ["t", "a", "b", "c"]):
+        got, want = os.path.join(tmp_path, "got.csv"), os.path.join(tmp_path, "want.csv")
+        write_csv(tr, got, names)
+        _reference_write_csv(tr, want, names)
+        assert open(got, "rb").read() == open(want, "rb").read()
+
+
+def test_a_system_built_directly_compiles_its_own_rhs():
+    sys = compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: 2, H1: 0.5})
+    direct = odes.OdeSystem(sys.ctx, sys.order, sys.rhs, sys.state_atoms, sys.params)
+    assert direct.compiled()(0.3, 1.0, -0.5) == sys.compiled()(0.3, 1.0, -0.5)
