@@ -3,7 +3,6 @@ an embedded adaptive Runge-Kutta pair or classic fixed-step RK4."""
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -25,15 +24,15 @@ class OdeError(ExprError):
 
 class OdeSystem:
     def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object],
-                 params: Dict[Sym, float], name: str = "", _fn: Optional[Callable] = None,
-                 _solved: Optional["_SolvedOde"] = None):
+                 params: Dict[Sym, float], name: str = "", _solved: Optional["_SolvedOde"] = None):
         self.ctx = ctx
         self.order = order
         self.rhs = rhs  # d state_i / d indep as expressions in state, indep, params
         self.state_atoms = state_atoms
         self.params = params
         self.name = name
-        self._fn = _fn  # the compiled right-hand side, built by compiled()
+        self._fn: Optional[Callable] = None  # the compiled right-hand side, built by compiled()
+        self._rk4 = self._rkf45 = None  # the generated integrators, built beside _fn
         self._solved = _solved  # the equation's shared entry; None for a system built directly
 
     @property
@@ -43,20 +42,21 @@ class OdeSystem:
     def compiled(self) -> Callable:
         if self._fn is None:
             solved = self._solved or _SolvedOde(self.ctx, self.order, self.rhs, self.state_atoms)
-            self._fn = solved.bind(self.params)
+            self._fn, self._rk4, self._rkf45 = solved.bind(self.params)
         return self._fn
 
 
 class _SolvedOde:
     """An equation solved for its highest derivative, shared by every system
-    compiled from it: the order, the right-hand sides, the state atoms and the
-    parameter atoms in order of first appearance.  make(p0, p1, ...) returns
-    the right-hand side with those parameters bound; it is generated on the
-    first bind and its source holds no parameter value.
+    compiled from it: the bound exponent n (None when it holds no n), the
+    order, the right-hand sides, the state atoms and the parameter atoms in
+    order of first appearance.  make(p0, p1, ...) binds those parameters; it
+    is generated on the first bind and its source holds no parameter value.
     """
 
-    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object]):
+    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object], n: Optional[int] = None):
         self.ctx = ctx
+        self.n = n
         self.order = order
         self.rhs = rhs
         self.state_atoms = state_atoms
@@ -71,7 +71,7 @@ class _SolvedOde:
         self.params = tuple(params)
         self.make: Optional[Callable] = None
 
-    def bind(self, values: Dict[Sym, float]) -> Callable:
+    def bind(self, values: Dict[Sym, float]) -> Tuple[Callable, Callable, Callable]:
         if self.make is None:
             self.make = _define(_factory_source(self), "make")
         return self.make(*[values[p] for p in self.params])
@@ -86,9 +86,9 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
     """Turn lhs = 0 into a first-order system for (state, derivative, ...).
 
     The symbolic exponent parameter must be bound to a concrete integer so
-    powers compile to repeated multiplication.  Every remaining parameter
-    needs a finite float value.  The equation is solved once per context,
-    lhs and n; parameter values are bound when the system is compiled.
+    powers compile to repeated multiplication.  Every other parameter the
+    equation holds needs a finite float value, and one it does not hold is
+    refused.  Parameter values are bound when the system is compiled.
     """
     e = as_expr(lhs)
     solved = _SOLVED_ODES.get((ctx, e, None))
@@ -96,6 +96,8 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
         solved = _solve(ctx, e, params)
     values: Dict[Sym, float] = {}
     for p, v in params.items():
+        if p not in solved.params and (p != N_SYMBOL or solved.n is None):
+            raise OdeError("the equation holds no parameter %s" % p.name)
         if p != N_SYMBOL:
             values[p] = _finite_float(p, v)
     for p in solved.params:
@@ -151,30 +153,39 @@ def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
     for k in range(1, order):
         state_atoms.append(ctx.jet((k,)))
     rhs = [Expr.atom(a) for a in state_atoms[1:]] + [(-rest) / coeff]
-    solved = _SOLVED_ODES[(ctx, e, n)] = _SolvedOde(ctx, order, rhs, state_atoms)
+    solved = _SOLVED_ODES[(ctx, e, n)] = _SolvedOde(ctx, order, rhs, state_atoms, n)
     return solved
 
 
 def _factory_source(solved: _SolvedOde) -> str:
-    """Source of make(p0, p1, ...), which returns _rhs(x, y0, y1, ...).
+    """Source of make(p0, p1, ...), which binds the parameters and returns
+    _rhs(x, y0, ...), the right-hand side, which returns NaNs on a domain
+    error (0.0 ** -1, math.sqrt of a negative); _rk4(t, h, nsteps, y0, ...),
+    the samples of nsteps classic RK4 steps, which runs a step that meets a
+    domain error again through _rhs; and _rkf45(...), the Fehlberg 4(5)
+    controller, which rejects a step whose stage meets one or is not finite.
+    The loops write the right-hand side inline, unrolled over the state.
 
-    The parameters are arguments of make; coefficients and RatPow bases are
-    literals.  A domain error in _rhs (0.0 ** -1, math.sqrt of a negative)
-    returns NaNs, which the integrators treat as a non-finite evaluation.
+    Coefficients and RatPow bases are literals, parameters are not.  The
+    loops keep the float operations of the tuple formulas in their order;
+    each Fehlberg sum starts from the integer 0 and adds every term, zero
+    weights included (0 + -0.0 is 0.0, and 0.0 times NaN or inf is NaN).
+    Exact rewrites: 1.0*a is a, + -1.0*a is - a, 2 * is 2.0 *, max(a, b) is
+    b if b > a else a, and min(a, b) is b if b < a else a.
     """
+    dim = solved.order
     var = solved.ctx.independents[0]
-    names: Dict[object, str] = {var: "x"}
-    for i, a in enumerate(solved.state_atoms):
-        names[a] = "y%d" % i
-    for i, p in enumerate(solved.params):
-        names[p] = "p%d" % i
 
-    def emit(e: Expr) -> str:
+    def emit(e: Expr, x: str, y: str) -> str:
+        """e with the independent variable named x and the state y0, y1, ..."""
         if e.is_zero:
             return "0.0"
-        chunks = []
+        names: Dict[object, str] = {p: "p%d" % i for i, p in enumerate(solved.params)}
+        names[var] = x
+        names.update((a, "%s%d" % (y, m)) for m, a in enumerate(solved.state_atoms))
+        src = ""
         for mono, coeff in e.terms:
-            parts = [repr(float(coeff))]
+            parts = []
             for a, ex in mono:
                 if isinstance(a, RatPow):
                     base = repr(float(a.base))
@@ -192,24 +203,143 @@ def _factory_source(solved: _SolvedOde) -> str:
                     parts.append("(" + "*".join([base] * k) + ")")
                 else:
                     parts.append("%s**%d" % (base, k))
-            chunks.append("*".join(parts))
-        return " + ".join(chunks)
+            c = float(coeff)
+            minus = bool(parts) and c == -1.0
+            if not (parts and abs(c) == 1.0):
+                parts.insert(0, repr(c))
+            src += (" - " if minus else " + ") if src else ("-" if minus else "")
+            src += "*".join(parts)
+        return src
 
-    args = ", ".join(["x"] + ["y%d" % i for i in range(solved.order)])
-    body = ", ".join(emit(e) for e in solved.rhs)
-    return ("def make(%s):\n"
-            "    def _rhs(%s):\n"
-            "        try:\n"
-            "            return (%s,)\n"
-            "        except (ArithmeticError, ValueError):\n"
-            "            return (%s)\n"
-            "    return _rhs\n"
-            % (", ".join("p%d" % i for i in range(len(solved.params))), args, body, "nan, " * solved.order))
+    def names(prefix: str) -> str:
+        """'y0, y1, ' for prefix y: a tuple display, unpacking target or argument list."""
+        return "".join("%s%d, " % (prefix, m) for m in range(dim))
+
+    def block(pad: int, rows: List[str]) -> str:
+        return "\n".join(" " * pad + row for row in rows)
+
+    def rhs(out: str, x: str, y: str) -> List[str]:
+        """out0 = ..., out1 = ...: the right-hand side at (x, y0, y1, ...)."""
+        return ["%s%d = %s" % (out, m, emit(e, x, y)) for m, e in enumerate(solved.rhs)]
+
+    def stage(out: str, x: str, z: List[str]) -> List[str]:
+        return ["z%d = %s" % (m, v) for m, v in enumerate(z)] + rhs(out, x, "z")
+
+    def moved(k: str, scale: str) -> List[str]:
+        return ["y%d + %s * %s%d" % (m, scale, k, m) for m in range(dim)]
+
+    def wsum(weights, m: int) -> str:
+        return "(0%s)" % "".join(" + %r * k%d_%d" % (w, j, m) for j, w in enumerate(weights))
+
+    def finite(prefix: str) -> str:
+        return " and ".join("isfinite(%s%d)" % (prefix, m) for m in range(dim))
+
+    rk4 = (rhs("a", "t", "y") + ["th = t + h2"] + stage("b", "th", moved("a", "h2"))
+           + stage("c", "th", moved("b", "h2")) + ["td = t + h"] + stage("d", "td", moved("c", "h")))
+    rkf = []
+    for i in range(1, 6):
+        rkf += ["x = t + %r * h" % _RKF_C[i]]
+        rkf += stage("k%d_" % i, "x", ["y%d + h * %s" % (m, wsum(_RKF_A[i], m)) for m in range(dim)])
+        rkf += ["if not (%s):" % finite("k%d_" % i), "    raise ValueError"]
+    rkf += ["n%d = y%d + h * %s" % (m, m, wsum(_RKF_B5, m)) for m in range(dim)]
+    rkf += ["e%d = h * %s" % (m, wsum(_RKF_ERR, m)) for m in range(dim)] + ["norm = 0.0"]
+    for m in range(dim):
+        rkf += ["u = abs(y%d)" % m, "v = abs(n%d)" % m,
+                "q = abs(e%d) / (abs_tol + rel_tol * (v if v > u else u))" % m, "norm = q if q > norm else norm"]
+    return _FACTORY.format(
+        p=", ".join("p%d" % i for i in range(len(solved.params))), y=names("y"),
+        a=names("a"), b=names("b"), c=names("c"), d=names("d"), k0=names("k0_"), n=names("n"), f=names("f"),
+        rhs="".join(emit(e, "x", "y") + ", " for e in solved.rhs), nan="nan, " * dim,
+        y_h2_a=", ".join(moved("a", "h2")), y_h2_b=", ".join(moved("b", "h2")), y_h_c=", ".join(moved("c", "h")),
+        rk4_stages=block(16, rk4), rkf_step=block(16, rkf), f_tnew=block(20, rhs("f", "tnew", "n")),
+        rk4_update=block(12, ["y{0} = y{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})".format(m)
+                              for m in range(dim)]),
+        n_finite=finite("n"), f_nan=" = ".join("f%d" % m for m in range(dim)), safety=repr(_SAFETY))
+
+
+_FACTORY = """\
+def make({p}):
+    def _rhs(x, {y}):
+        try:
+            return ({rhs})
+        except (ArithmeticError, ValueError):
+            return ({nan})
+    def _rk4(t, h, nsteps, {y}):
+        h2 = h / 2
+        h6 = h / 6
+        samples = [(t, ({y}))]
+        append = samples.append
+        for _ in range(nsteps):
+            try:
+{rk4_stages}
+            except (ArithmeticError, ValueError):
+                {a}= _rhs(t, {y})
+                th = t + h2
+                {b}= _rhs(th, {y_h2_a})
+                {c}= _rhs(th, {y_h2_b})
+                {d}= _rhs(t + h, {y_h_c})
+{rk4_update}
+            t += h
+            append((t, ({y})))
+        return samples
+    def _rkf45(t, b, h, direction, span_len, floor, abs_tol, rel_tol, dense, {y}):
+        {k0}= _rhs(t, {y})
+        samples = [(t, ({y}))]
+        append = samples.append
+        accepted = rejected = dense_i = 0
+        flag = ""
+        while (t - b) * direction < 0:
+            if abs(h) < floor:
+                flag = "step-underflow"
+                break
+            if (t + h - b) * direction > 0:
+                h = b - t
+            try:
+{rkf_step}
+                if not isfinite(norm) or norm <= 1.0 and not ({n_finite}):
+                    raise ValueError
+            except (ArithmeticError, ValueError):
+                h *= 0.5
+                rejected += 1
+                continue
+            if norm <= 1.0:
+                tnew = t + h
+                try:
+{f_tnew}
+                except (ArithmeticError, ValueError):
+                    {f_nan} = nan
+                while dense_i < len(dense) and (dense[dense_i] - tnew) * direction <= 0:
+                    xq = dense[dense_i]
+                    if (xq - t) * direction > 0:
+                        append((xq, _hermite(t, ({y}), ({k0}), tnew, ({n}), ({f}), xq)))
+                    dense_i += 1
+                t = tnew
+                {y}= {n}
+                {k0}= {f}
+                if samples[-1][0] != t:
+                    append((t, ({y})))
+                accepted += 1
+                if norm == 0:
+                    g = 5.0
+                else:
+                    g = {safety} * norm ** -0.2
+                    g = g if g > 0.2 else 0.2
+                    g = g if g < 5.0 else 5.0
+                g = abs(h) * g
+                h = direction * (span_len if span_len < g else g)
+            else:
+                rejected += 1
+                g = {safety} * norm ** -0.2
+                g = abs(h) * (g if g > 0.2 else 0.2)
+                h = direction * (0.0 if 0.0 > g else g)
+        return samples, accepted, rejected, flag
+    return _rhs, _rk4, _rkf45
+"""
 
 
 def _define(src: str, name: str) -> Callable:
     """Execute generated source and return the function it defines as name."""
-    ns: Dict[str, object] = {"math": math, "nan": math.nan, "isfinite": math.isfinite}
+    ns: Dict[str, object] = {"math": math, "nan": math.nan, "isfinite": math.isfinite, "_hermite": _hermite}
     exec(src, ns)
     return ns[name]
 
@@ -288,16 +418,16 @@ def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Tra
         if not math.isfinite(v):
             raise OdeError("right-hand side not finite at the initial point")
     if cfg.method == "fixed-rk4":
-        traj = _integrate_rk4(f, y0, cfg)
+        traj = _integrate_rk4(sys._rk4, y0, cfg)
     elif cfg.method == "adaptive-rk45":
-        traj = _integrate_rkf45(f, y0, cfg)
+        traj = _integrate_rkf45(sys._rkf45, y0, cfg)
     else:
         raise OdeError("unknown method %r" % cfg.method)
     traj.params = {k.name: v for k, v in sys.params.items()}
     return traj
 
 
-def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
+def _integrate_rk4(rk4: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
     a, b = cfg.span
     count = abs(b - a) / cfg.step
     if not math.isfinite(count):
@@ -307,144 +437,25 @@ def _integrate_rk4(f, y0, cfg: IntegratorConfig) -> Trajectory:
                        % (count, _MAX_RK4_STEPS, abs(b - a), cfg.step))
     nsteps = max(1, math.ceil(count))
     h = (b - a) / nsteps
-    samples = _rk4_loop(len(y0))(f, a, h, nsteps, *y0)
+    samples = rk4(a, h, nsteps, *y0)
     y = samples[-1][1]
     samples[-1] = (b, y)
     flag = "" if all(math.isfinite(v) for v in y) else "non-finite"
     return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
 
 
-def _integrate_rkf45(f, y0, cfg: IntegratorConfig) -> Trajectory:
+def _integrate_rkf45(rkf45: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
     a, b = cfg.span
     direction = 1.0 if b > a else -1.0
     span_len = abs(b - a)
     h = direction * min(_INITIAL_STEP, span_len)
-    t = a
-    y = y0
     dense = sorted(cfg.dense, reverse=direction < 0) if cfg.dense else []
-    dense_i = 0
-    samples: List[Tuple[float, Tuple[float, ...]]] = [(t, y)]
-    accepted = 0
-    rejected = 0
-    flag = ""
-    stages = _rkf45_stages(len(y0))
-    fnow = f(t, *y)
-    while (t - b) * direction < 0:
-        if abs(h) < _UNDERFLOW_FRACTION * span_len:
-            flag = "step-underflow"
-            break
-        if (t + h - b) * direction > 0:
-            h = b - t
-        step = stages(f, t, h, *y, *fnow)
-        if step is None:
-            h *= 0.5
-            rejected += 1
-            continue
-        ynew, err = step
-        norm = 0.0
-        for m in range(len(y)):
-            sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[m]), abs(ynew[m]))
-            norm = max(norm, abs(err[m]) / sc)
-        if norm <= 1.0 or not math.isfinite(norm):
-            if not math.isfinite(norm) or any(not math.isfinite(v) for v in ynew):
-                h *= 0.5
-                rejected += 1
-                continue
-            tnew = t + h
-            fnew = f(tnew, *ynew)
-            while dense_i < len(dense) and (dense[dense_i] - tnew) * direction <= 0:
-                xq = dense[dense_i]
-                if (xq - t) * direction > 0:
-                    samples.append((xq, _hermite(t, y, fnow, tnew, ynew, fnew, xq)))
-                dense_i += 1
-            t, y, fnow = tnew, ynew, fnew
-            if not samples or samples[-1][0] != t:
-                samples.append((t, y))
-            accepted += 1
-            factor = 5.0 if norm == 0 else min(5.0, max(0.2, _SAFETY * norm ** -0.2))
-            h = direction * min(abs(h) * factor, span_len)
-        else:
-            rejected += 1
-            h = direction * max(abs(h) * max(0.2, _SAFETY * norm ** -0.2), 0.0)
-    if not flag and samples and samples[-1][0] != b:
+    samples, accepted, rejected, flag = rkf45(a, b, h, direction, span_len, _UNDERFLOW_FRACTION * span_len,
+                                              cfg.abs_tol, cfg.rel_tol, dense, *y0)
+    if not flag and samples[-1][0] != b:
         if abs(samples[-1][0] - b) < 1e-9 * span_len:
             samples[-1] = (b, samples[-1][1])
     return Trajectory(samples, "adaptive-rk45", cfg, {}, accepted, rejected, flag)
-
-
-# The steppers are generated code, unrolled over the scalar state y0, y1, ...
-# Their source depends only on the state dimension and takes the right-hand
-# side as f, so each is generated once per dimension, on first use.  Their
-# float operations follow the order their docstrings state, which the tests
-# hold to a tuple-based reference bit for bit.
-
-
-def _names(prefix: str, dim: int) -> str:
-    """'y0, y1,' for prefix y: a tuple display, unpacking target or argument list."""
-    return ", ".join("%s%d" % (prefix, m) for m in range(dim)) + ","
-
-
-@functools.cache
-def _rk4_loop(dim: int) -> Callable:
-    """loop(f, t, h, nsteps, *y) -> the samples (t, y) before and after each
-    of nsteps classic RK4 steps of size h.
-
-    A step evaluates the stages at y + h / 2 * k1, y + h / 2 * k2 and
-    y + h * k3 and updates y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4).
-    """
-    def stage(k: str, scale: str) -> str:
-        return ", ".join("y%d + %s * %s%d" % (m, scale, k, m) for m in range(dim))
-
-    lines = [
-        "def loop(f, t, h, nsteps, %s):" % _names("y", dim),
-        "    h2 = h / 2",
-        "    h6 = h / 6",
-        "    samples = [(t, (%s))]" % _names("y", dim),
-        "    append = samples.append",
-        "    for _ in range(nsteps):",
-        "        %s = f(t, %s)" % (_names("a", dim), _names("y", dim)),
-        "        th = t + h2",
-        "        %s = f(th, %s)" % (_names("b", dim), stage("a", "h2")),
-        "        %s = f(th, %s)" % (_names("c", dim), stage("b", "h2")),
-        "        %s = f(t + h, %s)" % (_names("d", dim), stage("c", "h")),
-    ]
-    lines += ["        y{0} = y{0} + h6 * (a{0} + 2 * b{0} + 2 * c{0} + d{0})".format(m)
-              for m in range(dim)]
-    lines += [
-        "        t += h",
-        "        append((t, (%s)))" % _names("y", dim),
-        "    return samples",
-    ]
-    return _define("\n".join(lines) + "\n", "loop")
-
-
-@functools.cache
-def _rkf45_stages(dim: int) -> Callable:
-    """stages(f, t, h, *y, *k0) -> (ynew, err) for one Fehlberg 4(5) step.
-
-    k0 is f(t, *y).  The result is None when a stage evaluation is not
-    finite.  Each weighted sum starts from the integer 0 and adds every term
-    in table order, zero weights included, as sum() over the table does:
-    0 + -0.0 is 0.0, and a zero weight times NaN or inf is still NaN.
-    """
-    def wsum(weights, m: int) -> str:
-        return "(0%s)" % "".join(" + %r * k%d_%d" % (w, j, m) for j, w in enumerate(weights))
-
-    def ks(j: int) -> str:
-        return _names("k%d_" % j, dim)
-
-    lines = ["def stages(f, t, h, %s %s):" % (_names("y", dim), ks(0))]
-    for i in range(1, 6):
-        args = ", ".join("y%d + h * %s" % (m, wsum(_RKF_A[i], m)) for m in range(dim))
-        lines += [
-            "    %s = f(t + %r * h, %s)" % (ks(i), _RKF_C[i], args),
-            "    if not (%s):" % " and ".join("isfinite(k%d_%d)" % (i, m) for m in range(dim)),
-            "        return None",
-        ]
-    ynew = ", ".join("y%d + h * %s" % (m, wsum(_RKF_B5, m)) for m in range(dim))
-    err = ", ".join("h * %s" % wsum(_RKF_ERR, m) for m in range(dim))
-    lines.append("    return (%s,), (%s,)" % (ynew, err))
-    return _define("\n".join(lines) + "\n", "stages")
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, xq):

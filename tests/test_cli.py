@@ -276,10 +276,11 @@ def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
 
 
 def test_fixed_step_count_above_the_cap_exits_2_before_stepping(capsys, monkeypatch):
-    def no_loop(dim):
+    def no_loop(*args):
         raise AssertionError("the fixed-rk4 loop started")
 
-    monkeypatch.setattr(odes, "_rk4_loop", no_loop)
+    bind = odes._SolvedOde.bind
+    monkeypatch.setattr(odes._SolvedOde, "bind", lambda self, values: (bind(self, values)[0], no_loop, None))
     code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",
                          "--param", "Y0=1", "--param", "Y1=0", "--method", "fixed-rk4", "--step", "1e-300")
     assert code == 2 and out == ""
@@ -350,10 +351,11 @@ REDUCE = ("reduce", "builtin", "cc", "cc18", "--printed", "cc19")
     (REDUCE + ("--identify", "h0=zz"), "--identify h0=zz: 'zz' is not a declared parameter"),
     (REDUCE[:4] + ("--identify", "zz"), "--identify needs --printed"),
     (INTEGRATE + ("--param", "Y0=1", "--param", "Y0=5"), "--param Y0=5: Y0 given twice"),
+    (INTEGRATE + ("--param", "Y0=1", "--param", "Y1=0", "--param", "H1=5"), "the equation holds no parameter H1"),
     (REDUCE + ("--identify", "h0=alpha", "--identify", "h0=beta"), "--identify h0=beta: h0 given twice"),
 ], ids=["non-numeric value", "undeclared param", "param without =", "identify without =",
         "undeclared identify lhs", "undeclared identify rhs", "identify without printed",
-        "param given twice", "identify given twice"])
+        "param given twice", "parameter the equation does not hold", "identify given twice"])
 def test_bad_assignment_items_are_usage_errors(capsys, argv, item):
     code, _, err = run(capsys, *argv)
     assert code == 2

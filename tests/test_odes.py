@@ -132,13 +132,14 @@ def test_fixed_step_count_past_the_float_range_is_an_ode_error():
         integrate(sys, [1.0], cfg)
 
 
-def _no_loop(dim):
+def _no_loop(*args):
     raise AssertionError("the fixed-rk4 loop started")
 
 
 def test_fixed_step_count_above_the_cap_is_refused_before_the_loop(monkeypatch):
-    monkeypatch.setattr(odes, "_rk4_loop", _no_loop)
     sys = compile_rhs(zctx, zj((1,)) - Expr.atom(H), {})
+    sys.compiled()
+    monkeypatch.setattr(sys, "_rk4", _no_loop)
     cfg = IntegratorConfig(method="fixed-rk4", step=1e-300, span=(0.0, 1.0))
     with pytest.raises(OdeError, match=r"fixed-rk4 step count 1e\+300 is above the cap of 10000000 steps "
                                        r"\(span 1, step 1e-300\)"):
@@ -148,7 +149,7 @@ def test_fixed_step_count_above_the_cap_is_refused_before_the_loop(monkeypatch):
     with pytest.raises(OdeError, match="above the cap"):
         integrate(sys, [1.0], over)
     counts = []
-    monkeypatch.setattr(odes, "_rk4_loop", lambda dim: lambda f, a, h, n, *y: counts.append(n) or [(a, y)])
+    monkeypatch.setattr(sys, "_rk4", lambda a, h, n, *y: counts.append(n) or [(a, y)])
     integrate(sys, [1.0], IntegratorConfig(method="fixed-rk4", step=2 / odes._MAX_RK4_STEPS, span=(0.0, 2.0)))
     assert counts == [odes._MAX_RK4_STEPS]
 
@@ -260,7 +261,7 @@ def test_svg_records_description(tmp_path):
     assert "<desc>damping-factor grouping: default</desc>" in open(path).read()
 
 
-# -- the generated steppers against the generic tuple code they replaced -------
+# -- the generated integrators against the generic tuple code they replaced ----
 
 
 def _reference_rk4_step(f, t, y, h):
@@ -320,36 +321,121 @@ def _reference_rkf45_stages(dim):
     return stages
 
 
-def _same_as_reference(monkeypatch, sys, ic, cfg):
-    """Integrate with the generated and with the reference steppers.
+def _reference_integrate_rkf45(f, y0, cfg):
+    """The adaptive step controller as a Python loop over the tuple stages."""
+    a, b = cfg.span
+    direction = 1.0 if b > a else -1.0
+    span_len = abs(b - a)
+    h = direction * min(odes._INITIAL_STEP, span_len)
+    t = a
+    y = y0
+    dense = sorted(cfg.dense, reverse=direction < 0) if cfg.dense else []
+    dense_i = 0
+    samples = [(t, y)]
+    accepted = 0
+    rejected = 0
+    flag = ""
+    stages = _reference_rkf45_stages(len(y0))
+    fnow = f(t, *y)
+    while (t - b) * direction < 0:
+        if abs(h) < odes._UNDERFLOW_FRACTION * span_len:
+            flag = "step-underflow"
+            break
+        if (t + h - b) * direction > 0:
+            h = b - t
+        step = stages(f, t, h, *y, *fnow)
+        if step is None:
+            h *= 0.5
+            rejected += 1
+            continue
+        ynew, err = step
+        norm = 0.0
+        for m in range(len(y)):
+            sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[m]), abs(ynew[m]))
+            norm = max(norm, abs(err[m]) / sc)
+        if norm <= 1.0 or not math.isfinite(norm):
+            if not math.isfinite(norm) or any(not math.isfinite(v) for v in ynew):
+                h *= 0.5
+                rejected += 1
+                continue
+            tnew = t + h
+            fnew = f(tnew, *ynew)
+            while dense_i < len(dense) and (dense[dense_i] - tnew) * direction <= 0:
+                xq = dense[dense_i]
+                if (xq - t) * direction > 0:
+                    samples.append((xq, odes._hermite(t, y, fnow, tnew, ynew, fnew, xq)))
+                dense_i += 1
+            t, y, fnow = tnew, ynew, fnew
+            if not samples or samples[-1][0] != t:
+                samples.append((t, y))
+            accepted += 1
+            factor = 5.0 if norm == 0 else min(5.0, max(0.2, odes._SAFETY * norm ** -0.2))
+            h = direction * min(abs(h) * factor, span_len)
+        else:
+            rejected += 1
+            h = direction * max(abs(h) * max(0.2, odes._SAFETY * norm ** -0.2), 0.0)
+    if not flag and samples and samples[-1][0] != b:
+        if abs(samples[-1][0] - b) < 1e-9 * span_len:
+            samples[-1] = (b, samples[-1][1])
+    return Trajectory(samples, "adaptive-rk45", cfg, {}, accepted, rejected, flag)
 
-    Both must evaluate the right-hand side at the same arguments and give the
-    same trajectory, compared by repr: it tells -0.0 from 0.0, matches NaNs,
-    and a float repr round-trips.  Returns (trajectory, calls) for each.
+
+def _reference_integrate(sys, ic, cfg):
+    """integrate() through the tuple references, driven by the right-hand side
+    with every parameter value written into its source."""
+    f = _reference_compile_callable(sys)
+    y0 = tuple(float(v) for v in ic)
+    if not all(math.isfinite(v) for v in f(float(cfg.span[0]), *y0)):
+        raise OdeError("right-hand side not finite at the initial point")
+    if cfg.method == "adaptive-rk45":
+        return _reference_integrate_rkf45(f, y0, cfg)
+    a, b = cfg.span
+    nsteps = max(1, math.ceil(abs(b - a) / cfg.step))
+    samples = _reference_rk4_loop(len(y0))(f, a, (b - a) / nsteps, nsteps, *y0)
+    samples[-1] = (b, samples[-1][1])
+    flag = "" if all(math.isfinite(v) for v in samples[-1][1]) else "non-finite"
+    return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
+
+
+def _outcome(run, sys, ic, cfg):
+    """(what ended the run, everything it produced, by repr)."""
+    try:
+        tr = run(sys, ic, cfg)
+    except OdeError as e:
+        return "OdeError", str(e)
+    return tr.flag, repr((tr.samples, tr.accepted, tr.rejected))
+
+
+def _same_as_reference(sys, ic, cfg):
+    """Integrate with the generated integrators and with the references.
+
+    Both must give the same outcome, compared by repr: it tells -0.0 from
+    0.0, matches NaNs, and a float repr round-trips.  Returns the outcome.
     """
-    f = sys.compiled()
-    runs = []
-    for loop, stages in [(odes._rk4_loop, odes._rkf45_stages),
-                         (_reference_rk4_loop, _reference_rkf45_stages)]:
-        calls = []
-
-        def recorded(*args):
-            calls.append(args)
-            return f(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(sys, "_fn", recorded)
-            m.setattr(odes, "_rk4_loop", loop)
-            m.setattr(odes, "_rkf45_stages", stages)
-            runs.append((integrate(sys, ic, cfg), calls))
-    (got, got_calls), (want, want_calls) = runs
-    assert repr(got_calls) == repr(want_calls)
-    assert repr(got.samples) == repr(want.samples)
-    assert (got.accepted, got.rejected, got.flag) == (want.accepted, want.rejected, want.flag)
-    return runs
+    got = _outcome(integrate, sys, ic, cfg)
+    assert got == _outcome(_reference_integrate, sys, ic, cfg)
+    return got
 
 
-def test_generated_steppers_match_the_reference(doc, monkeypatch):
+_EDGE_STATES = (0.0, -0.0, 1e300)
+
+
+def _drawn_state(rng, lo, hi):
+    return rng.choice(_EDGE_STATES) if rng.random() < 0.2 else rng.uniform(lo, hi)
+
+
+def _drawn_span(rng):
+    """A span either way round, with up to three dense points and at times an end."""
+    a = rng.uniform(-1.0, 1.0)
+    b = a + rng.uniform(0.05, 4.0)
+    span = (a, b) if rng.random() < 0.5 else (b, a)
+    dense = [rng.uniform(a, b) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        dense.append(rng.choice(span))
+    return span, dense
+
+
+def test_generated_steppers_match_the_reference(doc):
     from camchoi.modelfile import OdeBlock
 
     rng = random.Random(20210)
@@ -359,46 +445,37 @@ def test_generated_steppers_match_the_reference(doc, monkeypatch):
             ob = doc.block(OdeBlock, "cc33ode")
             params = {doc.params["Y0"]: Fraction(rng.randint(-10, 10), 10),
                       doc.params["Y1"]: Fraction(rng.randint(-10, 10), 10)}
-            ic = [rng.uniform(-1.0, 1.0)]
+            ic = [_drawn_state(rng, -1.0, 1.0)]
         else:
             ob = doc.block(OdeBlock, "fig1ode")
             params = {N_SYMBOL: rng.choice([2, 3, 5]), doc.params["H1"]: Fraction(rng.randint(-5, 5), 10)}
-            ic = [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 0.5)]
+            ic = [_drawn_state(rng, 0.5, 1.5), _drawn_state(rng, -1.0, 0.5)]
         sys = compile_rhs(ob.ctx, ob.lhs, params)
-        a = rng.uniform(-1.0, 1.0)
-        b = a + rng.uniform(0.05, 4.0)
-        span = (a, b) if i % 4 < 2 else (b, a)
-        dense = [rng.uniform(a, b) for _ in range(rng.randint(0, 3))]
+        span, dense = _drawn_span(rng)
         tol = 10 ** rng.uniform(-10.0, -6.0)
         for cfg in (IntegratorConfig(abs_tol=tol, rel_tol=tol, span=span, dense=dense),
                     IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.01, 0.05), span=span)):
-            (got, _), _ = _same_as_reference(monkeypatch, sys, ic, cfg)
-            flags.add(got.flag)
-    assert flags == {"", "non-finite", "step-underflow"}
+            flags.add(_same_as_reference(sys, ic, cfg)[0])
+    assert flags == {"", "non-finite", "step-underflow", "OdeError"}
 
 
 @pytest.mark.parametrize("method", ["adaptive-rk45", "fixed-rk4"])
-def test_generated_steppers_keep_signed_zeros(monkeypatch, method):
+def test_generated_steppers_keep_signed_zeros(method):
     # H'' = 0 from (-0.0, -0.0): the slopes are -0.0 and 0.0, and a weighted
     # sum that starts from the integer 0 turns -0.0 into 0.0
     sys = compile_rhs(zctx, zj((2,)), {})
     cfg = IntegratorConfig(method=method, step=0.25, span=(0.0, 1.0))
-    (got, got_calls), (want, want_calls) = _same_as_reference(monkeypatch, sys, [-0.0, -0.0], cfg)
-
-    def signs(rows):
-        return [[math.copysign(1.0, v) for v in row] for row in rows]
-
-    assert signs(got_calls) == signs(want_calls)
-    assert signs((t,) + y for t, y in got.samples) == signs((t,) + y for t, y in want.samples)
+    _same_as_reference(sys, [-0.0, -0.0], cfg)
+    samples = integrate(sys, [-0.0, -0.0], cfg).samples
+    assert {math.copysign(1.0, v) for _, y in samples for v in y} == {-1.0, 1.0}
 
 
 @pytest.mark.parametrize("method, flag", [("adaptive-rk45", "step-underflow"), ("fixed-rk4", "non-finite")])
-def test_generated_steppers_flag_domain_errors(monkeypatch, method, flag):
+def test_generated_steppers_flag_domain_errors(method, flag):
     # H' = -H^(1/2) - 1 reaches H < 0 before s = 1, where the square root fails
     sys = compile_rhs(zctx, zj((1,)) + Expr.atom(H).pow_exponent(Exponent(1, 0)) + 1, {})
     cfg = IntegratorConfig(method=method, step=0.01, span=(0.0, 3.0))
-    (got, _), _ = _same_as_reference(monkeypatch, sys, [1.0], cfg)
-    assert got.flag == flag
+    assert _same_as_reference(sys, [1.0], cfg)[0] == flag
 
 
 # -- the equation table and its value-free right-hand sides against the -------
@@ -462,15 +539,6 @@ def _drawn_value(rng):
     return rng.uniform(-2.0, 2.0)
 
 
-def _outcome(sys, ic, cfg):
-    """(what ended the run, everything it produced, by repr)."""
-    try:
-        tr = integrate(sys, ic, cfg)
-    except OdeError as e:
-        return "OdeError", str(e)
-    return tr.flag, repr((tr.samples, tr.accepted, tr.rejected, tr.params))
-
-
 def test_bound_rhs_matches_the_literal_inlining_reference(doc):
     from camchoi.modelfile import OdeBlock
 
@@ -481,31 +549,36 @@ def test_bound_rhs_matches_the_literal_inlining_reference(doc):
         ob = doc.block(OdeBlock, ode)
         if ode.startswith("fig1"):
             params = {N_SYMBOL: rng.choice([2, 3, 5, 7]), doc.params["H1"]: _drawn_value(rng)}
-            ic = [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 0.5)]
+            ic = [_drawn_state(rng, 0.5, 1.5), _drawn_state(rng, -1.0, 0.5)]
         else:
             params = {doc.params["Y0"]: _drawn_value(rng), doc.params["Y1"]: _drawn_value(rng)}
-            ic = [rng.uniform(-1.0, 1.0)]
-        got = compile_rhs(ob.ctx, ob.lhs, params)
-        want = compile_rhs(ob.ctx, ob.lhs, params)
-        want._fn = _reference_compile_callable(want)
-        span = (0.0, rng.uniform(0.1, 2.0))
-        for cfg in (IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8, span=span, dense=[span[1] / 2]),
+            ic = [_drawn_state(rng, -1.0, 1.0)]
+        sys = compile_rhs(ob.ctx, ob.lhs, params)
+        span, dense = _drawn_span(rng)
+        for cfg in (IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8, span=span, dense=dense),
                     IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.02, 0.05), span=span)):
-            a = _outcome(got, ic, cfg)
-            assert a == _outcome(want, ic, cfg), (ode, params)
-            seen.add(a[0])
-    assert seen == {"", "non-finite", "step-underflow"}
+            seen.add(_same_as_reference(sys, ic, cfg)[0])
+    assert seen == {"", "non-finite", "step-underflow", "OdeError"}
 
 
 def test_generated_source_holds_no_parameter_value(doc):
     from camchoi.modelfile import OdeBlock
 
-    ob = doc.block(OdeBlock, "cc33ode")
-    sys = compile_rhs(ob.ctx, ob.lhs, {doc.params["Y0"]: 0.123456789, doc.params["Y1"]: -0.987654321})
-    src = odes._factory_source(sys._solved)
-    assert src.startswith("def make(p0, p1):\n")
-    assert "123456789" not in src and "987654321" not in src
-    assert sys.compiled()(0.3, 0.7) == _reference_compile_callable(sys)(0.3, 0.7)
+    Y0, Y1, H1_ = doc.params["Y0"], doc.params["Y1"], doc.params["H1"]
+    for ode, params, point in [
+        ("fig1ode", {N_SYMBOL: 3, H1_: 0.123456789}, (0.3, 0.7, -0.2)),
+        ("fig1ode_alt", {N_SYMBOL: 5, H1_: -0.987654321}, (0.3, 0.7, -0.2)),
+        ("cc33ode", {Y0: 0.123456789, Y1: -0.987654321}, (0.3, 0.7)),
+        ("cc28ode", {Y0: -0.987654321, Y1: 0.123456789}, (0.3, 0.7)),
+    ]:
+        ob = doc.block(OdeBlock, ode)
+        sys = compile_rhs(ob.ctx, ob.lhs, params)
+        src = odes._factory_source(sys._solved)
+        # make binds the values as arguments of _rhs, _rk4 and _rkf45
+        assert src.startswith("def make(%s):\n" % ", ".join("p%d" % i for i in range(len(sys.params))))
+        assert all("\n    def %s(" % name in src for name in ("_rhs", "_rk4", "_rkf45"))
+        assert "123456789" not in src and "987654321" not in src
+        assert sys.compiled()(*point) == _reference_compile_callable(sys)(*point)
 
 
 @pytest.mark.parametrize("k", [2, 7, 8])
@@ -520,7 +593,7 @@ def test_one_table_entry_per_equation_and_exponent(doc):
     ob = doc.block(OdeBlock, "cc28ode")
     Y0, Y1 = doc.params["Y0"], doc.params["Y1"]
     a = compile_rhs(ob.ctx, ob.lhs, {Y0: 1, Y1: 0})
-    b = compile_rhs(ob.ctx, ob.lhs, {Y0: Fraction(1, 3), Y1: -2.5, N_SYMBOL: Fraction(7, 2)})
+    b = compile_rhs(ob.ctx, ob.lhs, {Y0: Fraction(1, 3), Y1: -2.5})
     assert a._solved is b._solved
     assert [k for k in odes._SOLVED_ODES if k[1] == ob.lhs] == [(ob.ctx, ob.lhs, None)]
     fa = a.compiled()
@@ -555,6 +628,20 @@ def test_per_call_checks_hold_after_a_successful_compile():
         for n in (Fraction(5, 2), 2.5, math.inf, math.nan):
             with pytest.raises(OdeError, match="exponent parameter n must be an integer"):
                 compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: n, H1: 0})
+
+
+def test_a_value_for_a_parameter_the_equation_does_not_hold_is_refused(doc):
+    from camchoi.modelfile import OdeBlock
+
+    Y0, Y1, H1_ = doc.params["Y0"], doc.params["Y1"], doc.params["H1"]
+    cc33, fig1 = doc.block(OdeBlock, "cc33ode"), doc.block(OdeBlock, "fig1ode")
+    for _ in range(2):  # on the first solve and on a table hit
+        for ob, params, name in [(cc33, {Y0: 1, Y1: 0, H1_: 5}, "H1"), (cc33, {Y0: 1, Y1: 0, N_SYMBOL: 2}, "n"),
+                                 (fig1, {N_SYMBOL: 2, H1_: 0, Y0: 1}, "Y0"), (zctx, {N_SYMBOL: 2}, "n")]:
+            ctx, lhs = (zctx, zj((2,))) if ob is zctx else (ob.ctx, ob.lhs)
+            with pytest.raises(OdeError, match="^the equation holds no parameter %s$" % name):
+                compile_rhs(ctx, lhs, params)
+    assert compile_rhs(fig1.ctx, fig1.lhs, {N_SYMBOL: 2, H1_: 0}).params == {H1_: 0.0}
 
 
 def test_a_failed_solve_is_not_stored():
