@@ -163,7 +163,7 @@ def _cmd_integrate(args) -> int:
         write_svg([traj], ["red"], args.svg, labels=[args.ode])
     end = traj.endpoint()
     sys.stdout.write("%s: %d samples, endpoint %s -> %s%s\n" % (
-        args.ode, len(traj.samples), "%g" % end[0],
+        args.ode, traj.count, "%g" % end[0],
         ", ".join("%.12g" % v for v in end[1]),
         " [%s]" % traj.flag if traj.flag else "",
     ))

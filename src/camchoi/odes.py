@@ -160,10 +160,11 @@ def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
 def _factory_source(solved: _SolvedOde) -> str:
     """Source of make(p0, p1, ...), which binds the parameters and returns
     _rhs(x, y0, ...), the right-hand side, which returns NaNs on a domain
-    error (0.0 ** -1, math.sqrt of a negative); _rk4(t, h, nsteps, y0, ...),
-    the samples of nsteps classic RK4 steps, which runs a step that meets a
-    domain error again through _rhs; and _rkf45(...), the Fehlberg 4(5)
-    controller, which rejects a step whose stage meets one or is not finite.
+    error (0.0 ** -1, math.sqrt of a negative); _rk4(t, h, nsteps, keep, y0,
+    ...), the samples of nsteps classic RK4 steps (with keep false only the
+    last state), which runs a step that meets a domain error again through _rhs;
+    and _rkf45(...), the Fehlberg 4(5) controller, which rejects a step whose
+    stage meets one or is not finite and stops after max_steps attempts.
     The loops write the right-hand side inline, unrolled over the state.
 
     Coefficients and RatPow bases are literals, parameters are not.  The
@@ -264,7 +265,7 @@ def make({p}):
             return ({rhs})
         except (ArithmeticError, ValueError):
             return ({nan})
-    def _rk4(t, h, nsteps, {y}):
+    def _rk4(t, h, nsteps, keep, {y}):
         h2 = h / 2
         h6 = h / 6
         samples = [(t, ({y}))]
@@ -280,15 +281,19 @@ def make({p}):
                 {d}= _rhs(t + h, {y_h_c})
 {rk4_update}
             t += h
-            append((t, ({y})))
-        return samples
-    def _rkf45(t, b, h, direction, span_len, floor, abs_tol, rel_tol, dense, {y}):
+            if keep:
+                append((t, ({y})))
+        return samples if keep else ({y})
+    def _rkf45(t, b, h, direction, span_len, floor, max_steps, abs_tol, rel_tol, dense, {y}):
         {k0}= _rhs(t, {y})
         samples = [(t, ({y}))]
         append = samples.append
         accepted = rejected = dense_i = 0
         flag = ""
         while (t - b) * direction < 0:
+            if accepted + rejected >= max_steps:
+                flag = "step-limit"
+                break
             if abs(h) < floor:
                 flag = "step-underflow"
                 break
@@ -365,9 +370,15 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    def __init__(self, samples: List[Tuple[float, Tuple[float, ...]]], method: str, config: IntegratorConfig,
-                 params: Dict[str, float], accepted: int = 0, rejected: int = 0, flag: str = ""):
-        self.samples = samples
+    """An integration run.  A fixed-step run keeps only its endpoint and
+    sample count: samples is None and the first read calls replay()."""
+
+    def __init__(self, samples: Optional[List[Tuple[float, Tuple[float, ...]]]], method: str,
+                 config: IntegratorConfig, params: Dict[str, float], accepted: int = 0, rejected: int = 0,
+                 flag: str = "", end: Optional[Tuple[float, Tuple[float, ...]]] = None,
+                 replay: Optional[Callable] = None):
+        self._samples, self._end, self._replay = samples, end, replay
+        self.count = accepted + 1 if samples is None else len(samples)
         self.method = method
         self.config = config
         self.params = params
@@ -375,8 +386,14 @@ class Trajectory:
         self.rejected = rejected
         self.flag = flag
 
+    @property
+    def samples(self) -> List[Tuple[float, Tuple[float, ...]]]:
+        if self._samples is None:
+            self._samples, self._replay = self._replay(), None
+        return self._samples
+
     def endpoint(self) -> Tuple[float, Tuple[float, ...]]:
-        return self.samples[-1]
+        return self._end if self._samples is None else self._samples[-1]
 
     def at(self, x: float, tol: float = 1e-12) -> Tuple[float, ...]:
         for t, yv in self.samples:
@@ -401,6 +418,7 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 _MAX_RK4_STEPS = 10 ** 7  # fig-1 takes 10^4 fixed steps per curve
+_MAX_RKF45_STEPS = 10 ** 6  # accepted plus rejected; the built-in runs take under 10^4
 _INITIAL_STEP = 1e-3  # adaptive steps are capped at the span length
 _UNDERFLOW_FRACTION = 1e-14
 _SAFETY = 0.7
@@ -437,11 +455,15 @@ def _integrate_rk4(rk4: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
                        % (count, _MAX_RK4_STEPS, abs(b - a), cfg.step))
     nsteps = max(1, math.ceil(count))
     h = (b - a) / nsteps
-    samples = rk4(a, h, nsteps, *y0)
-    y = samples[-1][1]
-    samples[-1] = (b, y)
+    y = rk4(a, h, nsteps, False, *y0)
+
+    def replay():
+        samples = rk4(a, h, nsteps, True, *y0)
+        samples[-1] = (b, samples[-1][1])
+        return samples
+
     flag = "" if all(math.isfinite(v) for v in y) else "non-finite"
-    return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
+    return Trajectory(None, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag, end=(b, y), replay=replay)
 
 
 def _integrate_rkf45(rkf45: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -451,7 +473,7 @@ def _integrate_rkf45(rkf45: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
     h = direction * min(_INITIAL_STEP, span_len)
     dense = sorted(cfg.dense, reverse=direction < 0) if cfg.dense else []
     samples, accepted, rejected, flag = rkf45(a, b, h, direction, span_len, _UNDERFLOW_FRACTION * span_len,
-                                              cfg.abs_tol, cfg.rel_tol, dense, *y0)
+                                              _MAX_RKF45_STEPS, cfg.abs_tol, cfg.rel_tol, dense, *y0)
     if not flag and samples[-1][0] != b:
         if abs(samples[-1][0] - b) < 1e-9 * span_len:
             samples[-1] = (b, samples[-1][1])
@@ -472,13 +494,15 @@ def _hermite(t0, y0, f0, t1, y1, f1, xq):
 
 
 def write_csv(traj: Trajectory, path: str, names: Sequence[str]) -> None:
-    """One sample per line at full double precision."""
-    lines = [",".join(names)]
-    if traj.samples:
-        row = ",".join(["%.17g"] * (1 + len(traj.samples[0][1])))
-        lines += [row % (t, *y) for t, y in traj.samples]
+    """One sample per line at full double precision, the whole file formatted by one %."""
+    samples = traj.samples
+    text = ""
+    if samples:
+        row = ",".join(["%.17g"] * (1 + len(samples[0][1]))) + "\n"
+        text = (row * len(samples)) % tuple([v for t, y in samples for v in (t, *y)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.write(text)
 
 
 def read_csv(path: str) -> Tuple[List[str], List[Tuple[float, ...]]]:

@@ -287,6 +287,35 @@ def test_fixed_step_count_above_the_cap_exits_2_before_stepping(capsys, monkeypa
     assert err == "error: fixed-rk4 step count 1e+300 is above the cap of 10000000 steps (span 1, step 1e-300)\n"
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["endpoint only", "csv"])
+def test_integrate_fixed_rk4_counts_its_samples_without_keeping_them(capsys, tmp_path, monkeypatch, csv):
+    # a fixed-step run replays its samples only for --csv or --svg
+    keeps = []
+    bind = odes._SolvedOde.bind
+
+    def recording(self, values):
+        rhs, rk4, rkf45 = bind(self, values)
+        return rhs, lambda *args: keeps.append(args[3]) or rk4(*args), rkf45
+
+    monkeypatch.setattr(odes._SolvedOde, "bind", recording)
+    path = os.path.join(tmp_path, "f.csv")
+    code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",
+                         "--param", "Y0=1", "--param", "Y1=0", "--method", "fixed-rk4", "--step", "0.01",
+                         *(["--csv", path] if csv else []))
+    assert (code, out, err) == (0, "cc33ode: 101 samples, endpoint 1 -> -0.0562443252582\n", "")
+    assert keeps == ([False, True] if csv else [False])
+    if csv:
+        assert len(open(path).read().splitlines()) == 1 + 101
+
+
+def test_adaptive_step_limit_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(odes, "_MAX_RKF45_STEPS", 5)
+    code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",
+                         "--param", "Y0=1", "--param", "Y1=0")
+    assert code == 1 and err == ""
+    assert out.startswith("cc33ode: 6 samples, endpoint ") and out.endswith(" [step-limit]\n")
+
+
 @pytest.mark.parametrize("value", ["1e400", "-1e400"])
 def test_parameter_beyond_the_float_range_exits_2(capsys, value):
     code, out, err = run(capsys, "integrate", "builtin", "cc33ode", "--ic", "0.5", "--span", "0", "1",

@@ -149,9 +149,9 @@ def test_fixed_step_count_above_the_cap_is_refused_before_the_loop(monkeypatch):
     with pytest.raises(OdeError, match="above the cap"):
         integrate(sys, [1.0], over)
     counts = []
-    monkeypatch.setattr(sys, "_rk4", lambda a, h, n, *y: counts.append(n) or [(a, y)])
+    monkeypatch.setattr(sys, "_rk4", lambda a, h, n, keep, *y: counts.append((n, keep)) or y)
     integrate(sys, [1.0], IntegratorConfig(method="fixed-rk4", step=2 / odes._MAX_RK4_STEPS, span=(0.0, 2.0)))
-    assert counts == [odes._MAX_RK4_STEPS]
+    assert counts == [(odes._MAX_RK4_STEPS, False)]
 
 
 def test_step_underflow_flagged():
@@ -435,11 +435,12 @@ def _drawn_span(rng):
     return span, dense
 
 
-def test_generated_steppers_match_the_reference(doc):
+def _stepper_draws(doc):
+    """The seeded systems, initial values and (adaptive, fixed) configurations
+    of the stepper tests."""
     from camchoi.modelfile import OdeBlock
 
     rng = random.Random(20210)
-    flags = set()
     for i in range(40):
         if i % 2:
             ob = doc.block(OdeBlock, "cc33ode")
@@ -453,10 +454,87 @@ def test_generated_steppers_match_the_reference(doc):
         sys = compile_rhs(ob.ctx, ob.lhs, params)
         span, dense = _drawn_span(rng)
         tol = 10 ** rng.uniform(-10.0, -6.0)
-        for cfg in (IntegratorConfig(abs_tol=tol, rel_tol=tol, span=span, dense=dense),
-                    IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.01, 0.05), span=span)):
+        yield sys, ic, (IntegratorConfig(abs_tol=tol, rel_tol=tol, span=span, dense=dense),
+                        IntegratorConfig(method="fixed-rk4", step=rng.uniform(0.01, 0.05), span=span))
+
+
+def test_generated_steppers_match_the_reference(doc):
+    flags = set()
+    for sys, ic, cfgs in _stepper_draws(doc):
+        for cfg in cfgs:
             flags.add(_same_as_reference(sys, ic, cfg)[0])
     assert flags == {"", "non-finite", "step-underflow", "OdeError"}
+
+
+def _replayed(sys, ic, cfg):
+    """Run integrate, read the endpoint, then the samples, recording the keep
+    argument of every _rk4 call; check the replay against the reference."""
+    sys.compiled()
+    rk4, keeps = sys._rk4, []
+    sys._rk4 = lambda *args: keeps.append(args[3]) or rk4(*args)
+    try:
+        tr = integrate(sys, ic, cfg)
+    except OdeError:
+        assert keeps == []
+        return "OdeError"
+    finally:
+        sys._rk4 = rk4
+    assert keeps == [False]
+    end = tr.endpoint()
+    samples = tr.samples
+    assert keeps == [False, True]
+    assert tr.samples is samples and keeps == [False, True]
+    assert repr(samples[-1]) == repr(end) == repr(tr.endpoint())
+    assert len(samples) == tr.count == tr.accepted + 1
+    assert repr(samples) == repr(_reference_integrate(sys, ic, cfg).samples)
+    return tr.flag
+
+
+def test_fixed_step_samples_are_replayed_on_first_read(doc):
+    flags = set()
+    for sys, ic, (_adaptive, fixed) in _stepper_draws(doc):
+        a, b = fixed.span
+        # the drawn start, and an int and a Fraction start
+        for start in (a, round(a), Fraction(a).limit_denominator(9)):
+            if start != b:
+                cfg = IntegratorConfig(method="fixed-rk4", step=fixed.step, span=(start, b))
+                flags.add(_replayed(sys, ic, cfg))
+    # H' = -H^(1/2) - 1: the steps past H < 0 meet a domain error
+    root = compile_rhs(zctx, zj((1,)) + Expr.atom(H).pow_exponent(Exponent(1, 0)) + 1, {})
+    assert _replayed(root, [1.0], IntegratorConfig(method="fixed-rk4", step=0.01, span=(0.0, 3.0))) == "non-finite"
+    assert flags == {"", "non-finite", "OdeError"}
+
+
+def test_a_fixed_run_that_reads_no_samples_keeps_none():
+    import tracemalloc
+
+    sys = compile_rhs(zctx, zj((1,)) + Expr.atom(H), {})
+    sys.compiled()
+    cfg = IntegratorConfig(method="fixed-rk4", step=1e-5, span=(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        tr = integrate(sys, [1.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.count == 10 ** 5 + 1 and tr.flag == ""
+    assert abs(tr.endpoint()[1][0] - math.exp(-1.0)) < 1e-12
+    assert peak < 10 ** 6
+
+
+def test_the_adaptive_loop_stops_at_the_step_cap(monkeypatch):
+    sys = compile_rhs(zctx, zj((1,)) + Expr.atom(H), {})
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, span=(0.0, 1.0))
+    full = integrate(sys, [1.0], cfg)
+    attempts = full.accepted + full.rejected
+    assert attempts > 10 and full.flag == ""
+    # a cap the run reaches as it ends stops nothing; one attempt less does
+    monkeypatch.setattr(odes, "_MAX_RKF45_STEPS", attempts)
+    assert repr(integrate(sys, [1.0], cfg).samples) == repr(full.samples)
+    monkeypatch.setattr(odes, "_MAX_RKF45_STEPS", attempts - 1)
+    tr = integrate(sys, [1.0], cfg)
+    assert tr.flag == "step-limit" and tr.accepted + tr.rejected == attempts - 1
+    assert repr(tr.samples) == repr(full.samples[:tr.accepted + 1])
 
 
 @pytest.mark.parametrize("method", ["adaptive-rk45", "fixed-rk4"])
@@ -677,17 +755,20 @@ def _reference_write_csv(traj, path, names):
         fh.write("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_write_csv_bytes_match_the_reference(tmp_path, dim):
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 5e-324, 1 / 3, -1e308, 2]
     rng = random.Random(dim)
     samples = [(rng.choice(values), tuple(rng.choice(values) for _ in range(dim))) for _ in range(60)]
     tr = Trajectory(samples, "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
-    # the header may be longer or shorter than a row
-    for names in (["t", "H", "Hp"][:dim + 1], ["t"], ["t", "a", "b", "c"]):
+    empty = Trajectory([], "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
+    # the header may be longer or shorter than a row; an empty trajectory writes only its header
+    cases = [(tr, names) for names in (["t", "H", "Hp", "Hpp"][:dim + 1], ["t"], ["t", "a", "b", "c"],
+                                       ["t", "a", "b", "c", "d"])]
+    for traj, names in cases + [(empty, ["t", "H"])]:
         got, want = os.path.join(tmp_path, "got.csv"), os.path.join(tmp_path, "want.csv")
-        write_csv(tr, got, names)
-        _reference_write_csv(tr, want, names)
+        write_csv(traj, got, names)
+        _reference_write_csv(traj, want, names)
         assert open(got, "rb").read() == open(want, "rb").read()
 
 
