@@ -11,13 +11,12 @@ from .expr import (
     Expr,
     ExprError,
     Func,
-    INDEPENDENT,
     Jet,
     N_SYMBOL,
     PARAMETER,
-    REDUCED,
     RatPow,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
     app,

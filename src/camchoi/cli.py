@@ -26,7 +26,7 @@ from .library import (
     run_case,
 )
 from .modelfile import FieldBlock, ModelDocument, ModelLookupError, OdeBlock, PdeBlock, ParseError, parse_model
-from .odes import IntegratorConfig, compile_rhs, integrate, write_csv
+from .odes import METHODS, IntegratorConfig, compile_rhs, integrate, write_csv
 from .report import Report
 from .svgplot import write_svg
 from .symmetry import closure_table, commutator, determining_equations
@@ -155,7 +155,7 @@ def _cmd_integrate(args) -> int:
     )
     traj = integrate(sys_, args.ic, cfg)
     names = [blk.ctx.independents[0].name, blk.ctx.dependent.name]
-    for k in range(1, sys_.dimension):
+    for k in range(1, sys_.order):
         names.append(blk.ctx.dependent.name + "p" * k)
     if args.csv:
         write_csv(traj, args.csv, names)
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("ode")
     sp.add_argument("--ic", type=float, nargs="+", required=True)
     sp.add_argument("--span", type=float, nargs=2, required=True)
-    sp.add_argument("--method", default="adaptive-rk45",
-                    choices=["adaptive-rk45", "fixed-rk4"])
+    sp.add_argument("--method", default="adaptive-rk45", choices=METHODS)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--step", type=float, default=1e-4)
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")

@@ -43,15 +43,12 @@ class ExprError(ValueError):
     """Raised for operations outside the kernel's closed fragment."""
 
 
-# Symbol kinds.  Independent and reduced variables share an ordering rank so
-# that a pass-through variable keeps its identity across a change of
-# variables.
-INDEPENDENT = "independent"
-REDUCED = "reduced"
+# Symbol kinds.
+VARIABLE = "variable"
 PARAMETER = "parameter"
 DEPENDENT = "dependent"
 
-_KIND_RANK = {INDEPENDENT: 0, REDUCED: 0, PARAMETER: 2, DEPENDENT: 4}
+_KIND_RANK = {VARIABLE: 0, PARAMETER: 2, DEPENDENT: 4}
 _RANK_RATPOW = 3
 _RANK_JET = 5
 _RANK_FUNC = 6
@@ -135,8 +132,7 @@ EXP_N = Exponent(0, 1)
 class Sym:
     """A named base symbol: variable, parameter, or dependent quantity.
 
-    Interned on (rank, name): an independent and a reduced variable of the
-    same name are one object, which keeps the kind it was first built with.
+    Interned on (kind, name).
     """
 
     __slots__ = ("name", "kind", "_rank", "_key")
@@ -146,14 +142,14 @@ class Sym:
         rank = _KIND_RANK.get(kind)
         if rank is None:
             raise ExprError("unknown symbol kind %r" % kind)
-        self = cls._interned.get((rank, name))
+        self = cls._interned.get((kind, name))
         if self is None:
             self = object.__new__(cls)
             self.name = name
             self.kind = kind
             self._rank = rank
             self._key = (rank, name, ())
-            self = cls._interned.setdefault((rank, name), self)
+            self = cls._interned.setdefault((kind, name), self)
         return self
 
     def sort_key(self):

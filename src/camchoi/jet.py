@@ -10,6 +10,7 @@ from .expr import (
     ONE,
     PARAMETER,
     Sym,
+    VARIABLE,
     ZERO,
     as_expr,
 )
@@ -21,10 +22,8 @@ class JetError(ExprError):
     pass
 
 
-# what a name already is, for the message that refuses it again; any other
-# Sym is a variable (an independent and a reduced variable of one name are one
-# interned Sym, whose kind is the one built first)
-_MEANING = {PARAMETER: "a parameter", DEPENDENT: "the dependent variable"}
+# what a name already is, for the message that refuses it again
+_MEANING = {VARIABLE: "a variable", PARAMETER: "a parameter", DEPENDENT: "the dependent variable"}
 
 
 def _introduce(names: dict, name: str, entry, role: str, error):
@@ -33,7 +32,7 @@ def _introduce(names: dict, name: str, entry, role: str, error):
     what the name already is, if the table has it."""
     if name in names:
         old = names[name]
-        what = "a function" if isinstance(old, tuple) else _MEANING.get(old.kind, "a variable")
+        what = "a function" if isinstance(old, tuple) else _MEANING[old.kind]
         raise error("%s %r declared twice" % (role, name) if what == "a " + role
                     else "%s %r is already %s" % (role, name, what))
     names[name] = entry
@@ -158,7 +157,7 @@ def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
     if not coeff.is_monomial():
         raise JetError("nonlinear in leading derivative: coefficient %s of %s" % (coeff, leading))
     for a in coeff.atoms():
-        if not (isinstance(a, Sym) and a.kind == "parameter"):
+        if not (isinstance(a, Sym) and a.kind == PARAMETER):
             raise JetError("leading coefficient %s is not a parameter monomial" % coeff)
     leading_rhs = (-rest) / coeff
     return Pde(ctx, lhs, leading, coeff, leading_rhs, name=name)

@@ -7,7 +7,7 @@ import importlib.resources as resources
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import Expr, Func, Sym, ZERO
+from .expr import DEPENDENT, Expr, Func, Sym, VARIABLE, ZERO
 from .jet import Context, Pde
 from .modelfile import (
     AnsatzBlock,
@@ -608,18 +608,18 @@ def _run_chain(doc: ModelDocument) -> CaseResult:
     a1 = doc.block(AnsatzBlock, "cc18").ansatz
     mid = pullback(cc, a1).to_pde()
     alpha = Expr.atom(doc.params["alpha"])
-    s = Sym("s", "reduced")
+    s, Y = Sym("s", VARIABLE), Sym("Y", DEPENDENT)
     fY = Func("Y", (s,))
     w = a1.new_independent[1][0]
     t = a1.new_independent[0][0]
-    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Sym("Y", "dependent"), fY,
+    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Y, fY,
                 Expr.atom(fY) + 1 + alpha, name="travel")
     two_step = pullback(mid, a2)
     composed = pullback(cc, compose_ansatz(a1, a2))
     ctx = cc.ctx
     tt, xx, yy = ctx.independents
     direct_a = Ansatz(ctx, [(s, Expr.atom(yy) - Expr.atom(xx) - Expr.atom(tt))],
-                      Sym("Y", "dependent"), fY, Expr.atom(fY) + 1 + alpha, name="direct")
+                      Y, fY, Expr.atom(fY) + 1 + alpha, name="direct")
     direct = pullback(cc, direct_a)
     ok = two_step.lhs == direct.lhs == composed.lhs
     return CaseResult("chain", "reduction", "pass" if ok else "fail",
@@ -666,9 +666,9 @@ def _run_cc28(doc: ModelDocument) -> CaseResult:
     blk = doc.block(OdeBlock, "cc28ode")
     sys = compile_rhs(blk.ctx, blk.lhs, {doc.params["Y0"]: 1.0, doc.params["Y1"]: 0.0})
     traj = integrate(sys, [0.0], IntegratorConfig(span=(0.0, 1.0)))
-    ok = sys.dimension == 1 and traj.samples[0][1] == (0.0,) and not traj.flag
+    ok = sys.order == 1 and traj.samples[0][1] == (0.0,) and not traj.flag
     return CaseResult("cc.28", "solution", "pass" if ok else "fail",
-                      {"dimension": sys.dimension, "samples": len(traj.samples)})
+                      {"dimension": sys.order, "samples": len(traj.samples)})
 
 
 def _run_cc33(doc: ModelDocument) -> CaseResult:
@@ -678,9 +678,9 @@ def _run_cc33(doc: ModelDocument) -> CaseResult:
     sol_blk = doc.block(SolutionBlock, "cc32")
     target = doc.equation_of(doc.find(sol_blk.on))
     res, _ = verify_closed_form(target, sol_blk.sol, sol_blk.rules, sol_blk.bindings)
-    ok = sys.dimension == 1 and res.is_zero and not traj.flag
+    ok = sys.order == 1 and res.is_zero and not traj.flag
     return CaseResult("cc.33", "solution", "pass" if ok else "fail",
-                      {"dimension": sys.dimension, "similarity solution residual": str(res)})
+                      {"dimension": sys.order, "similarity solution residual": str(res)})
 
 
 FIG1_RUNS = ("fig1n2", "fig1n3", "fig1n5")

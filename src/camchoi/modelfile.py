@@ -15,16 +15,16 @@ from .expr import (
     Expr,
     ExprError,
     Func,
-    INDEPENDENT,
     Jet,
     N_SYMBOL,
     PARAMETER,
-    REDUCED,
     Sym,
+    VARIABLE,
     ZERO,
     app,
 )
 from .jet import Context, _introduce, expand_pde, total_derivative
+from .odes import METHODS
 from .reduction import Ansatz, FirstIntegralCandidate, ReducedEquation, SolutionRule
 from .symmetry import VectorField
 
@@ -157,8 +157,6 @@ class FuncDecl:
 class EquationBlock:
     """lhs = 0 in the jet context ctx: the record of every equation block kind."""
 
-    var_kind = REDUCED
-
     def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
         self.name = name
         self.ctx = ctx
@@ -175,7 +173,7 @@ class EquationBlock:
 class PdeBlock(EquationBlock):
     """An equation block that also holds its solved form ``pde``, expanded at construction."""
 
-    kind, var_kind = "pde", INDEPENDENT
+    kind = "pde"
 
     def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
         super().__init__(name, ctx, lhs, note, constants)
@@ -515,7 +513,7 @@ class _Parser:
                 constants.append(doc.params[nm])
 
         handlers = {
-            "vars": context_part(lambda: [Sym(nm, cls.var_kind) for nm in self._parse_namelist()]),
+            "vars": context_part(lambda: [Sym(nm, VARIABLE) for nm in self._parse_namelist()]),
             "dep": context_part(lambda: Sym(self._name(), DEPENDENT)),
             "eq": eq,
         }
@@ -563,10 +561,8 @@ class _Parser:
         def var(at):
             vname = self._name()
             e = self._assigned(lambda: self.parse_expr(old))
-            v = old.variable(vname)
-            if v is None:
-                v = Sym(vname, REDUCED)
-            elif e != Expr.atom(v):
+            v = Sym(vname, VARIABLE)
+            if v in src.independents and e != Expr.atom(v):
                 msg = "new variable %r reuses an old variable's name; only %s = %s passes it through"
                 raise ParseError(msg % (vname, vname, vname), at.line, at.col)
             new_vars.append((new.introduce(vname, v, "new variable", at), e))
@@ -601,7 +597,7 @@ class _Parser:
         def bind(at):
             vname = self._name()
             e = self._assigned(lambda: self.parse_expr(scope))
-            bindings.append((scope.introduce(vname, Sym(vname, REDUCED), "bind", at), e))
+            bindings.append((scope.introduce(vname, Sym(vname, VARIABLE), "bind", at), e))
 
         def sub(at):
             self._dependent(ctx, on)
@@ -662,8 +658,13 @@ class _Parser:
         return a, self._parse_number()
 
     def _method(self) -> str:
+        at = self.peek()
         method = self._name()
-        return method + "-" + self._name() if self.accept("-") else method
+        if self.accept("-"):
+            method += "-" + self._name()
+        if method not in METHODS:
+            raise ParseError("unknown method %r" % method, at.line, at.col, expected=set(METHODS))
+        return method
 
     def _parse_number(self) -> Fraction:
         sign = 1

@@ -22,6 +22,9 @@ class OdeError(ExprError):
     pass
 
 
+METHODS = ("adaptive-rk45", "fixed-rk4")
+
+
 class OdeSystem:
     def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object],
                  params: Dict[Sym, float], name: str = "", _solved: Optional["_SolvedOde"] = None):
@@ -34,10 +37,6 @@ class OdeSystem:
         self._fn: Optional[Callable] = None  # the compiled right-hand side, built by compiled()
         self._rk4 = self._rkf45 = None  # the generated integrators, built beside _fn
         self._solved = _solved  # the equation's shared entry; None for a system built directly
-
-    @property
-    def dimension(self) -> int:
-        return self.order
 
     def compiled(self) -> Callable:
         if self._fn is None:
@@ -162,7 +161,7 @@ def _factory_source(solved: _SolvedOde) -> str:
     _rhs(x, y0, ...), the right-hand side, which returns NaNs on a domain
     error (0.0 ** -1, math.sqrt of a negative); _rk4(t, h, nsteps, keep, y0,
     ...), the samples of nsteps classic RK4 steps (with keep false only the
-    last state), which runs a step that meets a domain error again through _rhs;
+    last state), where a step that meets a domain error makes the state NaN;
     and _rkf45(...), the Fehlberg 4(5) controller, which rejects a step whose
     stage meets one or is not finite and stops after max_steps attempts.
     The loops write the right-hand side inline, unrolled over the state.
@@ -249,11 +248,10 @@ def _factory_source(solved: _SolvedOde) -> str:
                 "q = abs(e%d) / (abs_tol + rel_tol * (v if v > u else u))" % m, "norm = q if q > norm else norm"]
     return _FACTORY.format(
         p=", ".join("p%d" % i for i in range(len(solved.params))), y=names("y"),
-        a=names("a"), b=names("b"), c=names("c"), d=names("d"), k0=names("k0_"), n=names("n"), f=names("f"),
+        k0=names("k0_"), n=names("n"), f=names("f"),
         rhs="".join(emit(e, "x", "y") + ", " for e in solved.rhs), nan="nan, " * dim,
-        y_h2_a=", ".join(moved("a", "h2")), y_h2_b=", ".join(moved("b", "h2")), y_h_c=", ".join(moved("c", "h")),
         rk4_stages=block(16, rk4), rkf_step=block(16, rkf), f_tnew=block(20, rhs("f", "tnew", "n")),
-        rk4_update=block(12, ["y{0} = y{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})".format(m)
+        rk4_update=block(16, ["y{0} = y{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})".format(m)
                               for m in range(dim)]),
         n_finite=finite("n"), f_nan=" = ".join("f%d" % m for m in range(dim)), safety=repr(_SAFETY))
 
@@ -274,11 +272,8 @@ def make({p}):
             try:
 {rk4_stages}
             except (ArithmeticError, ValueError):
-                {a}= _rhs(t, {y})
-                th = t + h2
-                {b}= _rhs(th, {y_h2_a})
-                {c}= _rhs(th, {y_h2_b})
-                {d}= _rhs(t + h, {y_h_c})
+                {y}= {nan}
+            else:
 {rk4_update}
             t += h
             if keep:
@@ -353,12 +348,14 @@ class IntegratorConfig:
     def __init__(self, method: str = "adaptive-rk45", abs_tol: float = 1e-9, rel_tol: float = 1e-9,
                  step: float = 1e-4, span: Tuple[float, float] = (0.0, 1.0),
                  dense: Optional[Sequence[float]] = None):
-        self.method = method  # or "fixed-rk4"
+        self.method = method
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
         self.step = step  # fixed-rk4 step
         self.span = span
         self.dense = dense
+        if method not in METHODS:
+            raise OdeError("unknown method %r; expected one of %s" % (method, ", ".join(METHODS)))
         if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise OdeError("tolerances must be positive and finite")
         if not 0 < step < math.inf:
@@ -425,7 +422,7 @@ _SAFETY = 0.7
 
 
 def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Trajectory:
-    if len(ic) != sys.dimension:
+    if len(ic) != sys.order:
         raise OdeError("initial condition dimension mismatch")
     f = sys.compiled()
     y0 = tuple(float(v) for v in ic)
@@ -437,10 +434,8 @@ def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Tra
             raise OdeError("right-hand side not finite at the initial point")
     if cfg.method == "fixed-rk4":
         traj = _integrate_rk4(sys._rk4, y0, cfg)
-    elif cfg.method == "adaptive-rk45":
-        traj = _integrate_rkf45(sys._rkf45, y0, cfg)
     else:
-        raise OdeError("unknown method %r" % cfg.method)
+        traj = _integrate_rkf45(sys._rkf45, y0, cfg)
     traj.params = {k.name: v for k, v in sys.params.items()}
     return traj
 

@@ -12,10 +12,9 @@ from .expr import (
     Expr,
     ExprError,
     Func,
-    INDEPENDENT,
     Jet,
-    REDUCED,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
     derivative_table,
@@ -186,7 +185,7 @@ def invariants_for(
         if name is None:
             raise ReductionError("invariants_for needs %d names for the new variables, got %d"
                                  % (len(moving) - 1, len(names)))
-        w = Sym(name, REDUCED)
+        w = Sym(name, VARIABLE)
         new_vars.append((w, (Expr.atom(v) - shift) * power(k.neg())))
         if s.is_monomial():
             hints.append((v, Expr.atom(w) * power(k) + shift))
@@ -204,7 +203,7 @@ def invariants_for(
     # the shape is supported; the names come last
     taken = {s.name: s for s in ctx.independents + ctx.parameters + (ctx.dependent,)}
     for name in names[:len(moving) - 1]:
-        _introduce(taken, name, Sym(name, REDUCED), "new variable", ReductionError)
+        _introduce(taken, name, Sym(name, VARIABLE), "new variable", ReductionError)
     dep = _introduce(taken, dep_name, Sym(dep_name, DEPENDENT), "dep_name", ReductionError)
     fn = Func(dep_name, tuple(v for v, _ in new_vars))
     return Ansatz(ctx, new_vars, dep, fn, shift + Expr.atom(fn) * scale, hints,
@@ -290,14 +289,13 @@ def _cancel_common_monomial(e: Expr) -> Expr:
     """Divide out each variable's lowest power over all terms.
 
     A variable absent from a term has power 0 there; one whose powers differ
-    in their n part is left alone.  Only a Sym of independent or reduced kind
-    is cancelled: a common jet, function or parameter factor is part of the
-    equation.
+    in their n part is left alone.  Only a variable is cancelled: a common
+    jet, function or parameter factor is part of the equation.
     """
     powers: Dict[Sym, List[Exponent]] = {}
     for mono, _c in e.terms:
         for a, x in mono:
-            if a.__class__ is Sym and a.kind in (INDEPENDENT, REDUCED):
+            if a.__class__ is Sym and a.kind == VARIABLE:
                 powers.setdefault(a, []).append(x)
     factor = ONE
     for atom, xs in powers.items():

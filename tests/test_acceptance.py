@@ -155,13 +155,13 @@ def test_criterion_5_reductions(doc, case_results):
 def test_criterion_6_first_integrals_and_closed_forms(doc, case_results):
     import random
 
-    from camchoi.expr import DEPENDENT, PARAMETER, REDUCED, Sym
+    from camchoi.expr import DEPENDENT, PARAMETER, Sym, VARIABLE
     from camchoi.jet import Context, total_derivative
     from camchoi.reduction import FirstIntegralCandidate, ReducedEquation
 
     # property: synthetically differentiated pairs certify, 100 instances
     rng = random.Random(61)
-    w = Sym("w", REDUCED)
+    w = Sym("w", VARIABLE)
     Y = Sym("Y", DEPENDENT)
     c0 = Sym("c0", PARAMETER)
     rctx = Context((w,), Y, (c0,))
@@ -228,10 +228,10 @@ def test_criterion_7_numerics(doc):
     # order of convergence for the fixed-step path
     import math
 
-    from camchoi.expr import DEPENDENT, PARAMETER, REDUCED, Sym
+    from camchoi.expr import DEPENDENT, PARAMETER, Sym, VARIABLE
     from camchoi.jet import Context
 
-    z = Sym("z", REDUCED)
+    z = Sym("z", VARIABLE)
     Yd = Sym("Y", DEPENDENT)
     ctx = Context((z,), Yd, ())
     sys_ = compile_rhs(ctx, ctx.jet_expr((1,)) - Expr.atom(Yd), {})

@@ -263,8 +263,10 @@ ode root {
      ["error: fixed-rk4 step count inf is not finite (span 1, step 5e-324)\n"]),
     (["root", "--ic", "1", "--span", "0", "1", "--tol", "nan"], 2, ["error: tolerances must be positive and finite"]),
     (["root", "--ic", "1", "--span", "0", "nan"], 2, ["error: integration span must be finite"]),
+    (["root", "--ic", "1", "--span", "0", "1", "--method", "euler"], 2,
+     ["invalid choice: 'euler' (choose from 'adaptive-rk45', 'fixed-rk4')"]),
 ], ids=["initial point", "adaptive", "fixed-rk4", "zero step", "nan step", "negative step", "subnormal step",
-        "nan tol", "nan span"])
+        "nan tol", "nan span", "unknown method"])
 def test_integrate_rhs_domain_errors(capsys, tmp_path, argv, code, expect):
     path = os.path.join(tmp_path, "domain.model")
     with open(path, "w") as fh:

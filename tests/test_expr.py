@@ -12,21 +12,20 @@ from camchoi.expr import (
     Expr,
     ExprError,
     Func,
-    INDEPENDENT,
     Jet,
     N_SYMBOL,
     PARAMETER,
-    REDUCED,
     RatPow,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
     app,
     as_expr,
 )
 
-t = Sym("t", INDEPENDENT)
-x = Sym("x", INDEPENDENT)
+t = Sym("t", VARIABLE)
+x = Sym("x", VARIABLE)
 u = Sym("u", DEPENDENT)
 a = Sym("a")
 b = Sym("b")
@@ -41,9 +40,12 @@ def jet(counts):
 
 
 def test_equal_atoms_are_one_object():
-    assert Sym("x", INDEPENDENT) is Sym("x", REDUCED) is x
-    assert Sym("x", PARAMETER) is not x
-    assert Jet(u, (t, x), (1, 0)) is Jet(Sym("u", DEPENDENT), [t, Sym("x", REDUCED)], [1, 0])
+    assert Sym("x", VARIABLE) is x
+    assert Sym("x", PARAMETER) is not x is not Sym("x", DEPENDENT)
+    for kind in ("independent", "reduced"):
+        with pytest.raises(ExprError):
+            Sym("x", kind)
+    assert Jet(u, (t, x), (1, 0)) is Jet(Sym("u", DEPENDENT), [t, Sym("x", VARIABLE)], [1, 0])
     assert Func("phi", (t,)) is Func("phi", (t,), (0,))
     assert Func("phi", (t,)).bump(t) is Func("phi", (t,), (1,))
     assert RatPow(Fraction(4, 2)) is RatPow(2)
@@ -54,7 +56,7 @@ def test_equal_atoms_are_one_object():
 def _fresh_atoms(tag):
     out = []
     for i in range(200):
-        s = Sym("%s%d" % (tag, i), INDEPENDENT)
+        s = Sym("%s%d" % (tag, i), VARIABLE)
         out += [s, Jet(u, (s,), (2,)), Func("f" + tag, (s,), (i % 3,)),
                 RatPow(Fraction(i + 1, 7919)), Exponent(1000 + i, 7)]
     return out

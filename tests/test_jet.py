@@ -6,16 +6,16 @@ from camchoi.expr import (
     Exponent,
     Expr,
     Func,
-    INDEPENDENT,
     N_SYMBOL,
     PARAMETER,
     Sym,
+    VARIABLE,
 )
 from camchoi.jet import MAX_JET_ORDER, Context, JetError, expand_pde, on_manifold, total_derivative
 
-t = Sym("t", INDEPENDENT)
-x = Sym("x", INDEPENDENT)
-y = Sym("y", INDEPENDENT)
+t = Sym("t", VARIABLE)
+x = Sym("x", VARIABLE)
+y = Sym("y", VARIABLE)
 u = Sym("u", DEPENDENT)
 alpha = Sym("alpha", PARAMETER)
 beta = Sym("beta", PARAMETER)
@@ -120,7 +120,7 @@ def test_jet_order_cap():
 
 def test_reduced_equation_leading():
     # the reduced third-order equation selects the triple derivative
-    w = Sym("w", "reduced")
+    w = Sym("w", VARIABLE)
     Ud = Sym("U", DEPENDENT)
     h0 = Sym("h0", PARAMETER)
     rctx = Context((t, w), Ud, (h0,))

@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from camchoi.expr import Expr
+from camchoi.expr import Expr, Sym, VARIABLE
 from camchoi.library import build_cases, builtin_text, load_builtin
 from camchoi.modelfile import (
     AnsatzBlock,
+    EquationBlock,
     FieldBlock,
     ParseError,
     PdeBlock,
     ReducedBlock,
+    SolutionBlock,
     parse_expression,
     parse_model,
     print_model,
 )
-from camchoi.reduction import pullback
+from camchoi.reduction import ReductionError, invariants_for, pullback
 
 MINI = """
 param alpha
@@ -52,6 +54,28 @@ def test_expression_constant_folding(doc):
     assert parse_expression(doc, ctx, "2^n * 2^n") == parse_expression(doc, ctx, "2^(2*n)")
     assert parse_expression(doc, ctx, "u[t,x,x]") == ctx.jet_expr((1, 2, 0))
     assert parse_expression(doc, ctx, "D(u;t,x,x)") == ctx.jet_expr((1, 2, 0))
+
+
+def test_every_variable_has_the_one_variable_kind(doc):
+    """Which block builds a variable's name first does not decide its kind."""
+    built = {"vars": [], "var": [], "bind": [], "invariants_for": []}
+    for b in doc.blocks:
+        if isinstance(b, EquationBlock):
+            built["vars"] += b.ctx.independents
+        elif isinstance(b, AnsatzBlock):
+            built["var"] += [v for v, _e in b.ansatz.new_independent]
+        elif isinstance(b, SolutionBlock):
+            built["bind"] += [v for v, _e in b.bindings]
+        elif isinstance(b, FieldBlock):
+            try:
+                built["invariants_for"] += [v for v, _e in invariants_for(b.vf).new_independent]
+            except ReductionError:
+                pass
+    for role, syms in built.items():
+        assert syms, role
+        assert {v.kind for v in syms} == {VARIABLE}, role
+    # cc19's w is first built by the cc18 ansatz
+    assert Sym("w", VARIABLE) in doc.block(PdeBlock, "cc19").ctx.independents
 
 
 def test_round_trip_builtin_model():
@@ -178,6 +202,8 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     ("pde p { vars = t; dep = u; eq u[t] = 0 }\node q on p { vars = s; dep = H; eq H[s] = 0 }\n",
      2, 7, "ode blocks take no 'on'"),
     (RUN.replace("run r {", "run r on o {") % ("1", "0, 1"), 2, 7, "run blocks take no 'on'"),
+    (RUN.replace("span = %s\n", "span = %s\n  method = fixed-rk5\n") % ("1", "0, 1"), 6, 12,
+     r"unknown method 'fixed-rk5' \(expected one of: adaptive-rk45, fixed-rk4\)"),
     ("param alpha\n" + _block(["vars = t, alpha", "dep = u", "eq alpha*u[t] = 0"]), 5, 3,
      "vars name 'alpha' is already a parameter"),
     ("func f(t)\n" + _block(["vars = t, f", "dep = u", "eq u[t] + f(t) = 0"]), 5, 3,
@@ -188,7 +214,7 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
         "leading coefficient with a variable", "vars after eq", "dep after eq", "constants in a pde",
         "two decimal points", "exponent without digits", "zero divisor in an equation",
         "zero divisor in ic", "exponent without digits in span", "on in an ode block",
-        "on in a run block", "variable named like a parameter", "variable named like a function",
+        "on in a run block", "unknown method", "variable named like a parameter", "variable named like a function",
         "dependent named like a parameter"])
 def test_malformed_blocks_are_parse_errors(text, line, col, match):
     with pytest.raises(ParseError, match=match) as err:

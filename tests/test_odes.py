@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from camchoi import odes
-from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, REDUCED, RatPow, Sym
+from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, RatPow, Sym, VARIABLE
 from camchoi.jet import Context
 from camchoi.library import FIG1_RUNS, fig1_trajectory
 from camchoi.odes import (
@@ -21,7 +21,7 @@ from camchoi.odes import (
 )
 from camchoi.svgplot import write_svg
 
-zeta = Sym("zeta", REDUCED)
+zeta = Sym("zeta", VARIABLE)
 H = Sym("H", DEPENDENT)
 H1 = Sym("H1", PARAMETER)
 zctx = Context((zeta,), H, (H1, N_SYMBOL))
@@ -40,7 +40,7 @@ def eq38_lhs():
 
 def test_compile_trivial_second_order():
     sys = compile_rhs(zctx, zj((2,)), {})
-    assert sys.dimension == 2
+    assert sys.order == 2
     assert [str(e) for e in sys.rhs] == ["H[zeta]", "0"]
 
 
@@ -69,7 +69,7 @@ def test_compile_riccati_is_one_dimensional(doc):
 
     blk = doc.block(OdeBlock, "cc33ode")
     sys = compile_rhs(blk.ctx, blk.lhs, {doc.params["Y0"]: 1, doc.params["Y1"]: 0})
-    assert sys.dimension == 1
+    assert sys.order == 1
 
 
 def test_linear_growth_exact():
@@ -122,6 +122,14 @@ def test_time_reversal():
     ts = [s[0] for s in back.samples]
     assert all(b < a for a, b in zip(ts, ts[1:]))
     assert max(abs(a - b) for a, b in zip(back.endpoint()[1], (1.0, -0.5))) < 1e-7
+
+
+def test_integrator_config_refuses_an_unknown_method():
+    assert odes.METHODS == ("adaptive-rk45", "fixed-rk4")
+    for method in odes.METHODS:
+        assert IntegratorConfig(method=method).method == method
+    with pytest.raises(OdeError, match="unknown method 'euler'; expected one of adaptive-rk45, fixed-rk4"):
+        IntegratorConfig(method="euler")
 
 
 def test_fixed_step_count_past_the_float_range_is_an_ode_error():

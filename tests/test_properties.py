@@ -20,13 +20,12 @@ from camchoi.expr import (
     Expr,
     ExprError,
     Func,
-    INDEPENDENT,
     Jet,
     N_SYMBOL,
     PARAMETER,
     RatPow,
-    REDUCED,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
     _MONO_KEYS,
@@ -50,8 +49,8 @@ from camchoi.reduction import (
 )
 from camchoi.symmetry import SymmetryError, VectorField, apply_prolonged, commutator, field_lincomb, prolong
 
-t = Sym("t", INDEPENDENT)
-x = Sym("x", INDEPENDENT)
+t = Sym("t", VARIABLE)
+x = Sym("x", VARIABLE)
 u = Sym("u", DEPENDENT)
 a = Sym("a", PARAMETER)
 ctx2 = Context((t, x), u, (a,))
@@ -562,7 +561,7 @@ def test_parser_round_trip_random():
 
 def test_synthetic_first_integrals_certify():
     rng = random.Random(47)
-    w = Sym("w", "reduced")
+    w = Sym("w", VARIABLE)
     Y = Sym("Y", DEPENDENT)
     c0 = Sym("c0", PARAMETER)
     rctx = Context((w,), Y, (c0,))
@@ -782,7 +781,7 @@ def test_total_derivative_past_the_jet_cap_still_raises():
 
 def test_pullback_chain_rule_matches_the_multi_diff_reference():
     rng = random.Random(101)
-    s1, s2 = Sym("s1", REDUCED), Sym("s2", REDUCED)
+    s1, s2 = Sym("s1", VARIABLE), Sym("s2", VARIABLE)
     S1, S2, T, X = (Expr.atom(v) for v in (s1, s2, t, x))
     link_choices = [
         [(s1, X - 2 * T), (t, T)],
@@ -1125,7 +1124,7 @@ def _reference_invariants_for(
             if v not in moving:
                 new_vars.append((v, Expr.atom(v)))
             else:
-                w = Sym(next(name_iter), REDUCED)
+                w = Sym(next(name_iter), VARIABLE)
                 expr = Expr.atom(v) - (lin[v][1] / bp) * Expr.atom(pivot)
                 new_vars.append((w, expr))
                 hints.append((v, Expr.atom(w) + (lin[v][1] / bp) * Expr.atom(pivot)))
@@ -1159,7 +1158,7 @@ def _reference_invariants_for(
                 raise UnsupportedField(
                     "unsupported field shape: exponent %s outside the half-integer lattice" % ex
                 )
-            w = Sym(next(name_iter), REDUCED)
+            w = Sym(next(name_iter), VARIABLE)
             expo = Exponent(int(2 * ex), 0)
             new_vars.append((w, shifted[v] * shifted[pivot].pow_exponent(expo)))
             if lin[pivot][1].is_zero:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from camchoi import library
-from camchoi.expr import DEPENDENT, INDEPENDENT, PARAMETER, ZERO, Expr, Func, Sym
+from camchoi.expr import DEPENDENT, PARAMETER, VARIABLE, ZERO, Expr, Func, Sym
 from camchoi.jet import Context, JetError
 from camchoi.library import Case, CaseResult, builtin_text, load_builtin, run_case
 from camchoi.modelfile import AnsatzBlock, PdeBlock, SolutionBlock, parse_model, print_model
@@ -20,7 +20,7 @@ from camchoi.report import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-t, x = Sym("t", INDEPENDENT), Sym("x", INDEPENDENT)
+t, x = Sym("t", VARIABLE), Sym("x", VARIABLE)
 u = Sym("u", DEPENDENT)
 alpha = Sym("alpha", PARAMETER)
 
@@ -68,7 +68,7 @@ def test_context_is_immutable_hashable_and_equal_by_fields():
         del c1.parameters
     assert c1.dependent == u and c1.parameters == (alpha,)
     with pytest.raises(JetError, match="unique"):
-        Context((t, Sym("u", INDEPENDENT)), u)
+        Context((t, Sym("u", VARIABLE)), u)
 
 
 def test_model_records_are_equal_field_by_field():

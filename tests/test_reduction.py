@@ -11,8 +11,8 @@ from camchoi.expr import (
     Expr,
     Func,
     N_SYMBOL,
-    REDUCED,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
 )
@@ -203,8 +203,8 @@ def test_pullback_rank_deficient_rejected(doc):
     cc = pde(doc, "cc")
     ctx = cc.ctx
     t, x, y = ctx.independents
-    w1 = Sym("w1", REDUCED)
-    w2 = Sym("w2", REDUCED)
+    w1 = Sym("w1", VARIABLE)
+    w2 = Sym("w2", VARIABLE)
     fn = Func("F", (w1, w2))
     bad = Ansatz(
         ctx,
@@ -262,7 +262,7 @@ def test_jacobian_rank_ok_matches_cofactor_minors(doc):
                 exprs.append(Expr.rational(rng.choice([-1, 2])) * g * g + Expr.atom(alpha) * g)
             else:
                 exprs.append(_random_poly(rng, atoms))
-        ws = [Sym("w%d" % i, REDUCED) for i in range(len(exprs))]
+        ws = [Sym("w%d" % i, VARIABLE) for i in range(len(exprs))]
         fn = Func("F", tuple(ws))
         a = Ansatz(ctx, list(zip(ws, exprs)), Sym("F", DEPENDENT), fn, Expr.atom(fn))
         expected = _rank_ok_by_minors(a)
@@ -275,7 +275,7 @@ def test_pullback_residual_old_variable(doc):
     cc19 = pde(doc, "cc19")
     ctx = cc19.ctx
     t, w = ctx.independents
-    sg = Sym("sigma", REDUCED)
+    sg = Sym("sigma", VARIABLE)
     fn = Func("Y", (sg,))
     # missing inverse hint: w cannot be eliminated
     a = Ansatz(
@@ -312,7 +312,7 @@ def test_two_step_equals_composed_explicitly(doc):
     a1 = ansatz(doc, "cc18")
     mid = pullback(cc, a1).to_pde()
     alpha = Expr.atom(doc.params["alpha"])
-    s = Sym("s", REDUCED)
+    s = Sym("s", VARIABLE)
     fY = Func("Y", (s,))
     t, w = mid.ctx.independents
     a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Sym("Y", DEPENDENT), fY,
@@ -324,7 +324,7 @@ def test_two_step_equals_composed_explicitly(doc):
 
 
 def test_first_integral_synthetic_pair(doc):
-    w = Sym("w", REDUCED)
+    w = Sym("w", VARIABLE)
     Y = Sym("Y", DEPENDENT)
     ctx = Context((w,), Y, ())
     fi_lhs = ctx.jet_expr((1,)) + Expr.rational(Fraction(1, 2)) * Expr.atom(Y) ** 2
@@ -414,7 +414,7 @@ def test_dependent_expression_rejects_a_rule_not_affine_in_the_function(doc):
 def test_top_jet_coefficient_rejects_a_squared_top_jet_in_any_term_order():
     from camchoi.reduction import _top_jet_coeff
 
-    zeta = Sym("zeta", REDUCED)
+    zeta = Sym("zeta", VARIABLE)
     H = Sym("H", DEPENDENT)
     ctx = Context((zeta,), H)
     top = ctx.jet_expr((1,))
@@ -443,7 +443,7 @@ def test_pullback_cancels_only_powers_of_variables():
 def test_common_factor_is_each_variables_lowest_power_over_all_terms():
     from camchoi.reduction import _cancel_common_monomial
 
-    t, w = Sym("t", REDUCED), Sym("w", REDUCED)
+    t, w = Sym("t", VARIABLE), Sym("w", VARIABLE)
     ctx = Context((t, w), Sym("U", DEPENDENT))
     T, U, Ut = Expr.atom(t), Expr.atom(ctx.dependent), ctx.jet_expr((1, 0))
     want = T * Ut + U

@@ -8,10 +8,10 @@ from camchoi.expr import (
     DEPENDENT,
     Expr,
     Func,
-    INDEPENDENT,
     Jet,
     PARAMETER,
     Sym,
+    VARIABLE,
     ONE,
     ZERO,
 )
@@ -175,7 +175,7 @@ def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypat
             pdes.append(p)
     # Burgers' equation on jet spaces that differ only in the order of the
     # independents, or only in the name of the dependent
-    t, x = Sym("t", INDEPENDENT), Sym("x", INDEPENDENT)
+    t, x = Sym("t", VARIABLE), Sym("x", VARIABLE)
     for ivars, dep in (((t, x), "u"), ((x, t), "u"), ((t, x), "v")):
         ctx = Context(ivars, Sym(dep, DEPENDENT), ())
         ut, ux = (ctx.jet_expr(ctx.unit(v)) for v in (t, x))
@@ -366,9 +366,9 @@ def test_determining_equations_trivial_pde_vs_bruteforce(doc):
     """Brute-force oracle: for u_x = 0, the emitted system and a direct
     symmetry-condition check constrain low-degree polynomial coefficients the
     same way."""
-    t = Sym("t", INDEPENDENT)
-    x = Sym("x", INDEPENDENT)
-    y = Sym("y", INDEPENDENT)
+    t = Sym("t", VARIABLE)
+    x = Sym("x", VARIABLE)
+    y = Sym("y", VARIABLE)
     u = Sym("u", DEPENDENT)
     ctx = Context((t, x, y), u, ())
     trivial = expand_pde(ctx, ctx.jet_expr((0, 1, 0)), name="ux")
