@@ -566,7 +566,11 @@ class Expr:
 
     def derive(self, d: Callable) -> "Expr":
         """The one derivation pass behind ``diff``, total derivatives, the
-        pullback chain rule and the action of a (prolonged) vector field.
+        pullback chain rule and the action of a (prolonged) vector field."""
+        return Expr._from_map(self.derive_terms(d))
+
+    def derive_terms(self, d: Callable) -> dict:
+        """``derive`` as the raw {monomial: coefficient} map, zero sums kept.
 
         ``d(atom)`` gives the derivative of a Sym or a Jet.  A Func follows by
         the chain rule over its arguments, exp and tanh recurse into their
@@ -617,7 +621,7 @@ class Expr:
                         c = c1 * c2 if extra == 1 else c1 * c2 * extra
                         prev = m.get(mono3)
                         m[mono3] = c if prev is None else prev + c
-        return Expr._from_map(m)
+        return m
 
     # -- substitution --------------------------------------------------------
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
+    App,
     Expr,
     ExprError,
     Func,
@@ -15,10 +16,12 @@ from .expr import (
     ZERO,
     ONE,
     _mono_sort_key,
+    _mul_monos,
+    _power_of,
     as_expr,
     derivative_table,
 )
-from .jet import Context, Pde, on_manifold, total_derivative
+from .jet import Context, Pde, total_derivative
 
 
 class SymmetryError(ExprError):
@@ -99,7 +102,9 @@ class ProlongedField:
     ``eta(J)`` computes eta^[J] through the shared ``derivative_table``
     recursion, eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off
     the last variable of J; the D_i xi^j are memoised per variable i.  The
-    result does not depend on the decomposition of J.
+    result does not depend on the decomposition of J.  ``applied``, None
+    unless the prolongation is shared, keeps pr X of each equation monomial
+    met so far (see ``_residual_terms``).
     """
 
     def __init__(self, base: VectorField, order: int):
@@ -119,6 +124,7 @@ class ProlongedField:
             return e
 
         self.eta = derivative_table(base.eta, step)
+        self.applied: Optional[Dict[tuple, list]] = None
 
 
 def prolong(X: VectorField, order: int) -> ProlongedField:
@@ -128,11 +134,9 @@ def prolong(X: VectorField, order: int) -> ProlongedField:
     return ProlongedField(X, order)
 
 
-def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
-    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J over the jets u_J of e.
-
-    One ``Expr.derive`` pass; a jet of another space is constant here.
-    """
+def _derivation(P: ProlongedField):
+    """The ``Expr.derive`` rule of pr X: u to eta, x^i to xi^i and u_J to
+    eta^[J]; a jet of another space is constant here."""
     X, ctx = P.base, P.base.ctx
 
     def d(a):
@@ -145,22 +149,71 @@ def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
                                 % (Expr.atom(a), a.order, P.order))
         return P.eta(a.counts)
 
-    return as_expr(e).derive(d)
+    return d
 
 
-def _residual(P: ProlongedField, pde: Pde) -> Expr:
-    """pr X (lhs) on the solution manifold, for a pde of order at most MAX_PROLONG_ORDER."""
+def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
+    """eta d_u e + xi^i d_i e + sum_J eta^[J] d e / d u_J over the jets u_J of e:
+    one ``Expr.derive`` pass."""
+    return as_expr(e).derive(_derivation(P))
+
+
+def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
+    """pr X (lhs) on the solution manifold as a raw {monomial: coefficient}
+    map, zero sums kept, for a pde of order at most MAX_PROLONG_ORDER.
+
+    pr X (lhs) is one ``derive_terms`` pass, or, where P keeps the memo
+    ``P.applied`` (a shared generic prolongation), pr X of each lhs monomial
+    with coefficient 1, derived once and multiplied by the coefficient.  A
+    factor u_L^e of the leading derivative is replaced by leading_rhs^e.  u_L
+    only occurs as such a factor: expand_pde refuses it inside exp/tanh, and
+    pr X brings no jet into an argument.  This is
+    ``on_manifold(apply_prolonged(P, lhs), pde)`` without the two canonical
+    sums in between.
+    """
     order = pde.lhs.max_jet_order()
     if order > MAX_PROLONG_ORDER:
         raise SymmetryError("pde %s is of order %d; prolongation is implemented up to order %d"
                             % (pde.name, order, MAX_PROLONG_ORDER))
-    return on_manifold(apply_prolonged(P, pde.lhs), pde)
+    d, memo = _derivation(P), P.applied
+    if memo is None:
+        pieces = [(pde.lhs.derive_terms(d).items(), 1)]
+    else:
+        pieces = []
+        for mono, coeff in pde.lhs.terms:
+            applied = memo.get(mono)
+            if applied is None:
+                applied = memo[mono] = [t for t in Expr(((mono, 1),)).derive_terms(d).items() if t[1]]
+            pieces.append((applied, coeff))
+    leading, m = pde.leading, {}
+    for applied, coeff in pieces:
+        factors = {}  # the exponent e of u_L in a term (None without u_L) -> coeff * leading_rhs^e
+        for mono1, c1 in applied:
+            e = None
+            for i, (a, x) in enumerate(mono1):
+                if a is leading:
+                    mono1, e = mono1[:i] + mono1[i + 1 :], x
+                    break
+            if e is None and coeff == 1:
+                prev = m.get(mono1)
+                m[mono1] = c1 if prev is None else prev + c1
+                continue
+            r = factors.get(e)
+            if r is None:
+                power = ONE if e is None else _power_of(pde.leading_rhs, e)
+                r = factors[e] = power.terms if coeff == 1 else [(m2, coeff * c2) for m2, c2 in power.terms]
+            for mono2, c2 in r:
+                mono3, extra = _mul_monos(mono1, mono2)
+                c = c1 * c2 if extra == 1 else c1 * c2 * extra
+                prev = m.get(mono3)
+                m[mono3] = c if prev is None else prev + c
+    return m
 
 
 def check_symmetry(X: VectorField, pde: Pde) -> Expr:
     """Symmetry residual on the solution manifold; zero certifies a symmetry."""
     X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
-    return _residual(prolong(X, MAX_PROLONG_ORDER), pde)
+    return Expr._from_map(_residual_terms(prolong(X, MAX_PROLONG_ORDER), pde))
 
 
 class DeterminingSystem:
@@ -188,7 +241,11 @@ _GENERIC_PROLONGATIONS: Dict[tuple, ProlongedField] = {}
 
 
 def determining_equations(pde: Pde) -> DeterminingSystem:
-    """Split the symmetry condition for opaque coefficients by jet monomials."""
+    """Split the symmetry condition for opaque coefficients by jet monomials.
+
+    The residual terms go straight into one coefficient map per jet monomial;
+    a term whose exp/tanh argument holds a jet cannot be split and is refused.
+    """
     ctx = pde.ctx
     args = tuple(ctx.independents) + (ctx.dependent,)
     unknowns = [Func("xi_%s" % v.name, args) for v in ctx.independents] + [Func("eta", args)]
@@ -198,23 +255,22 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
         X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
                         Expr.atom(unknowns[-1]), name="generic")
         P = _GENERIC_PROLONGATIONS[space] = prolong(X, MAX_PROLONG_ORDER)
-    residual = _residual(P, pde)
-    jets = sorted(
-        {a for a in residual.atoms() if isinstance(a, Jet)},
-        key=lambda a: a.sort_key(),
-    )
-    equations = []
-    seen = set()
-    if jets:
-        groups = residual.collect(jets)
-    else:
-        groups = {ONE: residual} if not residual.is_zero else {}
-    for _key, val in groups.items():
-        eq = val.content_normalized()
-        if eq.is_zero or eq in seen:
+        P.applied = {}
+    groups: Dict[tuple, dict] = {}
+    for mono, coeff in _residual_terms(P, pde).items():
+        if not coeff:
             continue
-        seen.add(eq)
-        equations.append(eq)
+        jets, rest = [], []
+        for f in mono:
+            a = f[0]
+            if a.__class__ is Jet:
+                jets.append(f)
+            else:
+                rest.append(f)
+                if a.__class__ is App and any(b.__class__ is Jet for b in a.arg.atoms()):
+                    raise ExprError("collect atom occurs inside an opaque application")
+        groups.setdefault(tuple(jets), {})[tuple(rest)] = coeff
+    equations = list(dict.fromkeys(Expr._from_map(g).content_normalized() for g in groups.values()))
     equations.sort(key=lambda e: e.key())
     return DeterminingSystem(unknowns, equations, pde)
 

@@ -80,6 +80,29 @@ def test_fourth_order_pde_names_the_prolongation_limit(capsys, tmp_path, command
     assert err == "error: pde kdv4 is of order 4; prolongation is implemented up to order 3\n"
 
 
+EXP_OF_A_JET = os.path.join(os.path.dirname(__file__), "models", "exp_of_a_jet.model")
+
+
+def test_determining_refuses_a_jet_inside_exp(capsys):
+    code, out, err = run(capsys, "determining", EXP_OF_A_JET, "expjet")
+    assert (code, out, err) == (2, "", "error: collect atom occurs inside an opaque application\n")
+
+
+@pytest.mark.parametrize("field, code, lines", [
+    ("T", 0, ["PASS  T on expjet  symmetry        pass",
+              "1 cases: 1 pass, 0 fail, 0 recorded discrepancies, 0 unsupported"]),
+    ("S", 1, ["FAIL  S on expjet  symmetry        fail",
+              "1 cases: 0 pass, 1 fail, 0 recorded discrepancies, 0 unsupported",
+              "residual: -u[x]*exp(u[x]) + 2*exp(u[x])"]),
+    ("G", 1, ["FAIL  G on expjet  symmetry        fail",
+              "1 cases: 0 pass, 1 fail, 0 recorded discrepancies, 0 unsupported",
+              "residual: exp(u[x]) - u[x]"]),
+])
+def test_check_symmetry_with_a_jet_inside_exp(capsys, field, code, lines):
+    got, out, _ = run(capsys, "check-symmetry", EXP_OF_A_JET, field, "expjet")
+    assert (got, out) == (code, "".join(line + "\n" for line in lines))
+
+
 def test_reduce_command_with_comparison(capsys):
     code, out, _ = run(
         capsys, "reduce", "builtin", "cc", "cc18",

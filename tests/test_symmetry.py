@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 from camchoi.expr import (
     DEPENDENT,
     Expr,
+    ExprError,
     Func,
     Jet,
+    N_SYMBOL,
     PARAMETER,
     Sym,
     VARIABLE,
@@ -17,8 +20,9 @@ from camchoi.expr import (
 )
 from camchoi.jet import Context, expand_pde, on_manifold
 from camchoi.library import x3_of
-from camchoi.modelfile import FieldBlock, PdeBlock
+from camchoi.modelfile import FieldBlock, PdeBlock, parse_model
 from camchoi.symmetry import (
+    MAX_PROLONG_ORDER,
     Decomposition,
     SymmetryError,
     VectorField,
@@ -89,9 +93,10 @@ def _reference_apply_prolonged(table, X, e):
     return out
 
 
-# pde, fields on its jet space (X3, X4 and Z4 carry function symbols), parameter bindings
+# pde, fields on its jet space (X3, X4 and Z4 carry function symbols, X5p and
+# X6p exp(omega*t) factors), parameter bindings
 REFERENCE_CASES = [
-    ("cc", ("X1", "X2", "X3", "X4", "X5", "du_field"), [("alpha", 0)]),
+    ("cc", ("X1", "X2", "X3", "X4", "X5", "X5p", "X6p", "du_field"), [("alpha", 0)]),
     ("gcc", ("Y1f", "Y2f", "Yb2f", "Y5f", "X3", "X4", "du_field"),
      [("alpha", 0), ("n", 1), ("beta", Fraction(5, 2))]),
     ("cc19", ("Z1", "Z2", "Z3", "Z4"), [("h0", 0)]),
@@ -125,27 +130,17 @@ def test_check_symmetry_matches_the_eager_reference(doc, eager_eta_table, direct
     assert 10 <= nonzero <= drawn - 10
 
 
-@pytest.mark.parametrize("direction", ["last", "first"])
-def test_determining_equations_match_the_eager_reference(doc, monkeypatch, eager_eta_table, direction):
-    from camchoi import symmetry
-
-    pdes = [p for p, _fields in _reference_pdes(doc)]
-    got = [determining_equations(p).equations for p in pdes]
-    monkeypatch.setattr(symmetry, "apply_prolonged",
-                        lambda P, e: _reference_apply_prolonged(eager_eta_table(P.base, P.order, direction),
-                                                                P.base, e))
-    assert [determining_equations(p).equations for p in pdes] == got
-
-
-def _reference_determining_equations(p):
-    """Each determining system from its own generic generator, prolonged
-    afresh: the construction the per-space table of prolongations replaced."""
+def _reference_determining_equations(p, eager_eta_table, direction="last"):
+    """Each determining system from its own generic generator with the eager
+    eta^[J] table, then ``on_manifold`` and ``collect``: the pipeline that the
+    per-space table of prolongations and the one residual pass replaced."""
     ctx = p.ctx
     args = tuple(ctx.independents) + (ctx.dependent,)
     unknowns = [Func("xi_%s" % v.name, args) for v in ctx.independents] + [Func("eta", args)]
     X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
                     Expr.atom(unknowns[-1]), name="generic")
-    residual = check_symmetry(X, p)
+    table = eager_eta_table(X, MAX_PROLONG_ORDER, direction)
+    residual = on_manifold(_reference_apply_prolonged(table, X, p.lhs), p)
     jets = sorted({a for a in residual.atoms() if isinstance(a, Jet)}, key=lambda a: a.sort_key())
     groups = residual.collect(jets) if jets else ({ONE: residual} if not residual.is_zero else {})
     equations = []
@@ -157,13 +152,20 @@ def _reference_determining_equations(p):
     return unknowns, equations
 
 
-def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypatch):
+@pytest.mark.parametrize("direction", ["last", "first"])
+def test_determining_equations_match_the_eager_reference(doc, eager_eta_table, direction):
+    for p, _fields in _reference_pdes(doc):
+        det = determining_equations(p)
+        assert (det.unknowns, det.equations) == _reference_determining_equations(p, eager_eta_table, direction)
+
+
+def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypatch, eager_eta_table):
     from camchoi import symmetry
 
     monkeypatch.setattr(symmetry, "_GENERIC_PROLONGATIONS", {})
     rng = random.Random(17)
-    draws = {"alpha": [-2, -1, 0, 1, Fraction(1, 2)], "n": [2, 3, 4, 5],
-             "h0": [-3, 0, 1, Fraction(2, 3)], "beta": [-1, 1, Fraction(5, 2)]}
+    draws = {"alpha": [-2, -1, 0, 1, Fraction(1, 2)], "h0": [-3, 0, 1, Fraction(2, 3)],
+             "beta": [-1, 1, Fraction(5, 2)]}
     pdes = []
     for name in ("cc", "gcc", "cc19", "eq33"):
         base = pde(doc, name)
@@ -173,6 +175,9 @@ def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypat
                 if doc.params[q] in base.lhs.atoms() and rng.random() < 0.7:
                     p = p.with_parameter(doc.params[q], rng.choice(draws[q]))
             pdes.append(p)
+    # gcc with its exponent generic and bound to 2..5 (n is not an atom of the lhs)
+    gcc = pde(doc, "gcc")
+    pdes += [gcc] + [gcc.with_parameter(N_SYMBOL, k) for k in (2, 3, 4, 5)]
     # Burgers' equation on jet spaces that differ only in the order of the
     # independents, or only in the name of the dependent
     t, x = Sym("t", VARIABLE), Sym("x", VARIABLE)
@@ -182,12 +187,33 @@ def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypat
         uxx = ctx.jet_expr(tuple(2 * c for c in ctx.unit(x)))
         pdes += [expand_pde(ctx, ut + Expr.atom(ctx.dependent) * ux - uxx, name="burgers")] * 2
     rng.shuffle(pdes)
-    for p in pdes:
-        det = determining_equations(p)
-        assert (det.unknowns, det.equations) == _reference_determining_equations(p)
+    refs = [_reference_determining_equations(p, eager_eta_table) for p in pdes]
     spaces = {(p.ctx.independents, p.ctx.dependent) for p in pdes}
     assert len(spaces) == 5
-    assert set(symmetry._GENERIC_PROLONGATIONS) == spaces
+
+    def run(order):
+        for i in order:
+            det = determining_equations(pdes[i])
+            assert (det.unknowns, det.equations) == refs[i]
+        assert set(symmetry._GENERIC_PROLONGATIONS) == spaces
+
+    run(range(len(pdes)))
+    warm = dict(symmetry._GENERIC_PROLONGATIONS)
+    run(reversed(range(len(pdes))))
+    assert symmetry._GENERIC_PROLONGATIONS == warm
+    symmetry._GENERIC_PROLONGATIONS.clear()
+    run(range(len(pdes)))
+
+
+EXP_OF_A_JET = os.path.join(os.path.dirname(__file__), "models", "exp_of_a_jet.model")
+
+
+def test_determining_equations_refuse_a_jet_inside_exp():
+    with open(EXP_OF_A_JET) as fh:
+        doc = parse_model(fh.read())
+    p = pde(doc, "expjet")
+    with pytest.raises(ExprError, match="^collect atom occurs inside an opaque application$"):
+        determining_equations(p)
 
 
 def test_check_symmetry_x4_exact(doc):
