@@ -708,28 +708,8 @@ class Expr:
         atomset = set(atoms)
         if not atomset:
             raise ExprError("collect needs a non-empty atom set")
-        groups: dict = {}
-        for mono, coeff in self.terms:
-            keypart = []
-            rest = []
-            for f in mono:
-                a = f[0]
-                if a in atomset:
-                    keypart.append(f)
-                else:
-                    rest.append(f)
-                    if a.__class__ is App and any(a.arg.contains(t) for t in atomset):
-                        raise ExprError("collect atom occurs inside an opaque application")
-            keypart = tuple(keypart)
-            rest = tuple(rest)
-            g = groups.get(keypart)
-            if g is None:
-                groups[keypart] = {rest: coeff}
-            else:
-                prev = g.get(rest)
-                g[rest] = coeff if prev is None else prev + coeff
         out = {}
-        for keypart, restmap in groups.items():
+        for keypart, restmap in _split_terms(self.terms, atomset.__contains__).items():
             keyexpr = Expr(((keypart, 1),))
             val = Expr._from_map(restmap)
             if not val.is_zero:
@@ -858,6 +838,31 @@ def _mul_monos(m1: Mono, m2: Mono):
     items.extend(m1[i:])
     items.extend(m2[j:])
     return tuple(items), extra
+
+
+def _split_terms(terms, is_key: Callable) -> dict:
+    """Group (monomial, coefficient) pairs with distinct monomials by their
+    factors over the key atoms: {key part: {rest: coefficient}}, both parts
+    monomials and zero coefficients dropped.
+
+    A key atom inside an exp/tanh argument cannot be split off and is refused.
+    """
+    groups: dict = {}
+    for mono, coeff in terms:
+        if not coeff:
+            continue
+        keypart = []
+        rest = []
+        for f in mono:
+            a = f[0]
+            if is_key(a):
+                keypart.append(f)
+            else:
+                rest.append(f)
+                if a.__class__ is App and any(is_key(b) for b in a.arg.atoms()):
+                    raise ExprError("collect atom occurs inside an opaque application")
+        groups.setdefault(tuple(keypart), {})[tuple(rest)] = coeff
+    return groups
 
 
 def _invert_monomial(e: Expr) -> Expr:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
-    App,
     Expr,
     ExprError,
     Func,
@@ -18,6 +17,7 @@ from .expr import (
     _mono_sort_key,
     _mul_monos,
     _power_of,
+    _split_terms,
     as_expr,
     derivative_table,
 )
@@ -102,9 +102,7 @@ class ProlongedField:
     ``eta(J)`` computes eta^[J] through the shared ``derivative_table``
     recursion, eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off
     the last variable of J; the D_i xi^j are memoised per variable i.  The
-    result does not depend on the decomposition of J.  ``applied``, None
-    unless the prolongation is shared, keeps pr X of each equation monomial
-    met so far (see ``_residual_terms``).
+    result does not depend on the decomposition of J.
     """
 
     def __init__(self, base: VectorField, order: int):
@@ -124,7 +122,6 @@ class ProlongedField:
             return e
 
         self.eta = derivative_table(base.eta, step)
-        self.applied: Optional[Dict[tuple, list]] = None
 
 
 def prolong(X: VectorField, order: int) -> ProlongedField:
@@ -162,9 +159,7 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
     """pr X (lhs) on the solution manifold as a raw {monomial: coefficient}
     map, zero sums kept, for a pde of order at most MAX_PROLONG_ORDER.
 
-    pr X (lhs) is one ``derive_terms`` pass, or, where P keeps the memo
-    ``P.applied`` (a shared generic prolongation), pr X of each lhs monomial
-    with coefficient 1, derived once and multiplied by the coefficient.  A
+    pr X (lhs) is one ``derive_terms`` pass, and in each of its terms the
     factor u_L^e of the leading derivative is replaced by leading_rhs^e.  u_L
     only occurs as such a factor: expand_pde refuses it inside exp/tanh, and
     pr X brings no jet into an argument.  This is
@@ -175,38 +170,25 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
     if order > MAX_PROLONG_ORDER:
         raise SymmetryError("pde %s is of order %d; prolongation is implemented up to order %d"
                             % (pde.name, order, MAX_PROLONG_ORDER))
-    d, memo = _derivation(P), P.applied
-    if memo is None:
-        pieces = [(pde.lhs.derive_terms(d).items(), 1)]
-    else:
-        pieces = []
-        for mono, coeff in pde.lhs.terms:
-            applied = memo.get(mono)
-            if applied is None:
-                applied = memo[mono] = [t for t in Expr(((mono, 1),)).derive_terms(d).items() if t[1]]
-            pieces.append((applied, coeff))
     leading, m = pde.leading, {}
-    for applied, coeff in pieces:
-        factors = {}  # the exponent e of u_L in a term (None without u_L) -> coeff * leading_rhs^e
-        for mono1, c1 in applied:
-            e = None
-            for i, (a, x) in enumerate(mono1):
-                if a is leading:
-                    mono1, e = mono1[:i] + mono1[i + 1 :], x
-                    break
-            if e is None and coeff == 1:
-                prev = m.get(mono1)
-                m[mono1] = c1 if prev is None else prev + c1
-                continue
-            r = factors.get(e)
-            if r is None:
-                power = ONE if e is None else _power_of(pde.leading_rhs, e)
-                r = factors[e] = power.terms if coeff == 1 else [(m2, coeff * c2) for m2, c2 in power.terms]
-            for mono2, c2 in r:
-                mono3, extra = _mul_monos(mono1, mono2)
-                c = c1 * c2 if extra == 1 else c1 * c2 * extra
-                prev = m.get(mono3)
-                m[mono3] = c if prev is None else prev + c
+    powers = {}  # the exponent e of u_L in a term -> the terms of leading_rhs^e
+    for mono1, c1 in pde.lhs.derive_terms(_derivation(P)).items():
+        for i, (a, e) in enumerate(mono1):
+            if a is leading:
+                break
+        else:
+            prev = m.get(mono1)
+            m[mono1] = c1 if prev is None else prev + c1
+            continue
+        power = powers.get(e)
+        if power is None:
+            power = powers[e] = _power_of(pde.leading_rhs, e).terms
+        rest = mono1[:i] + mono1[i + 1 :]
+        for mono2, c2 in power:
+            mono3, extra = _mul_monos(rest, mono2)
+            c = c1 * c2 if extra == 1 else c1 * c2 * extra
+            prev = m.get(mono3)
+            m[mono3] = c if prev is None else prev + c
     return m
 
 
@@ -255,21 +237,7 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
         X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
                         Expr.atom(unknowns[-1]), name="generic")
         P = _GENERIC_PROLONGATIONS[space] = prolong(X, MAX_PROLONG_ORDER)
-        P.applied = {}
-    groups: Dict[tuple, dict] = {}
-    for mono, coeff in _residual_terms(P, pde).items():
-        if not coeff:
-            continue
-        jets, rest = [], []
-        for f in mono:
-            a = f[0]
-            if a.__class__ is Jet:
-                jets.append(f)
-            else:
-                rest.append(f)
-                if a.__class__ is App and any(b.__class__ is Jet for b in a.arg.atoms()):
-                    raise ExprError("collect atom occurs inside an opaque application")
-        groups.setdefault(tuple(jets), {})[tuple(rest)] = coeff
+    groups = _split_terms(_residual_terms(P, pde).items(), lambda a: a.__class__ is Jet)
     equations = list(dict.fromkeys(Expr._from_map(g).content_normalized() for g in groups.values()))
     equations.sort(key=lambda e: e.key())
     return DeterminingSystem(unknowns, equations, pde)
