@@ -22,6 +22,9 @@ Kernel invariants:
   key, and a RatPow never carries an integer exponent.  Sums merge the two
   term tuples; each atom computes its sort key once, and each distinct
   monomial once (``_MONO_KEYS``).
+* An Expr holds only its terms and its printed string, made on first use.
+  Monomial keys live only in ``_MONO_KEYS``; ``key()`` is built on demand
+  and the hash is that of the terms.
 * A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
   atoms, ``ONE`` and ``collect`` keys store an int where the value is
   integral, ``content_normalized`` leaves coprime ints, and arithmetic may
@@ -346,14 +349,11 @@ def _mono_sort_key(mono: Mono):
 class Expr:
     """Canonical expression; construct through the module helpers and operators."""
 
-    __slots__ = ("terms", "_hash", "_key", "_str", "_mkeys")
+    __slots__ = ("terms", "_str")
 
-    def __init__(self, terms: tuple, mkeys: Optional[list] = None):
+    def __init__(self, terms: tuple):
         self.terms = terms
-        self._hash = None
-        self._key = None
         self._str = None
-        self._mkeys = mkeys
 
     # -- construction -------------------------------------------------------
 
@@ -361,13 +361,7 @@ class Expr:
     def _from_map(m: dict) -> "Expr":
         items = [(_mono_sort_key(mono), mono, c) for mono, c in m.items() if c != 0]
         items.sort(key=itemgetter(0), reverse=True)
-        return Expr(tuple([(mono, c) for _k, mono, c in items]), [k for k, _m, _c in items])
-
-    def _mono_keys(self) -> list:
-        """The ``_mono_sort_key`` of each term, computed once per Expr."""
-        if self._mkeys is None:
-            self._mkeys = [_mono_sort_key(mono) for mono, _ in self.terms]
-        return self._mkeys
+        return Expr(tuple([(mono, c) for _k, mono, c in items]))
 
     @staticmethod
     def rational(q) -> "Expr":
@@ -418,12 +412,7 @@ class Expr:
         return any(a == atom for a in self.atoms())
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(
-                (_mono_sort_key(mono)[2], c.numerator, c.denominator)
-                for mono, c in self.terms
-            )
-        return self._key
+        return tuple([(_mono_sort_key(mono)[2], c.numerator, c.denominator) for mono, c in self.terms])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
@@ -434,9 +423,7 @@ class Expr:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.terms)
 
     # -- ring operations -----------------------------------------------------
 
@@ -448,40 +435,34 @@ class Expr:
             return self
         if not ta:
             return other
-        ka, kb = self._mono_keys(), other._mono_keys()
+        ka = [_mono_sort_key(mono) for mono, _ in ta]
+        kb = [_mono_sort_key(mono) for mono, _ in tb]
         na, nb = len(ta), len(tb)
-        terms, keys = [], []
+        terms = []
         i = j = 0
         while i < na and j < nb:
             x, y = ka[i], kb[j]
             if x > y:
                 terms.append(ta[i])
-                keys.append(x)
                 i += 1
             elif x < y:
                 terms.append(tb[j])
-                keys.append(y)
                 j += 1
             else:
                 mono, c = ta[i]
                 c = c + tb[j][1]
                 if c:
                     terms.append((mono, c))
-                    keys.append(x)
                 i += 1
                 j += 1
-        if i < na:
-            terms.extend(ta[i:])
-            keys.extend(ka[i:])
-        elif j < nb:
-            terms.extend(tb[j:])
-            keys.extend(kb[j:])
-        return Expr(tuple(terms), keys)
+        terms.extend(ta[i:])
+        terms.extend(tb[j:])
+        return Expr(tuple(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple([(mono, -c) for mono, c in self.terms]), self._mkeys)
+        return Expr(tuple([(mono, -c) for mono, c in self.terms]))
 
     def __sub__(self, other) -> "Expr":
         return self + (-as_expr(other))
@@ -671,7 +652,7 @@ class Expr:
         once.  Returns self when nothing is replaced.
         """
         kept, changed = [], {}
-        for i, (mono, coeff) in enumerate(self.terms):
+        for mono, coeff in self.terms:
             rest, product = [], None
             for a, e in mono:
                 r = replace(a, e)
@@ -684,7 +665,7 @@ class Expr:
                 else:
                     product = r if product is None else product * r
             if product is None:
-                kept.append(i)
+                kept.append((mono, coeff))
                 continue
             rest = tuple(rest)
             for mono2, c2 in product.terms:
@@ -694,8 +675,7 @@ class Expr:
                 changed[m] = c if prev is None else prev + c
         if len(kept) == len(self.terms):
             return self
-        terms, keys = self.terms, self._mono_keys()
-        return Expr(tuple([terms[i] for i in kept]), [keys[i] for i in kept]) + Expr._from_map(changed)
+        return Expr(tuple(kept)) + Expr._from_map(changed)
 
     # -- structure -----------------------------------------------------------
 
@@ -744,8 +724,7 @@ class Expr:
                 den = den * d // gcd(den, d)
         if self.terms[0][1] < 0:
             num = -num
-        return Expr(tuple([(mono, c.numerator * (den // c.denominator) // num) for mono, c in self.terms]),
-                    self._mkeys)
+        return Expr(tuple([(mono, c.numerator * (den // c.denominator) // num) for mono, c in self.terms]))
 
     def max_jet_order(self) -> int:
         best = 0
@@ -859,8 +838,11 @@ def _split_terms(terms, is_key: Callable) -> dict:
                 keypart.append(f)
             else:
                 rest.append(f)
-                if a.__class__ is App and any(is_key(b) for b in a.arg.atoms()):
-                    raise ExprError("collect atom occurs inside an opaque application")
+                if a.__class__ is App:
+                    for b in a.arg.atoms():
+                        if is_key(b):
+                            raise ExprError("%s occurs inside %s and cannot be split off"
+                                            % (_format_atom(b), _format_atom(a)))
         groups.setdefault(tuple(keypart), {})[tuple(rest)] = coeff
     return groups
 

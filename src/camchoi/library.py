@@ -24,6 +24,7 @@ from .modelfile import (
 from .odes import IntegratorConfig, compile_rhs, integrate
 from .reduction import (
     Ansatz,
+    ReductionError,
     check_first_integral,
     compare_reduced,
     compose_ansatz,
@@ -212,6 +213,8 @@ def observe_closed_form(doc: ModelDocument, label: str, eq_name: str, sol_name: 
     vanish."""
     eq = doc.equation_of(doc.find(eq_name))
     blk = doc.block(SolutionBlock, sol_name)
+    eq.ctx.check_same_space(doc.equation_of(doc.find(blk.on)).ctx, ReductionError,
+                            "equation " + eq.name, "solution " + sol_name)
     res, cons = verify_closed_form(eq, blk.sol, blk.rules, blk.bindings)
     detail = {"residual": str(res)}
     if res.is_zero:

@@ -391,6 +391,7 @@ def check_first_integral(eq, fi: FirstIntegralCandidate) -> Expr:
     top derivative is cancelled by cross multiplication with the equation's
     top coefficient, and the remainder is reduced modulo fi itself.
     """
+    eq.ctx.check_same_space(fi.ctx, ReductionError, "equation " + eq.name, "candidate " + fi.name)
     ctx = fi.ctx
     var = _single_var(ctx)
     eq_lhs = eq.lhs

@@ -325,7 +325,8 @@ def _component_rows(fields: List[VectorField], target: VectorField):
     rows: List[List[Expr]] = []
     rhs: List[Expr] = []
     for column in zip(*(f.components() for f in list(fields) + [target])):
-        splits = [_split_by_nonparameters(e) for _slot, e in column]
+        splits = [{key: Expr._from_map(rest) for key, rest in _split_terms(e.terms, _not_a_parameter).items()}
+                  for _slot, e in column]
         keys = sorted(set().union(*splits), key=lambda kk: _mono_sort_key(kk)[2])
         for key in keys:
             rows.append([split.get(key, ZERO) for split in splits[:-1]])
@@ -333,14 +334,8 @@ def _component_rows(fields: List[VectorField], target: VectorField):
     return rows, rhs
 
 
-def _split_by_nonparameters(e: Expr) -> dict:
-    out: dict = {}
-    for mono, coeff in e.terms:
-        key = tuple((a, x) for a, x in mono if not (isinstance(a, Sym) and a.kind == PARAMETER))
-        rest = tuple((a, x) for a, x in mono if isinstance(a, Sym) and a.kind == PARAMETER)
-        cur = out.get(key, ZERO)
-        out[key] = cur + Expr(((rest, coeff),))
-    return {k: v for k, v in out.items() if not v.is_zero}
+def _not_a_parameter(a) -> bool:
+    return not (a.__class__ is Sym and a.kind == PARAMETER)
 
 
 def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposition:

@@ -85,7 +85,7 @@ EXP_OF_A_JET = os.path.join(os.path.dirname(__file__), "models", "exp_of_a_jet.m
 
 def test_determining_refuses_a_jet_inside_exp(capsys):
     code, out, err = run(capsys, "determining", EXP_OF_A_JET, "expjet")
-    assert (code, out, err) == (2, "", "error: collect atom occurs inside an opaque application\n")
+    assert (code, out, err) == (2, "", "error: u[x] occurs inside exp(u[x]) and cannot be split off\n")
 
 
 @pytest.mark.parametrize("field, code, lines", [
@@ -467,13 +467,19 @@ def test_reduce_rejects_a_rank_deficient_ansatz(capsys, tmp_path):
     assert (code, err) == (2, "error: ansatz flat has a rank-deficient Jacobian\n")
 
 
-# Z3, Z1 and the eq33 equation live on (t, w; U); X1, X2, cc and cc18 on (t, x, y; u).
+# Z3, Z1, the eq33 equation and the cc24 solution live on (t, w; U); X1, X2, cc and
+# cc18 on (t, x, y; u); the cc26 candidate on (w; Y) and the eq37 equation on (zeta; H).
 @pytest.mark.parametrize("argv, message", [
     (("check-symmetry", "builtin", "Z3", "cc"), "field Z3 is on (t, w; U) but pde cc is on (t, x, y; u)"),
     (("check-symmetry", "builtin", "X2", "cc19"), "field X2 is on (t, x, y; u) but pde cc19 is on (t, w; U)"),
     (("commutators", "builtin", "X1", "Z1"), "field X1 is on (t, x, y; u) but field Z1 is on (t, w; U)"),
     (("reduce", "builtin", "eq33", "cc18"), "pde eq33 is on (t, w; U) but ansatz cc18 is on (t, x, y; u)"),
-], ids=["field off the pde", "field off the reduced pde", "bracket across spaces", "ansatz off the pde"])
+    (("solution-check", "builtin", "cc", "cc24"),
+     "equation cc is on (t, x, y; u) but solution cc24 is on (t, w; U)"),
+    (("first-integral", "builtin", "cc", "cc26"), "equation cc is on (t, x, y; u) but candidate cc26 is on (w; Y)"),
+    (("first-integral", "builtin", "eq37", "cc26"), "equation eq37 is on (zeta; H) but candidate cc26 is on (w; Y)"),
+], ids=["field off the pde", "field off the reduced pde", "bracket across spaces", "ansatz off the pde",
+        "solution off its equation", "candidate off the pde", "candidate off the reduced equation"])
 def test_mixed_jet_spaces_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)

@@ -369,6 +369,17 @@ def test_first_integral_order_gap_validation(doc):
         check_first_integral(eq, bad)
 
 
+@pytest.mark.parametrize("eq_name, message", [
+    ("cc", r"^equation cc is on \(t, x, y; u\) but candidate cc26 is on \(w; Y\)$"),
+    ("eq37", r"^equation eq37 is on \(zeta; H\) but candidate cc26 is on \(w; Y\)$"),
+])
+def test_first_integral_refuses_another_jet_space(doc, eq_name, message):
+    eq = doc.equation_of(doc.find(eq_name))
+    fi = doc.block(IntegralBlock, "cc26").candidate
+    with pytest.raises(ReductionError, match=message):
+        check_first_integral(eq, fi)
+
+
 # -- closed forms ----------------------------------------------------------------
 
 

@@ -212,7 +212,7 @@ def test_determining_equations_refuse_a_jet_inside_exp():
     with open(EXP_OF_A_JET) as fh:
         doc = parse_model(fh.read())
     p = pde(doc, "expjet")
-    with pytest.raises(ExprError, match="^collect atom occurs inside an opaque application$"):
+    with pytest.raises(ExprError, match=r"^u\[x\] occurs inside exp\(u\[x\]\) and cannot be split off$"):
         determining_equations(p)
 
 
