@@ -40,7 +40,6 @@ from .symmetry import (
 from .reduction import (
     Ansatz,
     CompareReport,
-    FirstIntegralCandidate,
     ReducedEquation,
     ReductionError,
     SolutionRule,

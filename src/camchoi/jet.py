@@ -125,12 +125,10 @@ def total_derivative(e: Expr, v: Sym, ctx: Context) -> Expr:
 class Pde:
     """lhs = 0 with a designated leading derivative solved as leading = leading_rhs."""
 
-    def __init__(self, ctx: Context, lhs: Expr, leading: Jet, leading_coeff: Expr, leading_rhs: Expr,
-                 name: str = ""):
+    def __init__(self, ctx: Context, lhs: Expr, leading: Jet, leading_rhs: Expr, name: str = ""):
         self.ctx = ctx
         self.lhs = lhs
         self.leading = leading
-        self.leading_coeff = leading_coeff
         self.leading_rhs = leading_rhs
         self.name = name
 
@@ -159,8 +157,7 @@ def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
     for a in coeff.atoms():
         if not (isinstance(a, Sym) and a.kind == PARAMETER):
             raise JetError("leading coefficient %s is not a parameter monomial" % coeff)
-    leading_rhs = (-rest) / coeff
-    return Pde(ctx, lhs, leading, coeff, leading_rhs, name=name)
+    return Pde(ctx, lhs, leading, (-rest) / coeff, name=name)
 
 
 def on_manifold(e: Expr, pde: Pde) -> Expr:

@@ -7,7 +7,7 @@ import importlib.resources as resources
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import DEPENDENT, Expr, Func, Sym, VARIABLE, ZERO
+from .expr import Expr, Func, Sym, VARIABLE, ZERO
 from .jet import Context, Pde
 from .modelfile import (
     AnsatzBlock,
@@ -198,7 +198,7 @@ def observe_reduction(doc: ModelDocument, label: str, pde_name: str, ansatz_name
 def observe_first_integral(doc: ModelDocument, label: str, eq_name: str, fi_name: str) -> CaseResult:
     """Residual of the quadrature candidate fi_name against equation eq_name."""
     eq = doc.equation_of(doc.find(eq_name))
-    r = check_first_integral(eq, doc.block(IntegralBlock, fi_name).candidate)
+    r = check_first_integral(eq, doc.block(IntegralBlock, fi_name))
     detail = {"residual": str(r)}
     if r.is_zero:
         return CaseResult(label, "first-integral", "pass", detail)
@@ -611,18 +611,17 @@ def _run_chain(doc: ModelDocument) -> CaseResult:
     a1 = doc.block(AnsatzBlock, "cc18").ansatz
     mid = pullback(cc, a1).to_pde()
     alpha = Expr.atom(doc.params["alpha"])
-    s, Y = Sym("s", VARIABLE), Sym("Y", DEPENDENT)
+    s = Sym("s", VARIABLE)
     fY = Func("Y", (s,))
     w = a1.new_independent[1][0]
     t = a1.new_independent[0][0]
-    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Y, fY,
-                Expr.atom(fY) + 1 + alpha, name="travel")
+    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], fY, Expr.atom(fY) + 1 + alpha, name="travel")
     two_step = pullback(mid, a2)
     composed = pullback(cc, compose_ansatz(a1, a2))
     ctx = cc.ctx
     tt, xx, yy = ctx.independents
-    direct_a = Ansatz(ctx, [(s, Expr.atom(yy) - Expr.atom(xx) - Expr.atom(tt))],
-                      Y, fY, Expr.atom(fY) + 1 + alpha, name="direct")
+    direct_a = Ansatz(ctx, [(s, Expr.atom(yy) - Expr.atom(xx) - Expr.atom(tt))], fY, Expr.atom(fY) + 1 + alpha,
+                      name="direct")
     direct = pullback(cc, direct_a)
     ok = two_step.lhs == direct.lhs == composed.lhs
     return CaseResult("chain", "reduction", "pass" if ok else "fail",
@@ -632,7 +631,7 @@ def _run_chain(doc: ModelDocument) -> CaseResult:
 def _run_eq36(doc: ModelDocument) -> CaseResult:
     blk = doc.block(AnsatzBlock, "eq36")
     return CaseResult("eq.36", "reduction", "unsupported",
-                      {"invariant": str(blk.ansatz.new_independent[0][1]), "note": blk.ansatz.note})
+                      {"invariant": str(blk.ansatz.new_independent[0][1]), "note": blk.note})
 
 
 def _run_fi_eq38(doc: ModelDocument) -> CaseResult:
@@ -640,8 +639,7 @@ def _run_fi_eq38(doc: ModelDocument) -> CaseResult:
     out = {}
     ledger = []
     for nm in ("eq38", "eq38alt"):
-        fi = doc.block(IntegralBlock, nm).candidate
-        r = check_first_integral(eq, fi)
+        r = check_first_integral(eq, doc.block(IntegralBlock, nm))
         out[nm] = str(r)
         if not r.is_zero:
             ledger.append(LedgerEntry("eq.38", "d(%s) against eq37" % nm, nm, "eq37", str(r),

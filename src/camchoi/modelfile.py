@@ -25,7 +25,7 @@ from .expr import (
 )
 from .jet import Context, _introduce, expand_pde, total_derivative
 from .odes import METHODS
-from .reduction import Ansatz, FirstIntegralCandidate, ReducedEquation, SolutionRule
+from .reduction import Ansatz, ReducedEquation, SolutionRule
 from .symmetry import VectorField
 
 
@@ -154,13 +154,11 @@ class FuncDecl:
         return other.__class__ is FuncDecl and (self.name, self.args) == (other.name, other.args)
 
 
-class EquationBlock:
+class EquationBlock(ReducedEquation):
     """lhs = 0 in the jet context ctx: the record of every equation block kind."""
 
     def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
-        self.name = name
-        self.ctx = ctx
-        self.lhs = lhs
+        super().__init__(ctx, lhs, name)
         self.note = note
         self.constants = constants  # integral blocks only
 
@@ -186,10 +184,6 @@ class ReducedBlock(EquationBlock):
 
 class IntegralBlock(EquationBlock):
     kind = "integral"
-
-    @property
-    def candidate(self) -> FirstIntegralCandidate:
-        return FirstIntegralCandidate(self.ctx, self.lhs, self.constants, self.name)
 
 
 class OdeBlock(EquationBlock):
@@ -302,10 +296,10 @@ class ModelDocument:
         raise ModelLookupError("no block named %r" % name)
 
     def equation_of(self, block) -> ReducedEquation:
-        """A ReducedEquation view of pde, reduced, integral, or ode blocks."""
+        """A pde, reduced, integral, or ode block itself, which is its equation."""
         if not isinstance(block, EquationBlock):
             raise ModelLookupError("block %r has no equation" % block.name)
-        return ReducedEquation(block.ctx, block.lhs, block.name)
+        return block
 
 
 def _normalize_name(name: str) -> str:
@@ -580,13 +574,11 @@ class _Parser:
         got = self._clauses({"var": var, "sub": sub, "inverse": inverse})
         if not new_vars:
             self.error("ansatz needs at least one var clause")
-        func = dep = rule = None
+        func = rule = None
         if "sub" in got:
             sub_tok, rule = got["sub"]
-            func, dep = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars), sub_tok)
-        note = got.get("note", "")
-        ansatz = Ansatz(src, new_vars, dep, func, rule, hints, name=name, note=note)
-        return AnsatzBlock(name, on.value, ansatz, note)
+            func = _detect_ansatz_function(rule, tuple(v for v, _ in new_vars), sub_tok)
+        return AnsatzBlock(name, on.value, Ansatz(src, new_vars, func, rule, hints, name=name), got.get("note", ""))
 
     def _solution_block(self, doc, cls, name, on):
         scope = self._on_scope(doc, cls, on)
@@ -799,8 +791,7 @@ def _detect_ansatz_function(rule: Expr, new_vars: tuple, sub: Token):
             "the dependent rule must use exactly one new function of the new variables",
             sub.line, sub.col,
         )
-    fn = next(iter(candidates.values()))
-    return fn, Sym(fn.name, DEPENDENT)
+    return next(iter(candidates.values()))
 
 
 class _Scope:

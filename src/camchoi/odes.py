@@ -26,22 +26,20 @@ METHODS = ("adaptive-rk45", "fixed-rk4")
 
 
 class OdeSystem:
-    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object],
-                 params: Dict[Sym, float], name: str = "", _solved: Optional["_SolvedOde"] = None):
-        self.ctx = ctx
-        self.order = order
-        self.rhs = rhs  # d state_i / d indep as expressions in state, indep, params
-        self.state_atoms = state_atoms
+    """An equation's shared solved entry with parameter values bound; its
+    context, order, right-hand sides and state atoms are the entry's."""
+
+    def __init__(self, solved: "_SolvedOde", params: Dict[Sym, float], name: str = ""):
+        self._solved = solved
+        self.ctx, self.order, self.rhs, self.state_atoms = solved.ctx, solved.order, solved.rhs, solved.state_atoms
         self.params = params
         self.name = name
         self._fn: Optional[Callable] = None  # the compiled right-hand side, built by compiled()
         self._rk4 = self._rkf45 = None  # the generated integrators, built beside _fn
-        self._solved = _solved  # the equation's shared entry; None for a system built directly
 
     def compiled(self) -> Callable:
         if self._fn is None:
-            solved = self._solved or _SolvedOde(self.ctx, self.order, self.rhs, self.state_atoms)
-            self._fn, self._rk4, self._rkf45 = solved.bind(self.params)
+            self._fn, self._rk4, self._rkf45 = self._solved.bind(self.params)
         return self._fn
 
 
@@ -53,7 +51,8 @@ class _SolvedOde:
     is generated on the first bind and its source holds no parameter value.
     """
 
-    def __init__(self, ctx: Context, order: int, rhs: List[Expr], state_atoms: List[object], n: Optional[int] = None):
+    def __init__(self, ctx: Context, order: int, rhs: Tuple[Expr, ...], state_atoms: Tuple[object, ...],
+                 n: Optional[int]):
         self.ctx = ctx
         self.n = n
         self.order = order
@@ -102,9 +101,7 @@ def compile_rhs(ctx: Context, lhs: Expr, params: Dict[Sym, object], name: str = 
     for p in solved.params:
         if p not in values:
             raise OdeError("unbound parameter %s" % Expr.atom(p))
-    # each system gets its own lists, so a caller's edit cannot reach the table
-    return OdeSystem(ctx, solved.order, list(solved.rhs), list(solved.state_atoms), values,
-                     name=name, _solved=solved)
+    return OdeSystem(solved, values, name=name)
 
 
 def _finite_float(p: Sym, v: object) -> float:
@@ -148,10 +145,8 @@ def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
     if not coeff.is_monomial():
         raise OdeError("nonlinear in highest derivative: coefficient %s" % coeff)
 
-    state_atoms: List[object] = [ctx.dependent]
-    for k in range(1, order):
-        state_atoms.append(ctx.jet((k,)))
-    rhs = [Expr.atom(a) for a in state_atoms[1:]] + [(-rest) / coeff]
+    state_atoms = (ctx.dependent,) + tuple(ctx.jet((k,)) for k in range(1, order))
+    rhs = tuple(Expr.atom(a) for a in state_atoms[1:]) + ((-rest) / coeff,)
     solved = _SOLVED_ODES[(ctx, e, n)] = _SolvedOde(ctx, order, rhs, state_atoms, n)
     return solved
 
@@ -370,15 +365,11 @@ class Trajectory:
     """An integration run.  A fixed-step run keeps only its endpoint and
     sample count: samples is None and the first read calls replay()."""
 
-    def __init__(self, samples: Optional[List[Tuple[float, Tuple[float, ...]]]], method: str,
-                 config: IntegratorConfig, params: Dict[str, float], accepted: int = 0, rejected: int = 0,
-                 flag: str = "", end: Optional[Tuple[float, Tuple[float, ...]]] = None,
+    def __init__(self, samples: Optional[List[Tuple[float, Tuple[float, ...]]]], accepted: int = 0,
+                 rejected: int = 0, flag: str = "", end: Optional[Tuple[float, Tuple[float, ...]]] = None,
                  replay: Optional[Callable] = None):
         self._samples, self._end, self._replay = samples, end, replay
         self.count = accepted + 1 if samples is None else len(samples)
-        self.method = method
-        self.config = config
-        self.params = params
         self.accepted = accepted
         self.rejected = rejected
         self.flag = flag
@@ -433,11 +424,8 @@ def integrate(sys: OdeSystem, ic: Sequence[float], cfg: IntegratorConfig) -> Tra
         if not math.isfinite(v):
             raise OdeError("right-hand side not finite at the initial point")
     if cfg.method == "fixed-rk4":
-        traj = _integrate_rk4(sys._rk4, y0, cfg)
-    else:
-        traj = _integrate_rkf45(sys._rkf45, y0, cfg)
-    traj.params = {k.name: v for k, v in sys.params.items()}
-    return traj
+        return _integrate_rk4(sys._rk4, y0, cfg)
+    return _integrate_rkf45(sys._rkf45, y0, cfg)
 
 
 def _integrate_rk4(rk4: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -458,7 +446,7 @@ def _integrate_rk4(rk4: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
         return samples
 
     flag = "" if all(math.isfinite(v) for v in y) else "non-finite"
-    return Trajectory(None, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag, end=(b, y), replay=replay)
+    return Trajectory(None, accepted=nsteps, flag=flag, end=(b, y), replay=replay)
 
 
 def _integrate_rkf45(rkf45: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -472,7 +460,7 @@ def _integrate_rkf45(rkf45: Callable, y0, cfg: IntegratorConfig) -> Trajectory:
     if not flag and samples[-1][0] != b:
         if abs(samples[-1][0] - b) < 1e-9 * span_len:
             samples[-1] = (b, samples[-1][1])
-    return Trajectory(samples, "adaptive-rk45", cfg, {}, accepted, rejected, flag)
+    return Trajectory(samples, accepted, rejected, flag)
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, xq):

@@ -7,6 +7,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
+    App,
     DEPENDENT,
     Exponent,
     Expr,
@@ -35,37 +36,35 @@ class Ansatz:
     """New independent variables as expressions of the old, plus a dependent rule.
 
     ``dependent_rule`` expresses the old dependent variable through a new
-    function symbol applied to the new variables.  It may be None for
-    catalogued substitutions that fall outside the representable fragment;
-    such an ansatz cannot be pulled back.  Two ansatz records are equal when
-    every field is.
+    function symbol ``func`` applied to the new variables; the new dependent
+    variable is the symbol of func's name.  Both may be None for catalogued
+    substitutions that fall outside the representable fragment; such an
+    ansatz cannot be pulled back.  Two ansatz records are equal when every
+    field is.
     """
 
-    def __init__(self, src: Context, new_independent: List[Tuple[Sym, Expr]], new_dep: Optional[Sym],
-                 func: Optional[Func], dependent_rule: Optional[Expr],
-                 inverse_hints: Optional[List[Tuple[Sym, Expr]]] = None, name: str = "", note: str = ""):
+    def __init__(self, src: Context, new_independent: List[Tuple[Sym, Expr]], func: Optional[Func],
+                 dependent_rule: Optional[Expr], inverse_hints: Optional[List[Tuple[Sym, Expr]]] = None,
+                 name: str = ""):
         self.src = src
         self.new_independent = new_independent
-        self.new_dep = new_dep
         self.func = func
         self.dependent_rule = dependent_rule
         self.inverse_hints = [] if inverse_hints is None else inverse_hints
         self.name = name
-        self.note = note
 
     def __eq__(self, other) -> bool:
         return (other.__class__ is Ansatz
-                and (self.src, self.new_independent, self.new_dep, self.func, self.dependent_rule,
-                     self.inverse_hints, self.name, self.note)
-                == (other.src, other.new_independent, other.new_dep, other.func, other.dependent_rule,
-                    other.inverse_hints, other.name, other.note))
+                and (self.src, self.new_independent, self.func, self.dependent_rule, self.inverse_hints, self.name)
+                == (other.src, other.new_independent, other.func, other.dependent_rule, other.inverse_hints,
+                    other.name))
 
     def new_context(self) -> Context:
-        if self.new_dep is None:
+        if self.func is None:
             raise ReductionError("ansatz %s has no dependent rule" % self.name)
         return Context(
             tuple(v for v, _ in self.new_independent),
-            self.new_dep,
+            Sym(self.func.name, DEPENDENT),
             self.src.parameters,
         )
 
@@ -96,6 +95,8 @@ def jacobian_rank_ok(a: Ansatz) -> bool:
 
 
 class ReducedEquation:
+    """lhs = 0 in the jet context ctx."""
+
     def __init__(self, ctx: Context, lhs: Expr, name: str = ""):
         self.ctx = ctx
         self.lhs = lhs
@@ -106,14 +107,6 @@ class ReducedEquation:
 
     def to_pde(self) -> Pde:
         return expand_pde(self.ctx, self.lhs, name=self.name)
-
-
-class FirstIntegralCandidate:
-    def __init__(self, ctx: Context, lhs: Expr, constants: Tuple[Sym, ...] = (), name: str = ""):
-        self.ctx = ctx
-        self.lhs = lhs
-        self.constants = constants
-        self.name = name
 
 
 # -- invariants of translation and scaling generators -------------------------
@@ -204,9 +197,9 @@ def invariants_for(
     taken = {s.name: s for s in ctx.independents + ctx.parameters + (ctx.dependent,)}
     for name in names[:len(moving) - 1]:
         _introduce(taken, name, Sym(name, VARIABLE), "new variable", ReductionError)
-    dep = _introduce(taken, dep_name, Sym(dep_name, DEPENDENT), "dep_name", ReductionError)
+    _introduce(taken, dep_name, Sym(dep_name, DEPENDENT), "dep_name", ReductionError)
     fn = Func(dep_name, tuple(v for v, _ in new_vars))
-    return Ansatz(ctx, new_vars, dep, fn, shift + Expr.atom(fn) * scale, hints,
+    return Ansatz(ctx, new_vars, fn, shift + Expr.atom(fn) * scale, hints,
                   name="invariants(%s)" % (X.name or "X"))
 
 
@@ -315,7 +308,6 @@ def compose_ansatz(a1: Ansatz, a2: Ansatz, name: str = "") -> Ansatz:
     return Ansatz(
         a1.src,
         new_independent,
-        a2.new_dep,
         a2.func,
         rule,
         [],
@@ -327,10 +319,9 @@ def compose_ansatz(a1: Ansatz, a2: Ansatz, name: str = "") -> Ansatz:
 
 
 class CompareReport:
-    def __init__(self, verdict: str, residual: Expr, substitution: Optional[List[Tuple[Sym, Expr]]] = None):
+    def __init__(self, verdict: str, residual: Expr):
         self.verdict = verdict  # exact | constant-multiple | under-substitution | mismatch
         self.residual = residual
-        self.substitution = substitution
 
 
 def compare_reduced(
@@ -338,6 +329,7 @@ def compare_reduced(
     printed: ReducedEquation,
     substitutions: Optional[List[Tuple[Sym, Expr]]] = None,
 ) -> CompareReport:
+    derived.ctx.check_same_space(printed.ctx, ReductionError, "reduction " + derived.name, "equation " + printed.name)
     if derived.lhs == printed.lhs:
         return CompareReport("exact", ZERO)
     d = derived.normalized()
@@ -349,11 +341,11 @@ def compare_reduced(
         for s, val in substitutions:
             ps = ps.subst(s, val)
         if d == ps.content_normalized():
-            return CompareReport("under-substitution", ZERO, substitutions)
+            return CompareReport("under-substitution", ZERO)
         residual = (d - ps.content_normalized())
     else:
         residual = d - p
-    return CompareReport("mismatch", residual.content_normalized(), substitutions)
+    return CompareReport("mismatch", residual.content_normalized())
 
 
 # -- first integrals -----------------------------------------------------------
@@ -372,7 +364,7 @@ def _top_jet_coeff(e: Expr, ctx: Context, order: int) -> Expr:
     return split[0]
 
 
-def _solve_for_top(fi: FirstIntegralCandidate) -> Optional[Tuple[Jet, Expr]]:
+def _solve_for_top(fi: ReducedEquation) -> Optional[Tuple[Jet, Expr]]:
     order = fi.lhs.max_jet_order()
     if order == 0:
         return None
@@ -384,7 +376,7 @@ def _solve_for_top(fi: FirstIntegralCandidate) -> Optional[Tuple[Jet, Expr]]:
     return jet, (-rest) / coeff
 
 
-def check_first_integral(eq, fi: FirstIntegralCandidate) -> Expr:
+def check_first_integral(eq: ReducedEquation, fi: ReducedEquation) -> Expr:
     """Residual certifying fi as a first integral of eq (zero when it is one).
 
     The candidate is differentiated down to the order of the equation, the
@@ -454,7 +446,7 @@ def verify_closed_form(
     residual = out
     constraints: Dict[Expr, Expr] = {}
     if not residual.is_zero:
-        apps = {a for a in residual.atoms() if a.__class__.__name__ == "App"}
+        apps = {a for a in residual.atoms() if a.__class__ is App}
         if apps:
             constraints = residual.collect(apps)
         else:

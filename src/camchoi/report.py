@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .library import CaseResult
 
@@ -13,9 +13,9 @@ VERDICTS = ("pass", "fail", "mismatch-recorded", "unsupported")
 
 
 class Report:
-    def __init__(self, command: str, results: Optional[List[CaseResult]] = None):
+    def __init__(self, command: str):
         self.command = command
-        self.results = [] if results is None else results
+        self.results: List[CaseResult] = []
 
     def add(self, result: CaseResult) -> None:
         if result.verdict not in VERDICTS:

@@ -97,7 +97,7 @@ MAX_PROLONG_ORDER = 3
 
 
 class ProlongedField:
-    """The prolongation of a point generator up to ``order``, built on demand.
+    """The prolongation of a point generator up to MAX_PROLONG_ORDER, built on demand.
 
     ``eta(J)`` computes eta^[J] through the shared ``derivative_table``
     recursion, eta^[J+i] = D_i eta^[J] - sum_j u_{J+j} D_i xi^j, peeling off
@@ -105,9 +105,8 @@ class ProlongedField:
     result does not depend on the decomposition of J.
     """
 
-    def __init__(self, base: VectorField, order: int):
+    def __init__(self, base: VectorField):
         self.base = base
-        self.order = order
         ctx = base.ctx
         dxi: Dict[int, List[Expr]] = {}
 
@@ -124,11 +123,9 @@ class ProlongedField:
         self.eta = derivative_table(base.eta, step)
 
 
-def prolong(X: VectorField, order: int) -> ProlongedField:
-    """Extend a point generator to jet space up to ``order``; see ProlongedField."""
-    if order > MAX_PROLONG_ORDER:
-        raise SymmetryError("prolongation is implemented up to order %d, not %d" % (MAX_PROLONG_ORDER, order))
-    return ProlongedField(X, order)
+def prolong(X: VectorField) -> ProlongedField:
+    """Extend a point generator to jet space; see ProlongedField."""
+    return ProlongedField(X)
 
 
 def _derivation(P: ProlongedField):
@@ -141,9 +138,9 @@ def _derivation(P: ProlongedField):
             return X.eta if a == ctx.dependent else X.xi.get(a, ZERO)
         if a.dep != ctx.dependent or a.ivars != ctx.independents:
             return ZERO
-        if a.order > P.order:
+        if a.order > MAX_PROLONG_ORDER:
             raise SymmetryError("%s is of order %d, beyond the prolongation order %d"
-                                % (Expr.atom(a), a.order, P.order))
+                                % (Expr.atom(a), a.order, MAX_PROLONG_ORDER))
         return P.eta(a.counts)
 
     return d
@@ -195,14 +192,13 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
 def check_symmetry(X: VectorField, pde: Pde) -> Expr:
     """Symmetry residual on the solution manifold; zero certifies a symmetry."""
     X.ctx.check_same_space(pde.ctx, SymmetryError, "field " + X.name, "pde " + pde.name)
-    return Expr._from_map(_residual_terms(prolong(X, MAX_PROLONG_ORDER), pde))
+    return Expr._from_map(_residual_terms(prolong(X), pde))
 
 
 class DeterminingSystem:
-    def __init__(self, unknowns: List[Func], equations: List[Expr], pde: Pde):
+    def __init__(self, unknowns: List[Func], equations: List[Expr]):
         self.unknowns = unknowns
         self.equations = equations
-        self.pde = pde
 
     def substitute_solution(self, rules: Dict[str, Expr]) -> List[Expr]:
         """Substitute concrete coefficient expressions for the unknown functions:
@@ -236,11 +232,11 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
     if P is None:
         X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
                         Expr.atom(unknowns[-1]), name="generic")
-        P = _GENERIC_PROLONGATIONS[space] = prolong(X, MAX_PROLONG_ORDER)
+        P = _GENERIC_PROLONGATIONS[space] = prolong(X)
     groups = _split_terms(_residual_terms(P, pde).items(), lambda a: a.__class__ is Jet)
     equations = list(dict.fromkeys(Expr._from_map(g).content_normalized() for g in groups.values()))
     equations.sort(key=lambda e: e.key())
-    return DeterminingSystem(unknowns, equations, pde)
+    return DeterminingSystem(unknowns, equations)
 
 
 def commutator(X: VectorField, Y: VectorField) -> VectorField:
@@ -351,9 +347,8 @@ def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposit
 
 
 class ClosureReport:
-    def __init__(self, basis: List[VectorField], table: Dict[Tuple[int, int], Tuple[VectorField, Decomposition]],
+    def __init__(self, table: Dict[Tuple[int, int], Tuple[VectorField, Decomposition]],
                  witnesses: List[Tuple[int, int, VectorField]]):
-        self.basis = basis
         self.table = table
         self.witnesses = witnesses
 
@@ -386,4 +381,4 @@ def closure_table(fields: List[VectorField]) -> ClosureReport:
             table[(i, j)] = (Z, dec)
             if not dec.ok:
                 witnesses.append((i, j, Z))
-    return ClosureReport(fields, table, witnesses)
+    return ClosureReport(table, witnesses)

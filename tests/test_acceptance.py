@@ -157,7 +157,7 @@ def test_criterion_6_first_integrals_and_closed_forms(doc, case_results):
 
     from camchoi.expr import DEPENDENT, PARAMETER, Sym, VARIABLE
     from camchoi.jet import Context, total_derivative
-    from camchoi.reduction import FirstIntegralCandidate, ReducedEquation
+    from camchoi.reduction import ReducedEquation
 
     # property: synthetically differentiated pairs certify, 100 instances
     rng = random.Random(61)
@@ -178,7 +178,7 @@ def test_criterion_6_first_integrals_and_closed_forms(doc, case_results):
         if eq.lhs.max_jet_order() != 2:
             continue
         count += 1
-        fi = FirstIntegralCandidate(rctx, fi_lhs, (c0,), "fi")
+        fi = ReducedEquation(rctx, fi_lhs, "fi")
         ok = ok and check_first_integral(eq, fi).is_zero
 
     # catalogued pairs: residuals pinned as golden values, recorded in ledgers
@@ -196,7 +196,7 @@ def test_criterion_6_first_integrals_and_closed_forms(doc, case_results):
     n = Expr.atom(N_SYMBOL)
     A = Expr.atom(doc.params["A"])
     alpha = Expr.atom(doc.params["alpha"])
-    fi35 = doc.block(IntegralBlock, "eq35").candidate
+    fi35 = doc.block(IntegralBlock, "eq35")
     want35 = ((n + 1) * (A + alpha + 4) * fi35.ctx.jet_expr((2,))).content_normalized()
     ok = ok and eq35.verdict == "mismatch-recorded" and eq35.detail["residual"] == str(want35)
     eq38 = case_results["eq.38"]

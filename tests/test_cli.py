@@ -69,6 +69,12 @@ def test_determining_output_is_pinned(capsys, pde, digest):
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_closure_of_the_six_field_set_is_pinned(capsys):
+    code, out, _ = run(capsys, "closure", "builtin", "X1p", "X2p", "X3p", "X4p", "X5p", "X6p")
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == "46ba76c8d4b6738ce780773ad27c6218"
+    assert code == 0
+
+
 @pytest.mark.parametrize("command", [["check-symmetry", "T", "kdv4"], ["determining", "kdv4"]])
 def test_fourth_order_pde_names_the_prolongation_limit(capsys, tmp_path, command):
     path = os.path.join(tmp_path, "kdv4.model")
@@ -474,12 +480,15 @@ def test_reduce_rejects_a_rank_deficient_ansatz(capsys, tmp_path):
     (("check-symmetry", "builtin", "X2", "cc19"), "field X2 is on (t, x, y; u) but pde cc19 is on (t, w; U)"),
     (("commutators", "builtin", "X1", "Z1"), "field X1 is on (t, x, y; u) but field Z1 is on (t, w; U)"),
     (("reduce", "builtin", "eq33", "cc18"), "pde eq33 is on (t, w; U) but ansatz cc18 is on (t, x, y; u)"),
+    (("reduce", "builtin", "cc", "cc18", "--printed", "cc25"),
+     "reduction cc|cc18 is on (t, w; U) but equation cc25 is on (w; Y)"),
     (("solution-check", "builtin", "cc", "cc24"),
      "equation cc is on (t, x, y; u) but solution cc24 is on (t, w; U)"),
     (("first-integral", "builtin", "cc", "cc26"), "equation cc is on (t, x, y; u) but candidate cc26 is on (w; Y)"),
     (("first-integral", "builtin", "eq37", "cc26"), "equation eq37 is on (zeta; H) but candidate cc26 is on (w; Y)"),
 ], ids=["field off the pde", "field off the reduced pde", "bracket across spaces", "ansatz off the pde",
-        "solution off its equation", "candidate off the pde", "candidate off the reduced equation"])
+        "printed off the reduction", "solution off its equation", "candidate off the pde",
+        "candidate off the reduced equation"])
 def test_mixed_jet_spaces_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)

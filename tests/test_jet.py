@@ -80,7 +80,8 @@ def test_cc_leading_and_rhs():
 def test_gcc_leading_with_parameter_coefficient():
     pde = gcc_pde()
     assert pde.leading == ctx.jet((0, 3, 0))
-    assert pde.leading_coeff == Expr.atom(beta)
+    # the coefficient beta of the leading derivative is folded into the solved form
+    assert pde.lhs == Expr.atom(beta) * (Expr.atom(pde.leading) - pde.leading_rhs)
     # the solved form carries the power-law product term
     term = Expr.atom(N_SYMBOL) * U.pow_exponent(Exponent(-2, 1)) * jv((0, 1, 0)) ** 2 / Expr.atom(beta)
     assert pde.leading_rhs.collect([ctx.jet((0, 1, 0))]).get(jv((0, 1, 0)) ** 2) is not None

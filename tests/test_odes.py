@@ -185,7 +185,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_header_only_for_empty(tmp_path):
-    tr = Trajectory([], "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
+    tr = Trajectory([])
     path = os.path.join(tmp_path, "e.csv")
     write_csv(tr, path, ["zeta", "H", "Hp"])
     with open(path) as fh:
@@ -241,8 +241,7 @@ def test_fig1_fixed_step_defaults_to_the_run_block_step():
 
 def test_svg_flat_line(tmp_path):
     path = os.path.join(tmp_path, "flat.svg")
-    cfg = IntegratorConfig(span=(0.0, 1.0))
-    flat = Trajectory([(0.0, (1.0,)), (0.5, (1.0,)), (1.0, (1.0,))], "fixed-rk4", cfg, {})
+    flat = Trajectory([(0.0, (1.0,)), (0.5, (1.0,)), (1.0, (1.0,))])
     write_svg([flat], ["red"], path)
     body = open(path).read()
     assert body.count("<polyline") == 1
@@ -250,15 +249,14 @@ def test_svg_flat_line(tmp_path):
 
 def test_svg_axes_stay_finite_for_every_finite_sample(tmp_path):
     path = os.path.join(tmp_path, "wide.svg")
-    cfg = IntegratorConfig(span=(0.0, 1.0))
-    wide = Trajectory([(0.0, (-1e308,)), (0.5, (0.0,)), (1.0, (1e308,))], "fixed-rk4", cfg, {})
+    wide = Trajectory([(0.0, (-1e308,)), (0.5, (0.0,)), (1.0, (1e308,))])
     write_svg([wide], ["red"], path)
     body = open(path).read()
     assert "nan" not in body and "inf" not in body
     assert ">-1e+308</text>" in body and ">1e+308</text>" in body
     # a flat line where one unit is below the ulp, and one at the largest float
     for v in (1e20, -1e20, 1.7976931348623157e308):
-        write_svg([Trajectory([(0.0, (v,)), (1.0, (v,))], "fixed-rk4", cfg, {})], ["red"], path)
+        write_svg([Trajectory([(0.0, (v,)), (1.0, (v,))])], ["red"], path)
         body = open(path).read()
         assert "nan" not in body and "inf" not in body and body.count("<polyline") == 1
 
@@ -385,7 +383,7 @@ def _reference_integrate_rkf45(f, y0, cfg):
     if not flag and samples and samples[-1][0] != b:
         if abs(samples[-1][0] - b) < 1e-9 * span_len:
             samples[-1] = (b, samples[-1][1])
-    return Trajectory(samples, "adaptive-rk45", cfg, {}, accepted, rejected, flag)
+    return Trajectory(samples, accepted, rejected, flag)
 
 
 def _reference_integrate(sys, ic, cfg):
@@ -402,7 +400,7 @@ def _reference_integrate(sys, ic, cfg):
     samples = _reference_rk4_loop(len(y0))(f, a, (b - a) / nsteps, nsteps, *y0)
     samples[-1] = (b, samples[-1][1])
     flag = "" if all(math.isfinite(v) for v in samples[-1][1]) else "non-finite"
-    return Trajectory(samples, "fixed-rk4", cfg, {}, accepted=nsteps, flag=flag)
+    return Trajectory(samples, accepted=nsteps, flag=flag)
 
 
 def _outcome(run, sys, ic, cfg):
@@ -768,8 +766,8 @@ def test_write_csv_bytes_match_the_reference(tmp_path, dim):
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 5e-324, 1 / 3, -1e308, 2]
     rng = random.Random(dim)
     samples = [(rng.choice(values), tuple(rng.choice(values) for _ in range(dim))) for _ in range(60)]
-    tr = Trajectory(samples, "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
-    empty = Trajectory([], "fixed-rk4", IntegratorConfig(span=(0, 1)), {})
+    tr = Trajectory(samples)
+    empty = Trajectory([])
     # the header may be longer or shorter than a row; an empty trajectory writes only its header
     cases = [(tr, names) for names in (["t", "H", "Hp", "Hpp"][:dim + 1], ["t"], ["t", "a", "b", "c"],
                                        ["t", "a", "b", "c", "d"])]
@@ -779,8 +777,3 @@ def test_write_csv_bytes_match_the_reference(tmp_path, dim):
         _reference_write_csv(traj, want, names)
         assert open(got, "rb").read() == open(want, "rb").read()
 
-
-def test_a_system_built_directly_compiles_its_own_rhs():
-    sys = compile_rhs(zctx, eq38_lhs(), {N_SYMBOL: 2, H1: 0.5})
-    direct = odes.OdeSystem(sys.ctx, sys.order, sys.rhs, sys.state_atoms, sys.params)
-    assert direct.compiled()(0.3, 1.0, -0.5) == sys.compiled()(0.3, 1.0, -0.5)

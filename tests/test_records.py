@@ -1,7 +1,8 @@
-"""The record classes: no code generated at import, per-instance mutable
-defaults, an immutable hashable Context, and the copies and failure path the
-case library builds on them."""
+"""The record classes: no code generated at import, every field read,
+per-instance mutable defaults, an immutable hashable Context, and the copies
+and failure path the case library builds on them."""
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from camchoi.reduction import Ansatz
 from camchoi.report import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 t, x = Sym("t", VARIABLE), Sym("x", VARIABLE)
 u = Sym("u", DEPENDENT)
@@ -42,6 +44,49 @@ def test_importing_the_cli_loads_no_code_generation_machinery():
     assert json.loads(out) == {"loaded": [], "dataclasses": []}
 
 
+# fields that no code reads, each kept for a reason of its own
+UNREAD_FIELDS = {
+    ("Case", "title"): "the one-line description of each case in the registry, read by people",
+}
+
+
+def _init_fields(tree):
+    """(class, attribute) for each self.<attribute> assigned in a class's __init__."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    for a in target.elts if isinstance(target, ast.Tuple) else [target]:
+                        if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name) and a.value.id == "self":
+                            yield cls.name, a.attr
+
+
+def test_every_record_field_is_read():
+    """Every field a record's __init__ sets is read somewhere in the package or
+    the benchmark, whose files are only read here.
+
+    A read is any attribute load of the field's name, on any object, so a
+    field is missed when another class has a field of the same name that is
+    read: this check cannot tell an unread ``method`` on one record from the
+    ``method`` that ``IntegratorConfig`` and ``RunBlock`` have.
+    """
+    package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("camchoi/*.py"))]
+    bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    loaded = {node.attr for tree in package + bench for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {field for tree in package for field in _init_fields(tree)}
+    assert len(fields) > 50
+    unread = sorted("%s.%s" % field for field in fields if field[1] not in loaded and field not in UNREAD_FIELDS)
+    assert unread == []
+    assert all(field in fields and field[1] not in loaded for field in UNREAD_FIELDS)
+
+
 def test_mutable_defaults_are_per_instance():
     a, b = CaseResult("a", "symmetry", "pass"), CaseResult("b", "symmetry", "pass")
     a.detail["k"] = 1
@@ -52,7 +97,7 @@ def test_mutable_defaults_are_per_instance():
     assert r2.results == []
     ctx = Context((t, x), u)
     fn = Func("F", (t,))
-    h1, h2 = (Ansatz(ctx, [(t, Expr.atom(t))], Sym("F", DEPENDENT), fn, Expr.atom(fn)) for _ in range(2))
+    h1, h2 = (Ansatz(ctx, [(t, Expr.atom(t))], fn, Expr.atom(fn)) for _ in range(2))
     h1.inverse_hints.append((x, Expr.atom(t)))
     assert h2.inverse_hints == []
 

@@ -20,7 +20,6 @@ from camchoi.jet import Context, total_derivative
 from camchoi.modelfile import AnsatzBlock, IntegralBlock, PdeBlock, SolutionBlock
 from camchoi.reduction import (
     Ansatz,
-    FirstIntegralCandidate,
     ReducedEquation,
     ReductionError,
     UnsupportedField,
@@ -181,7 +180,6 @@ def test_pullback_identity_ansatz(doc):
     ida = Ansatz(
         ctx,
         [(t, Expr.atom(t)), (x, Expr.atom(x)), (y, Expr.atom(y))],
-        ctx.dependent,
         fn,
         Expr.atom(fn),
         name="identity",
@@ -209,7 +207,6 @@ def test_pullback_rank_deficient_rejected(doc):
     bad = Ansatz(
         ctx,
         [(w1, Expr.atom(x) + Expr.atom(y)), (w2, 2 * Expr.atom(x) + 2 * Expr.atom(y))],
-        Sym("F", DEPENDENT),
         fn,
         Expr.atom(fn),
         name="bad",
@@ -264,7 +261,7 @@ def test_jacobian_rank_ok_matches_cofactor_minors(doc):
                 exprs.append(_random_poly(rng, atoms))
         ws = [Sym("w%d" % i, VARIABLE) for i in range(len(exprs))]
         fn = Func("F", tuple(ws))
-        a = Ansatz(ctx, list(zip(ws, exprs)), Sym("F", DEPENDENT), fn, Expr.atom(fn))
+        a = Ansatz(ctx, list(zip(ws, exprs)), fn, Expr.atom(fn))
         expected = _rank_ok_by_minors(a)
         assert jacobian_rank_ok(a) == expected
         seen[expected] += 1
@@ -281,7 +278,6 @@ def test_pullback_residual_old_variable(doc):
     a = Ansatz(
         ctx,
         [(sg, Expr.atom(w) * Expr.atom(t).pow_exponent(Exponent(-1, 0)))],
-        Sym("Y", DEPENDENT),
         fn,
         1 + Expr.atom(doc.params["h0"]) + Expr.atom(t).pow_exponent(Exponent(-1, 0)) * Expr.atom(fn),
         name="nohints",
@@ -303,6 +299,13 @@ def test_compare_reduced_verdicts(doc):
     assert not rep2.residual.is_zero
 
 
+def test_compare_reduced_refuses_another_jet_space(doc):
+    red = pullback(pde(doc, "cc"), ansatz(doc, "cc18"))
+    message = r"^reduction cc\|cc18 is on \(t, w; U\) but equation cc25 is on \(w; Y\)$"
+    with pytest.raises(ReductionError, match=message):
+        compare_reduced(red, doc.equation_of(doc.find("cc25")))
+
+
 def test_chain_and_composition(doc, case_results):
     assert case_results["chain"].verdict == "pass"
 
@@ -315,8 +318,7 @@ def test_two_step_equals_composed_explicitly(doc):
     s = Sym("s", VARIABLE)
     fY = Func("Y", (s,))
     t, w = mid.ctx.independents
-    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], Sym("Y", DEPENDENT), fY,
-                Expr.atom(fY) + 1 + alpha, name="travel")
+    a2 = Ansatz(mid.ctx, [(s, Expr.atom(w) - Expr.atom(t))], fY, Expr.atom(fY) + 1 + alpha, name="travel")
     assert pullback(mid, a2).lhs == pullback(cc, compose_ansatz(a1, a2)).lhs
 
 
@@ -328,21 +330,21 @@ def test_first_integral_synthetic_pair(doc):
     Y = Sym("Y", DEPENDENT)
     ctx = Context((w,), Y, ())
     fi_lhs = ctx.jet_expr((1,)) + Expr.rational(Fraction(1, 2)) * Expr.atom(Y) ** 2
-    fi = FirstIntegralCandidate(ctx, fi_lhs, (), "syn")
+    fi = ReducedEquation(ctx, fi_lhs, "syn")
     eq = ReducedEquation(ctx, total_derivative(fi_lhs, w, ctx), "syn-eq")
     assert check_first_integral(eq, fi).is_zero
 
 
 def test_first_integral_cc26_golden(doc):
     eq = doc.equation_of(doc.find("cc25"))
-    fi = doc.block(IntegralBlock, "cc26").candidate
+    fi = doc.block(IntegralBlock, "cc26")
     r = check_first_integral(eq, fi)
     assert str(r) == "Y^2*Y[w] + Y0*Y"
 
 
 def test_first_integral_eq35_golden(doc):
     eq = doc.equation_of(doc.find("eq34"))
-    fi = doc.block(IntegralBlock, "eq35").candidate
+    fi = doc.block(IntegralBlock, "eq35")
     r = check_first_integral(eq, fi)
     # (n+1)(A + alpha + 4) Y_sigma_sigma, expanded
     ctx = fi.ctx
@@ -363,8 +365,8 @@ def test_first_integral_eq38_nonzero(doc, case_results):
 
 def test_first_integral_order_gap_validation(doc):
     eq = doc.equation_of(doc.find("cc25"))
-    fi = doc.block(IntegralBlock, "cc26").candidate
-    bad = FirstIntegralCandidate(fi.ctx, fi.lhs + fi.ctx.jet_expr((3,)), (), "bad")
+    fi = doc.block(IntegralBlock, "cc26")
+    bad = ReducedEquation(fi.ctx, fi.lhs + fi.ctx.jet_expr((3,)), "bad")
     with pytest.raises(ReductionError, match="order gap"):
         check_first_integral(eq, bad)
 
@@ -375,7 +377,7 @@ def test_first_integral_order_gap_validation(doc):
 ])
 def test_first_integral_refuses_another_jet_space(doc, eq_name, message):
     eq = doc.equation_of(doc.find(eq_name))
-    fi = doc.block(IntegralBlock, "cc26").candidate
+    fi = doc.block(IntegralBlock, "cc26")
     with pytest.raises(ReductionError, match=message):
         check_first_integral(eq, fi)
 
@@ -416,8 +418,7 @@ def test_dependent_expression_rejects_a_rule_not_affine_in_the_function(doc):
     t, w = ctx.independents
     fn = Func("U", (t, w))
     F = Expr.atom(fn)
-    a = Ansatz(ctx, [(t, Expr.atom(t)), (w, Expr.atom(w))], Sym("U", DEPENDENT), fn, F + F ** 2,
-               name="square")
+    a = Ansatz(ctx, [(t, Expr.atom(t)), (w, Expr.atom(w))], fn, F + F ** 2, name="square")
     with pytest.raises(ReductionError, match="not affine"):
         a.dependent_expression()
 
