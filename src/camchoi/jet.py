@@ -39,10 +39,18 @@ def _introduce(names: dict, name: str, entry, role: str, error):
     return entry
 
 
-class Context:
+class Record:
+    """Equal to another record when both are of one class and every field is
+    equal.  A record holds no cache among its fields."""
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+
+class Context(Record):
     """One dependent variable over an ordered tuple of base variables.
 
-    Immutable, hashable and equal by its three fields, so it can key a table.
+    Immutable and hashable, so it can key a table.
     """
 
     def __init__(self, independents: tuple, dependent: Sym, parameters: tuple = ()):
@@ -56,12 +64,6 @@ class Context:
 
     def __delattr__(self, name):
         raise AttributeError("Context is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Context:
-            return NotImplemented
-        return (self.independents == other.independents and self.dependent == other.dependent
-                and self.parameters == other.parameters)
 
     def __hash__(self) -> int:
         return hash((self.independents, self.dependent, self.parameters))
@@ -122,7 +124,7 @@ def total_derivative(e: Expr, v: Sym, ctx: Context) -> Expr:
     return as_expr(e).derive(d)
 
 
-class Pde:
+class Pde(Record):
     """lhs = 0 with a designated leading derivative solved as leading = leading_rhs."""
 
     def __init__(self, ctx: Context, lhs: Expr, leading: Jet, leading_rhs: Expr, name: str = ""):

@@ -23,7 +23,7 @@ from .expr import (
     ZERO,
     app,
 )
-from .jet import Context, _introduce, expand_pde, total_derivative
+from .jet import Context, Record, _introduce, expand_pde, total_derivative
 from .odes import METHODS
 from .reduction import Ansatz, ReducedEquation, SolutionRule
 from .symmetry import VectorField
@@ -33,10 +33,9 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int, expected: Optional[set] = None):
         self.line = line
         self.col = col
-        self.expected = sorted(expected) if expected else []
         detail = "line %d, col %d: %s" % (line, col, message)
-        if self.expected:
-            detail += " (expected one of: %s)" % ", ".join(self.expected)
+        if expected:
+            detail += " (expected one of: %s)" % ", ".join(sorted(expected))
         super().__init__(detail)
 
 
@@ -125,33 +124,22 @@ def tokenize(text: str) -> List[Token]:
 
 
 # -- document model --------------------------------------------------------------
-# Declarations, blocks and the document are equal when they are of one class
-# and every field is equal, so a printed and re-parsed document equals its source.
 
 
-class ParamDecl:
+class ParamDecl(Record):
     def __init__(self, names: List[str]):
         self.names = names
 
-    def __eq__(self, other) -> bool:
-        return other.__class__ is ParamDecl and self.names == other.names
 
-
-class ExponentDecl:
+class ExponentDecl(Record):
     def __init__(self, name: str):
         self.name = name
 
-    def __eq__(self, other) -> bool:
-        return other.__class__ is ExponentDecl and self.name == other.name
 
-
-class FuncDecl:
+class FuncDecl(Record):
     def __init__(self, name: str, args: Tuple[str, ...]):
         self.name = name
         self.args = args
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is FuncDecl and (self.name, self.args) == (other.name, other.args)
 
 
 class EquationBlock(ReducedEquation):
@@ -161,11 +149,6 @@ class EquationBlock(ReducedEquation):
         super().__init__(ctx, lhs, name)
         self.note = note
         self.constants = constants  # integral blocks only
-
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is self.__class__
-                and (self.name, self.ctx, self.lhs, self.note, self.constants)
-                == (other.name, other.ctx, other.lhs, other.note, other.constants))
 
 
 class PdeBlock(EquationBlock):
@@ -190,7 +173,7 @@ class OdeBlock(EquationBlock):
     kind = "ode"
 
 
-class FieldBlock:
+class FieldBlock(Record):
     kind = "field"
 
     def __init__(self, name: str, on: str, vf: VectorField, note: str = ""):
@@ -199,12 +182,8 @@ class FieldBlock:
         self.vf = vf
         self.note = note
 
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is FieldBlock
-                and (self.name, self.on, self.vf, self.note) == (other.name, other.on, other.vf, other.note))
 
-
-class AnsatzBlock:
+class AnsatzBlock(Record):
     kind = "ansatz"
 
     def __init__(self, name: str, on: str, ansatz: Ansatz, note: str = ""):
@@ -213,12 +192,8 @@ class AnsatzBlock:
         self.ansatz = ansatz
         self.note = note
 
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is AnsatzBlock
-                and (self.name, self.on, self.ansatz, self.note) == (other.name, other.on, other.ansatz, other.note))
 
-
-class SolutionBlock:
+class SolutionBlock(Record):
     kind = "solution"
 
     def __init__(self, name: str, on: str, dep_name: str, sol: Expr, rules: Tuple[SolutionRule, ...],
@@ -231,13 +206,8 @@ class SolutionBlock:
         self.bindings = bindings
         self.note = note
 
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is SolutionBlock
-                and (self.name, self.on, self.dep_name, self.sol, self.rules, self.bindings, self.note)
-                == (other.name, other.on, other.dep_name, other.sol, other.rules, other.bindings, other.note))
 
-
-class RunBlock:
+class RunBlock(Record):
     kind = "run"
 
     def __init__(self, name: str, ode: str, settings: List[Tuple[str, Fraction]], ic: List[Fraction],
@@ -254,13 +224,6 @@ class RunBlock:
         self.color = color
         self.note = note
 
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is RunBlock
-                and (self.name, self.ode, self.settings, self.ic, self.span, self.method, self.tol, self.step,
-                     self.color, self.note)
-                == (other.name, other.ode, other.settings, other.ic, other.span, other.method, other.tol,
-                    other.step, other.color, other.note))
-
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _BLOCKS = {cls.kind: cls for cls in (PdeBlock, ReducedBlock, IntegralBlock, OdeBlock,
@@ -268,18 +231,13 @@ _BLOCKS = {cls.kind: cls for cls in (PdeBlock, ReducedBlock, IntegralBlock, OdeB
 _TOP_LEVEL = set(_BLOCKS) | {"param", "exponent", "func"}
 
 
-class ModelDocument:
+class ModelDocument(Record):
     def __init__(self, declarations: List[object], blocks: List[object], params: Dict[str, Sym],
                  funcs: Dict[str, Tuple[str, ...]]):
         self.declarations = declarations
         self.blocks = blocks
         self.params = params
         self.funcs = funcs  # argument names, resolved in each block's scope
-
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is ModelDocument
-                and (self.declarations, self.blocks, self.params, self.funcs)
-                == (other.declarations, other.blocks, other.params, other.funcs))
 
     def block(self, kind, name: str):
         key = _normalize_name(name)
@@ -702,19 +660,8 @@ class _Parser:
         base = self._primary(scope)
         if self.accept("^"):
             at = self.peek()
-            return self._built_at(at, _apply_power, base, self._exponent_operand(scope))
+            return self._built_at(at, _apply_power, base, self._primary(scope))
         return base
-
-    def _exponent_operand(self, scope) -> Expr:
-        if self.accept("("):
-            e = self.parse_expr(scope)
-            self.expect(")")
-            return e
-        if self.peek().type == "NUMBER":
-            return Expr.rational(Fraction(self.advance().value))
-        if self.peek().type == "NAME":
-            return self._primary(scope)
-        self.error("expected an exponent", expected={"(", "NUMBER", "NAME"})
 
     def _primary(self, scope) -> Expr:
         tok = self.peek()

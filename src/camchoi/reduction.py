@@ -20,7 +20,7 @@ from .expr import (
     ZERO,
     derivative_table,
 )
-from .jet import Context, Pde, _introduce, expand_pde, total_derivative
+from .jet import Context, Pde, Record, _introduce, expand_pde, total_derivative
 from .symmetry import VectorField, eliminate
 
 
@@ -32,15 +32,14 @@ class UnsupportedField(ReductionError):
     """Raised by invariants_for when the generator shape is out of scope."""
 
 
-class Ansatz:
+class Ansatz(Record):
     """New independent variables as expressions of the old, plus a dependent rule.
 
     ``dependent_rule`` expresses the old dependent variable through a new
     function symbol ``func`` applied to the new variables; the new dependent
     variable is the symbol of func's name.  Both may be None for catalogued
     substitutions that fall outside the representable fragment; such an
-    ansatz cannot be pulled back.  Two ansatz records are equal when every
-    field is.
+    ansatz cannot be pulled back.
     """
 
     def __init__(self, src: Context, new_independent: List[Tuple[Sym, Expr]], func: Optional[Func],
@@ -52,12 +51,6 @@ class Ansatz:
         self.dependent_rule = dependent_rule
         self.inverse_hints = [] if inverse_hints is None else inverse_hints
         self.name = name
-
-    def __eq__(self, other) -> bool:
-        return (other.__class__ is Ansatz
-                and (self.src, self.new_independent, self.func, self.dependent_rule, self.inverse_hints, self.name)
-                == (other.src, other.new_independent, other.func, other.dependent_rule, other.inverse_hints,
-                    other.name))
 
     def new_context(self) -> Context:
         if self.func is None:
@@ -94,7 +87,7 @@ def jacobian_rank_ok(a: Ansatz) -> bool:
     return 0 < len(rows) == len(eliminate(rows, len(a.src.independents)))
 
 
-class ReducedEquation:
+class ReducedEquation(Record):
     """lhs = 0 in the jet context ctx."""
 
     def __init__(self, ctx: Context, lhs: Expr, name: str = ""):
@@ -407,15 +400,12 @@ def check_first_integral(eq: ReducedEquation, fi: ReducedEquation) -> Expr:
 # -- closed-form verification ---------------------------------------------------
 
 
-class SolutionRule:
-    """Defining relation for an opaque helper: D^orders f = expr; equal by both fields."""
+class SolutionRule(Record):
+    """Defining relation for an opaque helper: D^orders f = expr."""
 
     def __init__(self, func: Func, expr: Expr):
         self.func = func  # carries the base derivative orders
         self.expr = expr
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is SolutionRule and self.func == other.func and self.expr == other.expr
 
 
 def verify_closed_form(

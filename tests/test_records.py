@@ -1,12 +1,14 @@
-"""The record classes: no code generated at import, every field read,
-per-instance mutable defaults, an immutable hashable Context, and the copies
-and failure path the case library builds on them."""
+"""The record classes: no code generated at import, every field read, one
+field-by-field equality rule, per-instance mutable defaults, an immutable
+hashable Context, and the copies and failure path the case library builds
+on them."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from camchoi import library
 from camchoi.expr import DEPENDENT, PARAMETER, VARIABLE, ZERO, Expr, Func, Sym
 from camchoi.jet import Context, JetError
 from camchoi.library import Case, CaseResult, builtin_text, load_builtin, run_case
-from camchoi.modelfile import AnsatzBlock, PdeBlock, SolutionBlock, parse_model, print_model
+from camchoi.modelfile import PdeBlock, parse_model, print_model
 from camchoi.reduction import Ansatz
 from camchoi.report import Report
 
@@ -50,26 +52,34 @@ UNREAD_FIELDS = {
 }
 
 
+def _loads(tree):
+    """How many attribute loads of each name the tree holds."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def _init_fields(tree):
-    """(class, attribute) for each self.<attribute> assigned in a class's __init__."""
+    """(class, attribute, loads) for each self.<attribute> assigned in a class's
+    __init__, with the _loads of that __init__."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for init in cls.body:
             if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
                 continue
+            loads = _loads(init)
             for node in ast.walk(init):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target] if isinstance(node, ast.AnnAssign) else [])
                 for target in targets:
                     for a in target.elts if isinstance(target, ast.Tuple) else [target]:
                         if isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name) and a.value.id == "self":
-                            yield cls.name, a.attr
+                            yield cls.name, a.attr, loads
 
 
 def test_every_record_field_is_read():
-    """Every field a record's __init__ sets is read somewhere in the package or
-    the benchmark, whose files are only read here.
+    """Every field a record's __init__ sets is read outside that __init__,
+    somewhere in the package or the benchmark, whose files are only read here.
 
     A read is any attribute load of the field's name, on any object, so a
     field is missed when another class has a field of the same name that is
@@ -78,13 +88,23 @@ def test_every_record_field_is_read():
     """
     package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("camchoi/*.py"))]
     bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
-    loaded = {node.attr for tree in package + bench for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = {field for tree in package for field in _init_fields(tree)}
-    assert len(fields) > 50
-    unread = sorted("%s.%s" % field for field in fields if field[1] not in loaded and field not in UNREAD_FIELDS)
-    assert unread == []
-    assert all(field in fields and field[1] not in loaded for field in UNREAD_FIELDS)
+    loaded = sum(map(_loads, package + bench), Counter())
+    reads = {(cls, attr): loaded[attr] - own[attr] for tree in package for cls, attr, own in _init_fields(tree)}
+    assert len(reads) > 50
+    unread = {field for field, n in reads.items() if n == 0}
+    assert sorted("%s.%s" % field for field in unread - set(UNREAD_FIELDS)) == []
+    assert set(UNREAD_FIELDS) <= unread
+
+
+# jet.Record's field-by-field rule, and the classes with an equality of their own
+OWN_EQUALITY = ["App", "Expr", "Record", "VectorField"]
+
+
+def test_record_is_the_one_field_by_field_equality():
+    classes = [node for path in sorted(SRC.glob("camchoi/*.py")) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert sorted(c.name for c in classes
+                  if any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in c.body)) == OWN_EQUALITY
 
 
 def test_mutable_defaults_are_per_instance():
@@ -116,25 +136,34 @@ def test_context_is_immutable_hashable_and_equal_by_fields():
         Context((t, Sym("u", VARIABLE)), u)
 
 
+def _model_records(doc):
+    """The document, its declarations and blocks, and each block's ansatz, rules and pde."""
+    yield doc
+    yield from doc.declarations
+    for b in doc.blocks:
+        yield b
+        for name in ("ansatz", "pde"):
+            if name in vars(b):
+                yield vars(b)[name]
+        yield from vars(b).get("rules", ())
+
+
 def test_model_records_are_equal_field_by_field():
     d1, d2 = parse_model(builtin_text()), parse_model(builtin_text())
     assert d1 == d2 and d1 is not d2
-    for b in d2.blocks:
-        note, b.note = b.note, b.note + "!"
-        assert d1 != d2, b.name
-        b.note = note
-    d2.declarations[0].names.append("zz")
-    assert d1 != d2
-    d2.declarations[0].names.pop()
-    a = next(b for b in d2.blocks if isinstance(b, AnsatzBlock)).ansatz
-    a.inverse_hints.append((t, Expr.atom(x)))
-    assert d1 != d2
-    a.inverse_hints.pop()
-    rule = next(b for b in d2.blocks if isinstance(b, SolutionBlock) and b.rules).rules[0]
-    rule.expr = rule.expr + 1
-    assert d1 != d2
-    rule.expr = rule.expr - 1
-    assert d1 == d2
+    changed = set()
+    for record in _model_records(d2):
+        for name, value in list(vars(record).items()):
+            setattr(record, name, object())
+            assert d1 != d2, (record.__class__.__name__, name)
+            setattr(record, name, value)
+            assert d1 == d2, (record.__class__.__name__, name)
+            changed.add((record.__class__.__name__, name))
+    assert {cls for cls, _name in changed} == {
+        "ModelDocument", "ParamDecl", "ExponentDecl", "FuncDecl", "PdeBlock", "ReducedBlock", "IntegralBlock",
+        "OdeBlock", "FieldBlock", "AnsatzBlock", "SolutionBlock", "RunBlock", "Ansatz", "SolutionRule", "Pde"}
+    assert {name for cls, name in changed if cls == "Ansatz"} == {
+        "src", "new_independent", "func", "dependent_rule", "inverse_hints", "name"}
 
 
 def test_alpha_zero_copy_expands_every_pde_again_and_leaves_the_source():
