@@ -22,9 +22,9 @@ Kernel invariants:
   key, and a RatPow never carries an integer exponent.  Sums merge the two
   term tuples; each atom computes its sort key once, and each distinct
   monomial once (``_MONO_KEYS``).
-* An Expr holds only its terms and its printed string, made on first use.
-  Monomial keys live only in ``_MONO_KEYS``; ``key()`` is built on demand
-  and the hash is that of the terms.
+* An Expr holds only its terms.  Monomial keys live only in ``_MONO_KEYS``;
+  ``key()`` and the printed string are built on demand, and the hash is that
+  of the terms.
 * A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
   atoms, ``ONE`` and ``collect`` keys store an int where the value is
   integral, ``content_normalized`` leaves coprime ints, and arithmetic may
@@ -349,11 +349,10 @@ def _mono_sort_key(mono: Mono):
 class Expr:
     """Canonical expression; construct through the module helpers and operators."""
 
-    __slots__ = ("terms", "_str")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: tuple):
         self.terms = terms
-        self._str = None
 
     # -- construction -------------------------------------------------------
 
@@ -760,9 +759,7 @@ class Expr:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._str is None:
-            self._str = _format_expr(self)
-        return self._str
+        return _format_expr(self)
 
     def __repr__(self) -> str:
         return "Expr(%s)" % str(self)

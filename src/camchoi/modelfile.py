@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .expr import (
     DEPENDENT,
@@ -632,22 +632,17 @@ class _Parser:
     # expressions: an ExprError while combining sub-expressions is a
     # ParseError at the first token of the sub-expression that made it fail
     def parse_expr(self, scope: "_Scope") -> Expr:
-        e = self._term(scope)
-        while True:
-            op = self.accept("+") or self.accept("-")
-            if op is None:
-                return e
-            at = self.peek()
-            e = self._built_at(at, _BINARY[op.type], e, self._term(scope))
+        return self._binary(scope, "+", "-", lambda sc: self._binary(sc, "*", "/", self._unary))
 
-    def _term(self, scope) -> Expr:
-        e = self._unary(scope)
+    def _binary(self, scope, op1: str, op2: str, operand: Callable) -> Expr:
+        """A left-associative chain of operand(scope) joined by op1 or op2."""
+        e = operand(scope)
         while True:
-            op = self.accept("*") or self.accept("/")
+            op = self.accept(op1) or self.accept(op2)
             if op is None:
                 return e
             at = self.peek()
-            e = self._built_at(at, _BINARY[op.type], e, self._unary(scope))
+            e = self._built_at(at, _BINARY[op.type], e, operand(scope))
 
     def _unary(self, scope) -> Expr:
         if self.accept("-"):

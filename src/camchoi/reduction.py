@@ -215,14 +215,26 @@ def _affine_parts(e: Expr, v: Sym, ctx: Context) -> Tuple[Expr, Expr]:
 # -- pullback ------------------------------------------------------------------
 
 
-def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
-                          links: List[Tuple[Sym, Expr]]) -> Expr:
+def _refuse_unknown(dep: Sym, named: List[Tuple[str, Expr]]) -> None:
+    """Refuse a (role, expression) pair that holds dep, a jet of dep or a function of dep:
+    an ansatz writes u through functions of the base variables alone (Olver, section 3.1)."""
+    for role, e in named:
+        for a in e.atoms():
+            if a is dep or (a.__class__ is Jet and a.dep is dep) or (a.__class__ is Func and dep in a.args):
+                raise ReductionError("%s %s holds %s" % (role, e, Expr.atom(a)))
+
+
+def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr, links: List[Tuple[Sym, Expr]],
+                          value_role: str, link_role: str) -> Expr:
     """Substitute u = value, and each jet of u by the matching derivative of value.
 
     ``value`` may use symbols w linked to the context variables by the
     (w, expression) pairs in ``links``; derivatives apply the chain rule
     through them.  A variable linked to itself passes through unchanged.
+    Neither may hold u, so no replacement holds a target and one pass is exact.
     """
+    _refuse_unknown(ctx.dependent, [(value_role, value)]
+                    + [("%s %s =" % (link_role, w.name), e) for w, e in links])
 
     def chain_derivative(e: Expr, v: Sym) -> Expr:
         # a pass-through variable w == v is covered by the direct term
@@ -230,14 +242,9 @@ def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr,
         return e.derive(lambda a: ONE if a == v else dws.get(a, ZERO))
 
     get = derivative_table(value, lambda e, i, _prev: chain_derivative(e, ctx.independents[i]))
-    out = lhs
-    jets = [a for a in set(lhs.atoms()) if isinstance(a, Jet) and a.dep == ctx.dependent]
-    jets.sort(key=lambda a: a.sort_key())
-    for a in jets:
-        out = out.subst(a, get(a.counts))
-    if out.contains(ctx.dependent):
-        out = out.subst(ctx.dependent, value)
-    return out
+    rules = {a: get(a.counts) for a in set(lhs.atoms()) if a.__class__ is Jet and a.dep is ctx.dependent}
+    rules[ctx.dependent] = value
+    return lhs.subst(rules)
 
 
 def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
@@ -248,7 +255,8 @@ def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
     if not jacobian_rank_ok(a):
         raise ReductionError("ansatz %s has a rank-deficient Jacobian" % a.name)
     ctx = pde.ctx
-    out = _substitute_dependent(pde.lhs, ctx, a.dependent_rule, a.new_independent)
+    _refuse_unknown(ctx.dependent, [("inverse hint %s =" % v.name, hint) for v, hint in a.inverse_hints])
+    out = _substitute_dependent(pde.lhs, ctx, a.dependent_rule, a.new_independent, "dependent rule", "new variable")
     for v, hint in a.inverse_hints:
         out = out.subst(v, hint)
 
@@ -256,11 +264,9 @@ def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
     out = _funcs_to_jets(out, a, new_ctx)
     out = _cancel_common_monomial(out)
 
-    passthrough = {v for v, _ in a.new_independent}
+    old_vars = set(ctx.independents) - {v for v, _ in a.new_independent}
     for atom in out.atoms():
-        if isinstance(atom, Sym) and atom in set(ctx.independents) and atom not in passthrough:
-            raise ReductionError("residual old variable %s in the reduced equation" % atom.name)
-        if atom == ctx.dependent and atom != new_ctx.dependent:
+        if atom in old_vars:
             raise ReductionError("residual old variable %s in the reduced equation" % atom.name)
     return ReducedEquation(new_ctx, out.content_normalized(), name="%s|%s" % (pde.name, a.name))
 
@@ -423,7 +429,8 @@ def verify_closed_form(
     residual and, when nonzero, its coefficients collected over elementary
     function monomials (the constraint equations on the free constants).
     """
-    out = _substitute_dependent(target.lhs, target.ctx, sol, bindings or [])
+    _refuse_unknown(target.ctx.dependent, [("solution rule %s =" % Expr.atom(rule.func), rule.expr) for rule in rules])
+    out = _substitute_dependent(target.lhs, target.ctx, sol, bindings or [], "closed form", "binding")
     for _ in range(12):
         before = out
         for rule in rules:

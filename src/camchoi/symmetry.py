@@ -275,7 +275,7 @@ def eliminate(a: List[List[Expr]], ncols: int) -> List[int]:
         for rr, row in enumerate(a):
             e = row[c]
             if rr != r and not e.is_zero:
-                a[rr] = [piv * x - e * y for x, y in zip(row, prow)]
+                a[rr] = [piv * x - e * y if y.terms else piv * x for x, y in zip(row, prow)]
         pivots.append(c)
     return pivots
 

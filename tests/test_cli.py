@@ -492,3 +492,25 @@ def test_reduce_rejects_a_rank_deficient_ansatz(capsys, tmp_path):
 def test_mixed_jet_spaces_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+UNKNOWN_IN_RULE = os.path.join(os.path.dirname(__file__), "models", "unknown_in_rule.model")
+
+
+# An ansatz or closed form writes u through functions of the base variables
+# alone; a rule, new variable, inverse hint or binding that holds u, a jet of u
+# or a function of u is refused with its role and the atom named.
+@pytest.mark.parametrize("argv, message", [
+    (("reduce", "cc", "rule_u"), "dependent rule F(t,w) + u holds u"),
+    (("reduce", "cc", "rule_jet"), "dependent rule F(t,w) + u[x] holds u[x]"),
+    (("reduce", "cc", "rule_func"), "dependent rule G(u) + F(t,w) holds G(u)"),
+    (("reduce", "cc", "var_u"), "new variable w = u - y + x holds u"),
+    (("reduce", "cc", "var_jet"), "new variable w = u[x] - y + x holds u[x]"),
+    (("reduce", "cc", "hint_jet"), "inverse hint x = u[y] + t^(-1)*w holds u[y]"),
+    (("solution-check", "cc", "sol_jet"), "closed form t*u[x] holds u[x]"),
+    (("solution-check", "cc", "bind_jet"), "binding lam = -u[t] + x holds u[t]"),
+], ids=["rule holds u", "rule holds a jet", "rule holds a function of u", "new variable holds u",
+        "new variable holds a jet", "inverse hint holds a jet", "closed form holds a jet", "binding holds a jet"])
+def test_a_rule_that_holds_the_unknown_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], UNKNOWN_IN_RULE, *argv[1:])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)

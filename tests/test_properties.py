@@ -42,6 +42,7 @@ from camchoi.modelfile import PdeBlock, parse_expression
 from camchoi.reduction import (
     Ansatz,
     ReducedEquation,
+    ReductionError,
     UnsupportedField,
     _affine_parts,
     _substitute_dependent,
@@ -76,21 +77,25 @@ ATOM_POOL = [
 ]
 
 
-def random_expr(rng, depth=3, apps=True):
+# The pool without u and its jets: what an ansatz may write u through.
+U_FREE_POOL = [at for at in ATOM_POOL if at is not u and not isinstance(at, Jet)]
+
+
+def random_expr(rng, depth=3, apps=True, pool=ATOM_POOL):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.random()
         if kind < 0.3:
             return Expr.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        atom = rng.choice(ATOM_POOL)
+        atom = rng.choice(pool)
         return Expr.atom(atom, EXP_ONE if rng.random() < 0.8 else Exponent(4, 0))
     op = rng.random()
     if op < 0.45:
-        return random_expr(rng, depth - 1, apps) + random_expr(rng, depth - 1, apps)
+        return random_expr(rng, depth - 1, apps, pool) + random_expr(rng, depth - 1, apps, pool)
     if op < 0.85:
-        return random_expr(rng, depth - 1, apps) * random_expr(rng, depth - 1, apps)
+        return random_expr(rng, depth - 1, apps, pool) * random_expr(rng, depth - 1, apps, pool)
     if op < 0.95 or not apps:
-        return random_expr(rng, depth - 1, apps) ** rng.randint(0, 2)
-    return app(rng.choice(["exp", "tanh"]), random_expr(rng, 1, apps=False))
+        return random_expr(rng, depth - 1, apps, pool) ** rng.randint(0, 2)
+    return app(rng.choice(["exp", "tanh"]), random_expr(rng, 1, False, pool))
 
 
 def test_normalize_idempotent_and_order_independent():
@@ -788,6 +793,9 @@ def test_total_derivative_past_the_jet_cap_still_raises():
 
 
 def test_pullback_chain_rule_matches_the_multi_diff_reference():
+    # A value holding u or a jet of u is refused; every other draw matches the
+    # sequential reference, which is the oracle wherever both orders agree.
+    # Draws 60-99 take their value from the pool without u and its jets.
     rng = random.Random(101)
     s1, s2 = Sym("s1", VARIABLE), Sym("s2", VARIABLE)
     S1, S2, T, X = (Expr.atom(v) for v in (s1, s2, t, x))
@@ -798,20 +806,29 @@ def test_pullback_chain_rule_matches_the_multi_diff_reference():
     ]
     lhs_pool = [Jet(u, (t, x), (1, 0)), Jet(u, (t, x), (0, 1)), Jet(u, (t, x), (1, 1)),
                 Jet(u, (t, x), (0, 3)), u, t, a]
-    for _ in range(60):
+    compared = refused = 0
+    for draw in range(100):
         links = rng.choice(link_choices)
         ws = [w for w, _e in links]
         fn = Expr.atom(Func("V", tuple(ws)))
-        value = fn * random_expr(rng, 1, apps=False).subst(x, Expr.atom(ws[0])) + Expr.atom(ws[0], Exponent(1, 0))
+        pool = ATOM_POOL if draw < 60 else U_FREE_POOL
+        value = fn * random_expr(rng, 1, False, pool).subst(x, Expr.atom(ws[0])) + Expr.atom(ws[0], Exponent(1, 0))
         lhs = ZERO
         for _term in range(rng.randint(1, 3)):
             m = Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
             for _f in range(rng.randint(1, 3)):
                 m = m * Expr.atom(rng.choice(lhs_pool))
             lhs = lhs + m
-        got = _substitute_dependent(lhs, ctx2, value, links)
+        if any(at is u or isinstance(at, Jet) for at in value.atoms()):
+            with pytest.raises(ReductionError, match="^value .* holds u"):
+                _substitute_dependent(lhs, ctx2, value, links, "value", "link")
+            refused += 1
+            continue
+        got = _substitute_dependent(lhs, ctx2, value, links, "value", "link")
         assert got.terms == _reference_substitute_dependent(lhs, ctx2, value, links).terms
         _assert_canonical(got)
+        compared += 1
+    assert (refused, compared) == (32, 68)
 
 
 def test_prolonged_field_and_apply_to_match_the_per_component_reference():

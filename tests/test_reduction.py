@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from camchoi.reduction import (
     Ansatz,
     ReducedEquation,
     ReductionError,
+    SolutionRule,
     UnsupportedField,
     check_first_integral,
     compare_reduced,
@@ -284,6 +286,35 @@ def test_pullback_residual_old_variable(doc):
     )
     with pytest.raises(ReductionError, match="residual old variable"):
         pullback(cc19, a)
+
+
+def test_pullback_and_closed_forms_refuse_a_rule_that_holds_the_unknown(doc):
+    cc19 = pde(doc, "cc19")
+    ctx = cc19.ctx
+    t, w = ctx.independents
+    U, Ut = Expr.atom(ctx.dependent), ctx.jet_expr((1, 0))
+    fn = Func("V", (t, w))
+    G = Expr.atom(Func("G", (ctx.dependent,)))
+    T, W, V = Expr.atom(t), Expr.atom(w), Expr.atom(fn)
+    keep = [(t, T), (w, W)]
+    for links, rule, hints, message in [
+        (keep, V + U, [], "dependent rule V(t,w) + U holds U"),
+        (keep, V + Ut, [], "dependent rule V(t,w) + U[t] holds U[t]"),
+        (keep, V * G, [], "dependent rule G(U)*V(t,w) holds G(U)"),
+        ([(t, T), (w, W + U)], V, [], "new variable w = U + w holds U"),
+        (keep, V, [(w, W + Ut)], "inverse hint w = U[t] + w holds U[t]"),
+    ]:
+        with pytest.raises(ReductionError, match=re.escape(message)):
+            pullback(cc19, Ansatz(ctx, links, fn, rule, hints, name="holds"))
+    lam = Sym("lam", VARIABLE)
+    f = Expr.atom(Func("f", (lam,)))
+    for sol, rules, bindings, message in [
+        (T * Ut, (), None, "closed form t*U[t] holds U[t]"),
+        (f, (), [(lam, W - U)], "binding lam = -U + w holds U"),
+        (f, (SolutionRule(Func("f", (lam,), (1,)), U),), [(lam, W)], "solution rule D(f;lam) = U holds U"),
+    ]:
+        with pytest.raises(ReductionError, match=re.escape(message)):
+            verify_closed_form(cc19, sol, rules, bindings)
 
 
 def test_compare_reduced_verdicts(doc):
