@@ -470,16 +470,7 @@ class Expr:
         return as_expr(other) + (-self)
 
     def __mul__(self, other) -> "Expr":
-        other = as_expr(other)
-        m: dict = {}
-        for mono1, c1 in self.terms:
-            for mono2, c2 in other.terms:
-                mono, extra = _mul_monos(mono1, mono2)
-                c = c1 * c2 if extra == 1 else c1 * c2 * extra
-                if c:
-                    prev = m.get(mono)
-                    m[mono] = c if prev is None else prev + c
-        return Expr._from_map(m)
+        return Expr._from_map(_mul_into({}, self.terms, as_expr(other).terms))
 
     __rmul__ = __mul__
 
@@ -522,7 +513,7 @@ class Expr:
         extra = Fraction(1)
         for a, e in mono:
             if not e.is_integer():
-                raise ExprError("cannot raise %s^%s to power %s" % (a, e, exp))
+                raise ExprError("cannot raise %s to power %s" % (Expr.atom(a, e), exp))
             newe = exp.times_int(e.int_value())
             if not newe.is_zero():
                 m[a] = newe
@@ -595,12 +586,7 @@ class Expr:
                     scaled = (Expr(((rest, coeff),)) * _exponent_expr(e)).terms
                 else:
                     scaled = ((rest, coeff * (e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2))),)
-                for mono1, c1 in scaled:
-                    for mono2, c2 in da:
-                        mono3, extra = _mul_monos(mono1, mono2)
-                        c = c1 * c2 if extra == 1 else c1 * c2 * extra
-                        prev = m.get(mono3)
-                        m[mono3] = c if prev is None else prev + c
+                _mul_into(m, scaled, da)
         return m
 
     # -- substitution --------------------------------------------------------
@@ -666,12 +652,7 @@ class Expr:
             if product is None:
                 kept.append((mono, coeff))
                 continue
-            rest = tuple(rest)
-            for mono2, c2 in product.terms:
-                m, extra = _mul_monos(rest, mono2)
-                c = coeff * c2 if extra == 1 else coeff * c2 * extra
-                prev = changed.get(m)
-                changed[m] = c if prev is None else prev + c
+            _mul_into(changed, ((tuple(rest), coeff),), product.terms)
         if len(kept) == len(self.terms):
             return self
         return Expr(tuple(kept)) + Expr._from_map(changed)
@@ -814,6 +795,18 @@ def _mul_monos(m1: Mono, m2: Mono):
     items.extend(m1[i:])
     items.extend(m2[j:])
     return tuple(items), extra
+
+
+def _mul_into(m: dict, terms_a, terms_b) -> dict:
+    """Add the product of two term sequences into the raw {monomial:
+    coefficient} map m, zero sums kept, and return m."""
+    for mono1, c1 in terms_a:
+        for mono2, c2 in terms_b:
+            mono, extra = _mul_monos(mono1, mono2)
+            c = c1 * c2 if extra == 1 else c1 * c2 * extra
+            prev = m.get(mono)
+            m[mono] = c if prev is None else prev + c
+    return m
 
 
 def _split_terms(terms, is_key: Callable) -> dict:

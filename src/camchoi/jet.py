@@ -139,11 +139,13 @@ class Pde(Record):
 
 
 def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
-    """Select the leading derivative of an expanded lhs and solve for it.
+    """Select the leading derivative of an expanded lhs and solve for it: the
+    one solve behind pde blocks, ``ReducedEquation.to_pde``, ODE compilation
+    and first-integral checks.
 
     The leading jet is the one of highest order, ties broken by the variable
-    word under the context order, and must occur linearly with a coefficient
-    that is a nonzero rational or parameter monomial.
+    word under the context order, and must occur linearly with a monomial
+    coefficient (a pde block also wants a parameter monomial).
     """
     lhs = as_expr(lhs)
     jets = [a for a in set(lhs.atoms()) if isinstance(a, Jet) and a.dep == ctx.dependent]
@@ -152,13 +154,11 @@ def expand_pde(ctx: Context, lhs: Expr, name: str = "") -> Pde:
     leading = max(jets, key=lambda a: (a.order, a.word()))
     split = lhs.affine_in(leading)
     if split is None:
-        raise JetError("nonlinear in leading derivative: %s appears with a power other than 1" % leading)
+        raise JetError("nonlinear in leading derivative: %s appears with a power other than 1"
+                       % Expr.atom(leading))
     coeff, rest = split
     if not coeff.is_monomial():
-        raise JetError("nonlinear in leading derivative: coefficient %s of %s" % (coeff, leading))
-    for a in coeff.atoms():
-        if not (isinstance(a, Sym) and a.kind == PARAMETER):
-            raise JetError("leading coefficient %s is not a parameter monomial" % coeff)
+        raise JetError("nonlinear in leading derivative: coefficient %s of %s" % (coeff, Expr.atom(leading)))
     return Pde(ctx, lhs, leading, (-rest) / coeff, name=name)
 
 

@@ -23,7 +23,7 @@ from .expr import (
     ZERO,
     app,
 )
-from .jet import Context, Record, _introduce, expand_pde, total_derivative
+from .jet import Context, JetError, Record, _introduce, expand_pde, total_derivative
 from .odes import METHODS
 from .reduction import Ansatz, ReducedEquation, SolutionRule
 from .symmetry import VectorField
@@ -152,13 +152,18 @@ class EquationBlock(ReducedEquation):
 
 
 class PdeBlock(EquationBlock):
-    """An equation block that also holds its solved form ``pde``, expanded at construction."""
+    """An equation block that also holds its solved form ``pde``, expanded at
+    construction.  Its leading coefficient must be a parameter monomial, the
+    form the symmetry residual and the determining equations divide by."""
 
     kind = "pde"
 
     def __init__(self, name: str, ctx: Context, lhs: Expr, note: str = "", constants: Tuple[Sym, ...] = ()):
         super().__init__(name, ctx, lhs, note, constants)
         self.pde = expand_pde(ctx, lhs, name=name)
+        coeff = lhs.affine_in(self.pde.leading)[0]
+        if not all(a.__class__ is Sym and a.kind == PARAMETER for a in coeff.atoms()):
+            raise JetError("leading coefficient %s is not a parameter monomial" % coeff)
 
 
 class ReducedBlock(EquationBlock):

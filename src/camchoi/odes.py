@@ -15,7 +15,7 @@ from .expr import (
     Sym,
     as_expr,
 )
-from .jet import Context
+from .jet import Context, JetError, expand_pde
 
 
 class OdeError(ExprError):
@@ -115,7 +115,8 @@ def _finite_float(p: Sym, v: object) -> float:
 
 
 def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
-    """The table entry for e = 0, solved and stored on first use."""
+    """The table entry for e = 0, solved for its leading derivative by
+    ``expand_pde`` once n is bound, and stored on first use."""
     if len(ctx.independents) != 1:
         raise OdeError("ODE compilation needs a single independent variable")
     n = None
@@ -132,21 +133,13 @@ def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
         solved = _SOLVED_ODES.get((ctx, e, n))
         if solved is not None:
             return solved
-    eq = e if n is None else e.subst(N_SYMBOL, Expr.rational(n))
-    order = eq.max_jet_order()
-    if order == 0:
-        raise OdeError("no derivatives present in the equation")
-    split = eq.affine_in(ctx.jet((order,)))
-    if split is None:
-        raise OdeError("nonlinear in highest derivative")
-    coeff, rest = split
-    if coeff.is_zero:
-        raise OdeError("highest derivative vanished")
-    if not coeff.is_monomial():
-        raise OdeError("nonlinear in highest derivative: coefficient %s" % coeff)
-
+    try:
+        pde = expand_pde(ctx, e if n is None else e.subst(N_SYMBOL, Expr.rational(n)))
+    except JetError as exc:
+        raise OdeError(str(exc)) from None
+    order = pde.leading.order
     state_atoms = (ctx.dependent,) + tuple(ctx.jet((k,)) for k in range(1, order))
-    rhs = tuple(Expr.atom(a) for a in state_atoms[1:]) + ((-rest) / coeff,)
+    rhs = tuple(Expr.atom(a) for a in state_atoms[1:]) + (pde.leading_rhs,)
     solved = _SOLVED_ODES[(ctx, e, n)] = _SolvedOde(ctx, order, rhs, state_atoms, n)
     return solved
 

@@ -20,7 +20,7 @@ from .expr import (
     ZERO,
     derivative_table,
 )
-from .jet import Context, Pde, Record, _introduce, expand_pde, total_derivative
+from .jet import Context, JetError, Pde, Record, _introduce, expand_pde, on_manifold, total_derivative
 from .symmetry import VectorField, eliminate
 
 
@@ -225,16 +225,23 @@ def _refuse_unknown(dep: Sym, named: List[Tuple[str, Expr]]) -> None:
 
 
 def _substitute_dependent(lhs: Expr, ctx: Context, value: Expr, links: List[Tuple[Sym, Expr]],
-                          value_role: str, link_role: str) -> Expr:
-    """Substitute u = value, and each jet of u by the matching derivative of value.
+                          value_role: str, link_role: str, name: str = "") -> Expr:
+    """Substitute u = value, and each jet of u by the matching derivative of value,
+    in the lhs of the equation called name.
 
     ``value`` may use symbols w linked to the context variables by the
     (w, expression) pairs in ``links``; derivatives apply the chain rule
     through them.  A variable linked to itself passes through unchanged.
     Neither may hold u, so no replacement holds a target and one pass is exact.
+    The lhs may hold u and its jets but no function of u: a Func takes
+    variables, so G(u) cannot become G(value).
     """
     _refuse_unknown(ctx.dependent, [(value_role, value)]
                     + [("%s %s =" % (link_role, w.name), e) for w, e in links])
+    for a in lhs.atoms():
+        if a.__class__ is Func and ctx.dependent in a.args:
+            raise ReductionError("equation %s holds %s, a function of the unknown %s"
+                                 % (name, Expr.atom(a), ctx.dependent.name))
 
     def chain_derivative(e: Expr, v: Sym) -> Expr:
         # a pass-through variable w == v is covered by the direct term
@@ -256,7 +263,8 @@ def pullback(pde: Pde, a: Ansatz) -> ReducedEquation:
         raise ReductionError("ansatz %s has a rank-deficient Jacobian" % a.name)
     ctx = pde.ctx
     _refuse_unknown(ctx.dependent, [("inverse hint %s =" % v.name, hint) for v, hint in a.inverse_hints])
-    out = _substitute_dependent(pde.lhs, ctx, a.dependent_rule, a.new_independent, "dependent rule", "new variable")
+    out = _substitute_dependent(pde.lhs, ctx, a.dependent_rule, a.new_independent, "dependent rule", "new variable",
+                                pde.name)
     for v, hint in a.inverse_hints:
         out = out.subst(v, hint)
 
@@ -363,24 +371,13 @@ def _top_jet_coeff(e: Expr, ctx: Context, order: int) -> Expr:
     return split[0]
 
 
-def _solve_for_top(fi: ReducedEquation) -> Optional[Tuple[Jet, Expr]]:
-    order = fi.lhs.max_jet_order()
-    if order == 0:
-        return None
-    jet = fi.ctx.jet((order,))
-    split = fi.lhs.affine_in(jet)
-    if split is None or split[0].is_zero or not split[0].is_monomial():
-        return None  # nonlinear in its own top derivative; skip elimination
-    coeff, rest = split
-    return jet, (-rest) / coeff
-
-
 def check_first_integral(eq: ReducedEquation, fi: ReducedEquation) -> Expr:
     """Residual certifying fi as a first integral of eq (zero when it is one).
 
     The candidate is differentiated down to the order of the equation, the
     top derivative is cancelled by cross multiplication with the equation's
-    top coefficient, and the remainder is reduced modulo fi itself.
+    top coefficient, and the remainder is reduced modulo fi itself, solved
+    for its leading derivative by ``fi.to_pde()`` unless expand_pde refuses it.
     """
     eq.ctx.check_same_space(fi.ctx, ReductionError, "equation " + eq.name, "candidate " + fi.name)
     ctx = fi.ctx
@@ -397,9 +394,10 @@ def check_first_integral(eq: ReducedEquation, fi: ReducedEquation) -> Expr:
     c_eq = _top_jet_coeff(eq_lhs, ctx, eq_order)
     c_r = _top_jet_coeff(r, ctx, eq_order)
     raw = c_eq * r - c_r * eq_lhs
-    solved = _solve_for_top(fi)
-    if solved is not None:
-        raw = raw.subst(*solved)  # the solved form is free of the top jet it replaces
+    try:
+        raw = on_manifold(raw, fi.to_pde())
+    except JetError:  # nonlinear in its own top derivative: left unreduced
+        pass
     return raw.content_normalized()
 
 
@@ -430,7 +428,7 @@ def verify_closed_form(
     function monomials (the constraint equations on the free constants).
     """
     _refuse_unknown(target.ctx.dependent, [("solution rule %s =" % Expr.atom(rule.func), rule.expr) for rule in rules])
-    out = _substitute_dependent(target.lhs, target.ctx, sol, bindings or [], "closed form", "binding")
+    out = _substitute_dependent(target.lhs, target.ctx, sol, bindings or [], "closed form", "binding", target.name)
     for _ in range(12):
         before = out
         for rule in rules:

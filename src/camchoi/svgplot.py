@@ -35,16 +35,15 @@ def write_svg(
     colors: Sequence[str],
     path: str,
     labels: Optional[Sequence[str]] = None,
-    component: int = 0,
     description: str = "",
 ) -> None:
-    """Plot one state component of each trajectory as a colored polyline.
+    """Plot the state itself (component 0) of each trajectory as a colored polyline.
 
     All trajectories are expected to share the independent-variable span.
-    Samples whose component is not finite are neither scaled nor drawn.
+    Samples whose state is not finite are neither scaled nor drawn.
     An empty list yields an axes-only document.
     """
-    shown = [[(t, y[component]) for t, y in tr.samples if math.isfinite(y[component])] for tr in trajs]
+    shown = [[(t, y[0]) for t, y in tr.samples if math.isfinite(y[0])] for tr in trajs]
     xs = [t for pts in shown for t, _v in pts]
     ys = [v for pts in shown for _t, v in pts]
     xmin, xmax, sx = _axis(xs)

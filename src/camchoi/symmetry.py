@@ -15,7 +15,7 @@ from .expr import (
     ZERO,
     ONE,
     _mono_sort_key,
-    _mul_monos,
+    _mul_into,
     _power_of,
     _split_terms,
     as_expr,
@@ -180,12 +180,7 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
         power = powers.get(e)
         if power is None:
             power = powers[e] = _power_of(pde.leading_rhs, e).terms
-        rest = mono1[:i] + mono1[i + 1 :]
-        for mono2, c2 in power:
-            mono3, extra = _mul_monos(rest, mono2)
-            c = c1 * c2 if extra == 1 else c1 * c2 * extra
-            prev = m.get(mono3)
-            m[mono3] = c if prev is None else prev + c
+        _mul_into(m, ((mono1[:i] + mono1[i + 1 :], c1),), power)
     return m
 
 

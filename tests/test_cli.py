@@ -514,3 +514,15 @@ UNKNOWN_IN_RULE = os.path.join(os.path.dirname(__file__), "models", "unknown_in_
 def test_a_rule_that_holds_the_unknown_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, argv[0], UNKNOWN_IN_RULE, *argv[1:])
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+FUNCTION_OF_UNKNOWN = os.path.join(os.path.dirname(__file__), "models", "function_of_unknown.model")
+
+
+# G(u) in the equation cannot take a substituted u (a Func takes variables), so
+# reduce and solution-check refuse it where they printed G(u) with exit 0
+@pytest.mark.parametrize("argv", [("reduce", "g", "travel"), ("solution-check", "g", "line")],
+                         ids=["reduce", "solution-check"])
+def test_an_equation_that_holds_a_function_of_the_unknown_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], FUNCTION_OF_UNKNOWN, *argv[1:])
+    assert (code, out, err) == (2, "", "error: equation g holds G(u), a function of the unknown u\n")

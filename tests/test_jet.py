@@ -114,6 +114,22 @@ def test_nonlinear_leading_rejected():
         expand_pde(ctx, bad)
 
 
+def test_expand_pde_takes_any_monomial_leading_coefficient():
+    # a pde block still refuses t*u[t] + u (test_model); built in code it is solved
+    tctx = Context((t,), u, ())
+    pde = expand_pde(tctx, T * tctx.jet_expr((1,)) + U)
+    assert (pde.leading, pde.leading_rhs) == (tctx.jet((1,)), -U / T)
+    with pytest.raises(JetError, match=r"^nonlinear in leading derivative: coefficient u \+ 1 of u\[t\]$"):
+        expand_pde(tctx, (1 + U) * tctx.jet_expr((1,)))
+
+
+def test_eq37_is_solved_for_its_third_derivative(doc):
+    eq37 = doc.find("eq37")
+    pde = eq37.to_pde()
+    assert pde.leading == eq37.ctx.jet((3,))
+    assert on_manifold(eq37.lhs, pde).is_zero
+
+
 def test_jet_order_cap():
     with pytest.raises(JetError, match="cap"):
         ctx.jet((0, MAX_JET_ORDER + 1, 0))

@@ -191,6 +191,10 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     (_block(EQ_HEAD + ["eq u + 1 = 0"]), 4, 3, "no jet variables"),
     (_block(EQ_HEAD + ["eq (1 + u)*u[t] = 0"]), 4, 3, "nonlinear in leading"),
     (_block(EQ_HEAD + ["eq t*u[t] + u = 0"]), 4, 3, "not a parameter monomial"),
+    (_block(EQ_HEAD + ["eq u[t]^2 + u = 0"]), 4, 3,
+     r"^line 4, col 3: nonlinear in leading derivative: u\[t\] appears with a power other than 1$"),
+    (_block(EQ_HEAD + ["eq u[t] + (t^(1/2))^(1/2) = 0"]), 4, 23,
+     r"^line 4, col 23: cannot raise t\^\(1/2\) to power 1/2$"),
     (_block(EQ_HEAD + ["eq u[t] + u = 0", "vars = s"], "reduced"), 5, 3, "vars must come before eq"),
     (_block(EQ_HEAD + ["eq u[t] + u = 0", "dep = v"], "ode"), 5, 3, "dep must come before eq"),
     ("param a\n" + _block(EQ_HEAD + ["constants = a", "eq u[t] = 0"]), 5, 13, "unknown clause"),
@@ -212,7 +216,8 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     ("param alpha\n" + _block(["vars = t", "dep = alpha", "eq alpha[t] + alpha = 0"]), 5, 3,
      "dep name 'alpha' is already a parameter"),
 ], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
-        "leading coefficient with a variable", "vars after eq", "dep after eq", "constants in a pde",
+        "leading coefficient with a variable", "leading derivative squared", "half power of a half power",
+        "vars after eq", "dep after eq", "constants in a pde",
         "two decimal points", "exponent without digits", "zero divisor in an equation", "signed power",
         "zero divisor in ic", "exponent without digits in span", "on in an ode block",
         "on in a run block", "unknown method", "variable named like a parameter", "variable named like a function",

@@ -8,7 +8,7 @@ import pytest
 
 from camchoi import odes
 from camchoi.expr import DEPENDENT, EXP_N, Exponent, Expr, N_SYMBOL, PARAMETER, RatPow, Sym, VARIABLE
-from camchoi.jet import Context
+from camchoi.jet import Context, expand_pde
 from camchoi.library import FIG1_RUNS, fig1_trajectory
 from camchoi.odes import (
     IntegratorConfig,
@@ -60,8 +60,22 @@ def test_compile_unbound_parameter_rejected():
 
 def test_compile_nonlinear_highest_rejected():
     bad = zj((2,)) ** 2 + Expr.atom(H)
-    with pytest.raises(OdeError, match="nonlinear in highest derivative"):
+    with pytest.raises(OdeError, match="nonlinear in leading derivative"):
         compile_rhs(zctx, bad, {})
+
+
+def test_compile_rhs_solves_every_builtin_ode_through_expand_pde(doc):
+    from camchoi.modelfile import OdeBlock
+
+    blocks = [b for b in doc.blocks if isinstance(b, OdeBlock)]
+    assert {b.name for b in blocks} >= {"cc28ode", "cc33ode", "fig1ode"}
+    for b in blocks:
+        bound = b.lhs.subst(N_SYMBOL, Expr.rational(2))
+        params = {a: 1 for a in b.lhs.atoms() if isinstance(a, Sym) and a.kind == PARAMETER and a != N_SYMBOL}
+        if bound != b.lhs:
+            params[N_SYMBOL] = 2
+        sys, pde = compile_rhs(b.ctx, b.lhs, params), expand_pde(b.ctx, bound)
+        assert (sys.order, sys.rhs[-1]) == (pde.leading.order, pde.leading_rhs), b.name
 
 
 def test_compile_riccati_is_one_dimensional(doc):
@@ -732,7 +746,7 @@ def test_a_failed_solve_is_not_stored():
     bad = zj((2,)) ** 2 + Expr.atom(H)
     before = dict(odes._SOLVED_ODES)
     for _ in range(2):
-        with pytest.raises(OdeError, match="nonlinear in highest derivative"):
+        with pytest.raises(OdeError, match="nonlinear in leading derivative"):
             compile_rhs(zctx, bad, {})
     assert odes._SOLVED_ODES == before
 
