@@ -103,8 +103,7 @@ def _cmd_closure(args) -> int:
     for (i, j), (Z, dec) in sorted(table.table.items()):
         key = "[%s,%s]" % (args.fields[i], args.fields[j])
         detail[key] = dec.coefficient_strings() if dec.ok else "not decomposable: " + str(Z)
-    ledger = [LedgerEntry("closure", "[%s,%s]" % (args.fields[i], args.fields[j]),
-                          "", str(Z), "", "outside the span")
+    ledger = [LedgerEntry("[%s,%s]" % (args.fields[i], args.fields[j]), "", str(Z), "", "outside the span")
               for i, j, Z in table.witnesses]
     return _report(args, [CaseResult("closure", "closure", "pass" if table.closed else "mismatch-recorded",
                                      {"closed": table.closed, "table": detail}, ledger)])
@@ -161,13 +160,14 @@ def _cmd_integrate(args) -> int:
         write_csv(traj, args.csv, names)
     if args.svg:
         write_svg([traj], ["red"], args.svg, labels=[args.ode])
-    end = traj.endpoint()
-    sys.stdout.write("%s: %d samples, endpoint %s -> %s%s\n" % (
-        args.ode, traj.count, "%g" % end[0],
-        ", ".join("%.12g" % v for v in end[1]),
-        " [%s]" % traj.flag if traj.flag else "",
-    ))
+    sys.stdout.write(_endpoint_line(args.ode, traj))
     return 1 if traj.flag else 0
+
+
+def _endpoint_line(name: str, traj) -> str:
+    t, y = traj.endpoint()
+    flag = " [%s]" % traj.flag if traj.flag else ""
+    return "%s: %d samples, endpoint %g -> %s%s\n" % (name, traj.count, t, ", ".join("%.12g" % v for v in y), flag)
 
 
 def _cmd_fig1(args) -> int:
@@ -187,8 +187,10 @@ def _cmd_fig1(args) -> int:
     svg_path = os.path.join(args.out, "fig1.svg")
     write_svg(trajs, colors, svg_path, labels=labels,
               description="damping-factor grouping: %s" % args.grouping)
-    sys.stdout.write("wrote %s and %d CSV files (grouping: %s)\n" % (svg_path, len(trajs), args.grouping))
-    return 0
+    flagged = [_endpoint_line(rn, traj) for rn, traj in zip(FIG1_RUNS, trajs) if traj.flag]
+    sys.stdout.write("wrote %s and %d CSV files (grouping: %s)\n" % (svg_path, len(trajs), args.grouping)
+                     + "".join(flagged))
+    return 1 if flagged else 0
 
 
 def _cmd_paper_suite(args) -> int:
@@ -278,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     # JetError, OdeError and ReductionError are ExprErrors
-    except (ParseError, ModelLookupError, UsageError, FileNotFoundError, ExprError) as e:
+    except (ParseError, ModelLookupError, UsageError, OSError, UnicodeDecodeError, ExprError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
 

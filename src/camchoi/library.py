@@ -58,8 +58,7 @@ def load_builtin() -> ModelDocument:
 
 
 class LedgerEntry:
-    def __init__(self, label: str, subject: str, printed: str, computed: str, residual: str, note: str = ""):
-        self.label = label
+    def __init__(self, subject: str, printed: str, computed: str, residual: str, note: str = ""):
         self.subject = subject
         self.printed = printed
         self.computed = computed
@@ -189,8 +188,8 @@ def observe_reduction(doc: ModelDocument, label: str, pde_name: str, ansatz_name
         note = "matches under the identification " + ", ".join("%s = %s" % (s.name, v) for s, v in subs)
     else:
         note = "matches the computed reduction (%s)" % rep.verdict
-    ledger = [LedgerEntry(label, "%s under %s" % (pde_name, ansatz_name),
-                          str(printed.lhs), str(red.lhs), str(rep.residual), note)]
+    ledger = [LedgerEntry("%s under %s" % (pde_name, ansatz_name), str(printed.lhs), str(red.lhs),
+                          str(rep.residual), note)]
     verdict = "mismatch-recorded" if rep.verdict == "mismatch" else "pass"
     return CaseResult(label, "reduction", verdict, detail, ledger)
 
@@ -202,7 +201,7 @@ def observe_first_integral(doc: ModelDocument, label: str, eq_name: str, fi_name
     detail = {"residual": str(r)}
     if r.is_zero:
         return CaseResult(label, "first-integral", "pass", detail)
-    entry = LedgerEntry(label, "d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
+    entry = LedgerEntry("d(%s) against %s" % (fi_name, eq_name), fi_name, eq_name,
                         str(r), "printed quadrature pair leaves a nonzero residual")
     return CaseResult(label, "first-integral", "mismatch-recorded", detail, [entry])
 
@@ -222,7 +221,7 @@ def observe_closed_form(doc: ModelDocument, label: str, eq_name: str, sol_name: 
     detail["constraints"] = cons = {str(k): str(v) for k, v in cons.items()}
     note = "closed form leaves a nonzero residual; constraints: " + ", ".join(
         "%s = 0" % v for _k, v in sorted(cons.items()))
-    entry = LedgerEntry(label, "%s into %s" % (sol_name, eq_name), str(blk.sol), "", str(res), note)
+    entry = LedgerEntry("%s into %s" % (sol_name, eq_name), str(blk.sol), "", str(res), note)
     return CaseResult(label, "solution", "mismatch-recorded", detail, [entry])
 
 
@@ -271,7 +270,7 @@ def _bracket_case(label: str, title: str, relations, note: str) -> Case:
             detail[subject] = verdict = compare_fields(Z, P)
             ok = ok and verdict == expected
             if verdict == "mismatch":
-                ledger.append(LedgerEntry(label, subject, str(P), str(Z), "", note))
+                ledger.append(LedgerEntry(subject, str(P), str(Z), "", note))
         verdict = "pass" if ok and not ledger else ("mismatch-recorded" if ok else "fail")
         return CaseResult(label, "commutators", verdict, detail, ledger)
 
@@ -479,7 +478,6 @@ def build_cases() -> List[Case]:
 def _run_x6p_printed(doc: ModelDocument) -> CaseResult:
     r = check_symmetry(_vf(doc, "X6p_printed"), _pde(doc, "cc"))
     entry = LedgerEntry(
-        "cc.11-printed",
         "X6p_printed on cc",
         str(_vf(doc, "X6p_printed")),
         str(_vf(doc, "X6p")),
@@ -497,7 +495,6 @@ def _run_zb3_printed(doc: ModelDocument) -> CaseResult:
         _pde(doc, "eq33d"),
     )
     entry = LedgerEntry(
-        "sec4.1-printed",
         "Zb3_printed",
         str(_vf(doc, "Zb3_printed")),
         str(_vf(doc, "Zb3")),
@@ -535,10 +532,7 @@ def _run_six_closure(doc: ModelDocument) -> CaseResult:
     rep = closure_table([_vf(doc, nm) for nm in names])
     witnesses = ["[%s,%s]" % (names[i], names[j]) for i, j, _ in rep.witnesses]
     ok = (not rep.closed) and "[X2p,X5p]" in witnesses
-    ledger = [
-        LedgerEntry("cc.11-closure", w, "", "", "", "commutator leaves the six-field span")
-        for w in witnesses
-    ]
+    ledger = [LedgerEntry(w, "", "", "", "commutator leaves the six-field span") for w in witnesses]
     return CaseResult(
         "cc.11-closure",
         "closure",
@@ -642,7 +636,7 @@ def _run_fi_eq38(doc: ModelDocument) -> CaseResult:
         r = check_first_integral(eq, doc.block(IntegralBlock, nm))
         out[nm] = str(r)
         if not r.is_zero:
-            ledger.append(LedgerEntry("eq.38", "d(%s) against eq37" % nm, nm, "eq37", str(r),
+            ledger.append(LedgerEntry("d(%s) against eq37" % nm, nm, "eq37", str(r),
                                       "grouping leaves a nonzero residual"))
     verdict = "mismatch-recorded" if ledger else "pass"
     return CaseResult("eq.38", "first-integral", verdict, out, ledger)

@@ -83,7 +83,7 @@ class Ansatz(Record):
 def jacobian_rank_ok(a: Ansatz) -> bool:
     """Full row rank of d(new)/d(old), by exact elimination; an ansatz with no
     new variable reduces nothing and fails."""
-    rows = [[e.diff(v) for v in a.src.independents] for _, e in a.new_independent]
+    rows = [{j: d for j, d in enumerate(map(e.diff, a.src.independents)) if d.terms} for _, e in a.new_independent]
     return 0 < len(rows) == len(eliminate(rows, len(a.src.independents)))
 
 

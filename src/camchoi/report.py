@@ -49,7 +49,7 @@ class Report:
                 }
             )
             for e in r.ledger:
-                ledger.append({"label": e.label, "subject": e.subject, "printed": e.printed,
+                ledger.append({"label": r.label, "subject": e.subject, "printed": e.printed,
                                "computed": e.computed, "residual": e.residual, "note": e.note})
         ledger.sort(key=lambda d: (d["label"], d["subject"]))
         return {
@@ -75,12 +75,12 @@ class Report:
             "%d cases: %d pass, %d fail, %d recorded discrepancies, %d unsupported"
             % (s["total"], s["pass"], s["fail"], s["mismatch_recorded"], s["unsupported"])
         )
-        entries = [e for r in self.results for e in r.ledger]
+        entries = [(r.label, e) for r in self.results for e in r.ledger]
         if entries:
             lines.append("")
             lines.append("discrepancy ledger:")
-            for e in sorted(entries, key=lambda e: (e.label, e.subject)):
-                lines.append("  [%s] %s" % (e.label, e.subject))
+            for label, e in sorted(entries, key=lambda le: (le[0], le[1].subject)):
+                lines.append("  [%s] %s" % (label, e.subject))
                 if e.printed:
                     lines.append("      printed:  %s" % e.printed)
                 if e.computed:

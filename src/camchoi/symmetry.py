@@ -248,47 +248,53 @@ def commutator(X: VectorField, Y: VectorField) -> VectorField:
 # -- exact linear algebra over the expression ring -----------------------------
 
 
-def eliminate(a: List[List[Expr]], ncols: int) -> List[int]:
-    """Gauss-Jordan elimination on the first ncols columns of a, in place and
-    without division; returns the pivot columns, pivot i sitting in row i.
+def eliminate(a: List[Dict[int, Expr]], ncols: int) -> List[int]:
+    """Gauss-Jordan elimination on columns 0 .. ncols-1 of the rows a (dicts
+    from column to nonzero entry), in place and without division; returns the
+    pivot columns, pivot i in row i, the first row left that holds it.
 
-    Each row update is piv * row - entry * pivot_row.  It keeps the row space
-    over the fraction field, and the expression ring is an integral domain,
-    so the zero tests, and hence the pivots and the rank, are those of
-    elimination over fractions.  Rows past the pivots end up zero in the
-    first ncols columns; later columns (a right-hand side) ride along.
+    Each row update is piv * row - entry * pivot_row over both rows' columns
+    but the pivot column, zeros dropped.  The ring is an integral domain, so
+    the pivots and the rank are those of elimination over fractions.  Rows
+    past the pivots hold no column below ncols; later columns ride along.
     """
     pivots: List[int] = []
     for c in range(ncols):
         r = len(pivots)
-        p = next((rr for rr in range(r, len(a)) if not a[rr][c].is_zero), None)
+        p = next((rr for rr in range(r, len(a)) if c in a[rr]), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
         prow = a[r]
         piv = prow[c]
         for rr, row in enumerate(a):
-            e = row[c]
-            if rr != r and not e.is_zero:
-                a[rr] = [piv * x - e * y if y.terms else piv * x for x, y in zip(row, prow)]
+            e = row.get(c)
+            if rr != r and e is not None:
+                new = {k: piv * x for k, x in row.items() if k not in prow}
+                for k, y in prow.items():
+                    if k != c:
+                        x = piv * row[k] - e * y if k in row else -(e * y)
+                        if x.terms:
+                            new[k] = x
+                a[rr] = new
         pivots.append(c)
     return pivots
 
 
-def solve_linear_exprs(rows: List[List[Expr]], rhs: List[Expr]) -> Optional[List[Tuple[Expr, Expr]]]:
-    """Solve A c = b exactly; returns (num, den) pairs or None when inconsistent.
+def solve_linear_exprs(rows: List[Dict[int, Expr]], ncols: int) -> Optional[List[Tuple[Expr, Expr]]]:
+    """Solve A c = b exactly for the rows of [A | b], b in column ncols;
+    returns (num, den) pairs or None when inconsistent.
 
     Free unknowns are set to zero.  Works over the fraction field of the
     expression domain, so no divisibility assumptions are needed.
     """
-    ncols = len(rows[0]) if rows else 0
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    a = list(rows)
     pivots = eliminate(a, ncols)
-    if any(not row[ncols].is_zero for row in a[len(pivots):]):
+    if any(ncols in row for row in a[len(pivots):]):
         return None
     sol: List[Tuple[Expr, Expr]] = [(ZERO, ONE)] * ncols
     for r, c in enumerate(pivots):
-        sol[c] = (a[r][ncols], a[r][c])
+        sol[c] = (a[r].get(ncols, ZERO), a[r][c])
     return sol
 
 
@@ -311,18 +317,16 @@ class Decomposition:
         return out
 
 
-def _component_rows(fields: List[VectorField], target: VectorField):
-    """Linear system matching monomials in everything except parameters."""
-    rows: List[List[Expr]] = []
-    rhs: List[Expr] = []
+def _component_rows(fields: List[VectorField], target: VectorField) -> List[Dict[int, Expr]]:
+    """Rows of [A | b] matching monomials in everything except parameters:
+    field j in column j, the target in column len(fields)."""
+    rows: List[Dict[int, Expr]] = []
     for column in zip(*(f.components() for f in list(fields) + [target])):
         splits = [{key: Expr._from_map(rest) for key, rest in _split_terms(e.terms, _not_a_parameter).items()}
                   for _slot, e in column]
         keys = sorted(set().union(*splits), key=lambda kk: _mono_sort_key(kk)[2])
-        for key in keys:
-            rows.append([split.get(key, ZERO) for split in splits[:-1]])
-            rhs.append(splits[-1].get(key, ZERO))
-    return rows, rhs
+        rows.extend({j: split[key] for j, split in enumerate(splits) if key in split} for key in keys)
+    return rows
 
 
 def _not_a_parameter(a) -> bool:
@@ -337,7 +341,7 @@ def decompose_field(target: VectorField, basis: List[VectorField]) -> Decomposit
     """
     for f in basis:
         target.ctx.check_same_space(f.ctx, SymmetryError, "field " + target.name, "field " + f.name)
-    sol = solve_linear_exprs(*_component_rows(basis, target))
+    sol = solve_linear_exprs(_component_rows(basis, target), len(basis))
     return Decomposition(False) if sol is None else Decomposition(True, sol)
 
 

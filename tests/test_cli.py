@@ -157,6 +157,23 @@ def test_fig1_command(capsys, tmp_path):
     assert header == "zeta,H,Hp"
 
 
+def test_fig1_names_each_run_that_ends_early_and_exits_1(capsys, tmp_path):
+    # every curve stops with step-underflow near its singularity; the
+    # truncated files are still written
+    out_dir = os.path.join(tmp_path, "fig")
+    code, out, err = run(capsys, "fig1", "--out", out_dir, "--span", "0", "-50")
+    assert code == 1 and err == ""
+    assert sorted(os.listdir(out_dir)) == ["fig1.svg", "fig1_n2.csv", "fig1_n3.csv", "fig1_n5.csv"]
+    lines = out.splitlines()
+    assert lines[0] == "wrote %s and 3 CSV files (grouping: default)" % os.path.join(out_dir, "fig1.svg")
+    ends = []
+    for line, run_name in zip(lines[1:], ["fig1n2", "fig1n3", "fig1n5"]):
+        m = re.fullmatch(run_name + r": \d+ samples, endpoint (\S+) -> \S+, \S+ \[step-underflow\]", line)
+        assert m, line
+        ends.append(round(float(m.group(1)), 2))
+    assert ends == [-1.09, -0.89, -0.66]
+
+
 FIG1_DIGESTS = {
     "default": {
         "fig1.svg": "bbce3beac84f718aa396872882fa1d87",
@@ -431,6 +448,22 @@ def test_commutators_need_two_fields(capsys):
 def test_unbound_parameter_is_named_in_model_text(capsys):
     code, _, err = run(capsys, *INTEGRATE, "--param", "Y1=0")
     assert (code, err) == (2, "error: unbound parameter Y0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["determining", "{d}/absent.model", "cc"], "[Errno 2] No such file or directory: '{d}/absent.model'"),
+    (["determining", "{d}", "cc"], "[Errno 21] Is a directory: '{d}'"),
+    (["determining", "{d}/latin1.model", "cc"], "'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"),
+    (["fig1", "--out", "{d}/latin1.model", "--span", "0", "1"], "[Errno 17] File exists: '{d}/latin1.model'"),
+    (["determining", "builtin", "cc", "--json", "{d}"], "[Errno 21] Is a directory: '{d}'"),
+], ids=["missing model", "model is a directory", "model is not utf-8", "fig1 out is a file", "json is a directory"])
+def test_a_file_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv, message):
+    d = str(tmp_path)
+    with open(os.path.join(d, "latin1.model"), "wb") as fh:
+        fh.write("param caf\u00e9\n".encode("latin-1"))
+    code, _out, err = run(capsys, *(a.format(d=d) for a in argv))
+    assert code == 2
+    assert err == "error: %s\n" % message.format(d=d)
 
 
 def test_missing_block_is_a_usage_error(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -17,6 +18,7 @@ from camchoi.expr import (
     VARIABLE,
     ONE,
     ZERO,
+    _split_terms,
 )
 from camchoi.jet import Context, expand_pde, on_manifold
 from camchoi.library import x3_of
@@ -26,12 +28,14 @@ from camchoi.symmetry import (
     Decomposition,
     SymmetryError,
     VectorField,
+    _not_a_parameter,
     apply_prolonged,
     check_symmetry,
     closure_table,
     commutator,
     decompose_field,
     determining_equations,
+    eliminate,
     field_lincomb,
     prolong,
     solve_linear_exprs,
@@ -276,7 +280,7 @@ def test_solve_linear_exprs_inconsistent():
     a = Sym("a")
     rows = [[ONE], [ONE]]
     rhs = [Expr.atom(a), Expr.atom(a) + 1]
-    assert solve_linear_exprs(rows, rhs) is None
+    assert solve_linear_exprs(*_sparse(rows, rhs)) is None
 
 
 def test_decompose_field_rejects_basis_on_another_jet_space(doc):
@@ -297,6 +301,47 @@ def test_coefficient_strings_print_exact_quotients_as_monomials():
     assert dec.coefficient_strings() == [
         "1", "-3*alpha", "0", "alpha + 1", "(alpha + 2)/(alpha + 1)", "(alpha^2 - 1)/(alpha + 1)",
     ]
+
+
+def _reference_eliminate(a, ncols):
+    """The dense Gauss-Jordan loop over lists padded with ZERO, kept as the
+    reference for ``eliminate``: the same pivot rule and row update."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((rr for rr in range(r, len(a)) if not a[rr][c].is_zero), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        piv = prow[c]
+        for rr, row in enumerate(a):
+            e = row[c]
+            if rr != r and not e.is_zero:
+                a[rr] = [piv * x - e * y if y.terms else piv * x for x, y in zip(row, prow)]
+        pivots.append(c)
+    return pivots
+
+
+def _nonzero(row):
+    """A dense row as a dict from column to nonzero entry."""
+    return {j: x for j, x in enumerate(row) if not x.is_zero}
+
+
+def _sparse(rows, rhs):
+    """The rows of [A | b] as sparse rows, with the column count of A."""
+    return [_nonzero(list(row) + [b]) for row, b in zip(rows, rhs)], len(rows[0]) if rows else 0
+
+
+def _assert_matches_the_reference(sparse, ncols):
+    """eliminate on the sparse rows and the dense reference on their padded
+    copy give the same pivot columns and the same nonzero entries, row by row."""
+    width = max([ncols] + [k + 1 for row in sparse for k in row])
+    dense = [[row.get(k, ZERO) for k in range(width)] for row in sparse]
+    pivots = eliminate(sparse, ncols)
+    assert pivots == _reference_eliminate(dense, ncols)
+    assert sparse == [_nonzero(row) for row in dense]
+    return pivots
 
 
 def _poly(rng, alpha):
@@ -356,7 +401,7 @@ def test_solve_linear_exprs_planted_solutions():
         rows = [[_poly(rng, alpha) for _ in range(n)] for _ in range(n + rng.randint(0, 1))]
         c = [_poly(rng, alpha) for _ in range(n)]
         rhs = [_dot(row, c) for row in rows]
-        sol = solve_linear_exprs(rows, rhs)
+        sol = solve_linear_exprs(*_sparse(rows, rhs))
         assert sol is not None and _solves(rows, rhs, sol)
         if _rank_at(rows, alpha, Fraction(7, 3)) == n:
             unique += 1
@@ -366,7 +411,7 @@ def test_solve_linear_exprs_planted_solutions():
         k = rng.randrange(n)
         wide = [row + [row[k]] for row in rows]
         wide_rhs = [b + row[k] * c[k] for row, b in zip(rows, rhs)]
-        sol = solve_linear_exprs(wide, wide_rhs)
+        sol = solve_linear_exprs(*_sparse(wide, wide_rhs))
         assert sol is not None and _solves(wide, wide_rhs, sol)
         assert sol[-1] == (ZERO, ONE)
 
@@ -374,8 +419,90 @@ def test_solve_linear_exprs_planted_solutions():
         ws = [_poly(rng, alpha) for _ in rows]
         extra = [_dot(ws, col) for col in zip(*rows)]
         shift = Expr.rational(rng.choice([-2, -1, 1, 3]))
-        assert solve_linear_exprs(rows + [extra], rhs + [_dot(ws, rhs) + shift]) is None
+        assert solve_linear_exprs(*_sparse(rows + [extra], rhs + [_dot(ws, rhs) + shift])) is None
     assert unique >= 50
+
+
+def _draw_rows(rng, alpha):
+    """Dense rows of [A | b] over Q[alpha], with zero rows, zero columns,
+    repeated rows, and rows that cancel against earlier ones: a combination
+    of two, or a multiple of one with one entry moved."""
+    ncols = rng.randint(1, 5)
+    zero_columns = set(rng.sample(range(ncols + 1), rng.randint(0, 2)))
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.randrange(6) if rows else 0
+        if kind == 1:
+            row = [ZERO] * (ncols + 1)
+        elif kind == 2:
+            row = list(rng.choice(rows))
+        elif kind == 3:
+            u, v = rng.choice(rows), rng.choice(rows)
+            wu, wv = _poly(rng, alpha), _poly(rng, alpha)
+            row = [wu * x + wv * y for x, y in zip(u, v)]
+        elif kind == 4:
+            w = _poly(rng, alpha)
+            row = [w * x for x in rng.choice(rows)]
+            j = rng.choice([k for k in range(ncols + 1) if k not in zero_columns] or [0])
+            row[j] = row[j] + _poly(rng, alpha)
+        else:
+            row = [ZERO if j in zero_columns else _poly(rng, alpha) for j in range(ncols + 1)]
+        rows.append(row)
+    return rows, ncols
+
+
+def test_sparse_elimination_matches_the_dense_reference():
+    """Drawn matrices over Q[alpha] with a right-hand-side column: the sparse
+    engine and the dense reference agree on pivots and entries, row by row."""
+    alpha = Sym("alpha")
+    rng = random.Random(32)
+    deficient = inconsistent = 0
+    for _ in range(300):
+        rows, ncols = _draw_rows(rng, alpha)
+        sparse = [_nonzero(row) for row in rows]
+        pivots = _assert_matches_the_reference(sparse, ncols)
+        deficient += len(pivots) < min(len(rows), ncols)
+        inconsistent += any(ncols in row for row in sparse[len(pivots):])
+    assert deficient >= 30 and inconsistent >= 30
+
+
+def _stage_a_rows(p, d):
+    """Item 1's stage A: each generator coefficient is a polynomial of degree
+    at most d in the base variables with unknown constant coefficients.  The
+    determining equations are split by non-parameter monomial, then by
+    unknown, into sparse rows (repeated rows dropped); returns the rows and
+    the number of unknowns."""
+    system = determining_equations(p)
+    unknowns, rules = [], {}
+    for fn in system.unknowns:
+        poly = ZERO
+        for exps in itertools.product(range(d + 1), repeat=len(fn.args)):
+            if sum(exps) <= d:
+                c = Sym("stage_a_%d" % len(unknowns))
+                unknowns.append(c)
+                term = Expr.atom(c)
+                for v, k in zip(fn.args, exps):
+                    term = term * Expr.atom(v) ** k
+                poly = poly + term
+        rules[fn.name] = poly
+    column = {c: j for j, c in enumerate(unknowns)}
+    rows = {}
+    for eq in system.substitute_solution(rules):
+        for rest in _split_terms(eq.terms, _not_a_parameter).values():
+            row = {column[key[0][0]]: Expr._from_map(part)
+                   for key, part in _split_terms(rest.items(), column.__contains__).items()}
+            rows.setdefault(tuple(sorted(row.items())), row)
+    return list(rows.values()), len(unknowns)
+
+
+@pytest.mark.parametrize("name, d, nrows, nullity",
+                         [("cc", 1, 22, 6), ("cc", 2, 108, 8), ("gcc", 1, 35, 5), ("gcc", 2, 163, 5)])
+def test_stage_a_nullities_match_the_dense_reference(doc, name, d, nrows, nullity):
+    """For cc the nullity is 2 + 2(d + 1): X1, X2 and X3(phi), X4(psi) with
+    phi, psi of degree at most d; generic gcc keeps its five fields."""
+    rows, ncols = _stage_a_rows(pde(doc, name), d)
+    assert (len(rows), ncols) == (nrows, 20 if d == 1 else 60)
+    assert ncols - len(_assert_matches_the_reference(rows, ncols)) == nullity
 
 
 def test_determining_equations_cc(doc, case_results):
