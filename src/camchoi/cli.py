@@ -5,6 +5,7 @@ three-curve figure, and the consolidated verification suite."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -33,10 +34,19 @@ from .symmetry import closure_table, commutator, determining_equations
 
 
 def _load_model(spec: str) -> ModelDocument:
+    """The built-in catalogue or the model file at spec; a byte that is not
+    UTF-8 is reported at its line and column, as a parse error is."""
     if spec == "builtin":
         return load_builtin()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(spec, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start]
+        col = len(head[head.rfind(b"\n") + 1 :].decode("utf-8")) + 1
+        raise UsageError("%s: %s" % (spec, ParseError("not UTF-8", head.count(b"\n") + 1, col))) from None
+    return parse_model(text)
 
 
 class UsageError(Exception):
@@ -69,13 +79,14 @@ def _assignments(doc: ModelDocument, items, option: str, value) -> list:
 
 def _report(args, results, extra: str = "") -> int:
     """Print the report of results, then extra, and write it to --json;
-    exit 1 when a result fails."""
+    exit 1 when a result fails.  The --json file is opened first, so a path
+    that cannot be written prints nothing to stdout."""
     rep = Report(args.command)
     for r in results:
         rep.add(r)
-    sys.stdout.write(rep.human_text() + extra)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
+        sys.stdout.write(rep.human_text() + extra)
+        if fh:
             fh.write(rep.machine_text())
     return 1 if rep.failed else 0
 
@@ -280,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     # JetError, OdeError and ReductionError are ExprErrors
-    except (ParseError, ModelLookupError, UsageError, OSError, UnicodeDecodeError, ExprError) as e:
+    except (ParseError, ModelLookupError, UsageError, OSError, ExprError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
 

@@ -25,10 +25,12 @@ Kernel invariants:
 * An Expr holds only its terms.  Monomial keys live only in ``_MONO_KEYS``;
   ``key()`` and the printed string are built on demand, and the hash is that
   of the terms.
-* A coefficient is an ``int`` or a ``Fraction``, never a float: rationals,
-  atoms, ``ONE`` and ``collect`` keys store an int where the value is
-  integral, ``content_normalized`` leaves coprime ints, and arithmetic may
-  leave an integral Fraction.
+* A coefficient is an ``int`` or a ``Fraction``, never a float, and an int
+  wherever its value is integral: rationals, atoms, ``ONE`` and ``collect``
+  keys store ints, ``content_normalized`` leaves coprime ints, and every
+  coefficient formed by arithmetic (sums, products, inverses, derivative
+  scaling, folded rational powers) passes through ``_exact``.  A product by
+  the int 1 is not formed.
   Equal values compare and hash equal (``1 == Fraction(1)``), so term tuples,
   ``key()``, ``str()`` and term order never depend on the type;
   ``as_rational`` always returns a Fraction.
@@ -451,7 +453,7 @@ class Expr:
                 mono, c = ta[i]
                 c = c + tb[j][1]
                 if c:
-                    terms.append((mono, c))
+                    terms.append((mono, _exact(c)))
                 i += 1
                 j += 1
         terms.extend(ta[i:])
@@ -510,7 +512,7 @@ class Expr:
             )
         mono, coeff = self.terms[0]
         m: dict = {}
-        extra = Fraction(1)
+        extra = 1
         for a, e in mono:
             if not e.is_integer():
                 raise ExprError("cannot raise %s to power %s" % (Expr.atom(a, e), exp))
@@ -584,8 +586,10 @@ class Expr:
                     rest = mono[:i] + ((a, down),) + mono[i + 1 :]
                 if e.n:
                     scaled = (Expr(((rest, coeff),)) * _exponent_expr(e)).terms
+                elif e is EXP_ONE:
+                    scaled = ((rest, coeff),)
                 else:
-                    scaled = ((rest, coeff * (e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2))),)
+                    scaled = ((rest, _exact(coeff * (e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2)))),)
                 _mul_into(m, scaled, da)
         return m
 
@@ -693,18 +697,7 @@ class Expr:
         The content is num/den, the gcd of the numerators over the lcm of the
         denominators, so every quotient c*den/num is an int.
         """
-        if self.is_zero:
-            return self
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = gcd(num, c.numerator)
-            d = c.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if self.terms[0][1] < 0:
-            num = -num
-        return Expr(tuple([(mono, c.numerator * (den // c.denominator) // num) for mono, c in self.terms]))
+        return Expr(_primitive(self.terms)) if self.terms else self
 
     def max_jet_order(self) -> int:
         best = 0
@@ -797,15 +790,25 @@ def _mul_monos(m1: Mono, m2: Mono):
     return tuple(items), extra
 
 
+def _exact(c):
+    """The coefficient c, an int where it is integral: the one demotion of
+    an integral Fraction that arithmetic leaves."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
 def _mul_into(m: dict, terms_a, terms_b) -> dict:
     """Add the product of two term sequences into the raw {monomial:
-    coefficient} map m, zero sums kept, and return m."""
+    coefficient} map m, zero sums kept, and return m.  A factor that is the
+    int 1 forms no product."""
     for mono1, c1 in terms_a:
+        unit = c1 == 1
         for mono2, c2 in terms_b:
             mono, extra = _mul_monos(mono1, mono2)
-            c = c1 * c2 if extra == 1 else c1 * c2 * extra
+            c = c2 if unit else c1 if c2 == 1 else _exact(c1 * c2)
+            if extra != 1:
+                c = _exact(c * extra)
             prev = m.get(mono)
-            m[mono] = c if prev is None else prev + c
+            m[mono] = c if prev is None else _exact(prev + c)
     return m
 
 
@@ -837,6 +840,21 @@ def _split_terms(terms, is_key: Callable) -> dict:
     return groups
 
 
+def _primitive(terms) -> tuple:
+    """The non-empty terms over their rational content, the leading
+    coefficient positive: coprime ints."""
+    num = 0
+    den = 1
+    for _, c in terms:
+        num = gcd(num, c.numerator)
+        d = c.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if terms[0][1] < 0:
+        num = -num
+    return tuple([(mono, c.numerator * (den // c.denominator) // num) for mono, c in terms])
+
+
 def _invert_monomial(e: Expr) -> Expr:
     if e.is_zero:
         raise ExprError("division by zero")
@@ -844,7 +862,8 @@ def _invert_monomial(e: Expr) -> Expr:
         raise ExprError("non-monomial divisor: %s" % e)
     mono, coeff = e.terms[0]
     inv = tuple(sorted(((a, x.neg()) for a, x in mono), key=_atom_key))
-    return Expr(((inv, Fraction(1) / coeff),))
+    c = Fraction(coeff)
+    return Expr(((inv, _exact(Fraction(c.denominator, c.numerator))),))
 
 
 def _fold_ratpow(rp: RatPow, exp: Exponent):
@@ -853,8 +872,7 @@ def _fold_ratpow(rp: RatPow, exp: Exponent):
     if exp.num2 % 2:
         raise ExprError("half-integer power of a rational base")
     k = exp.num2 // 2
-    extra = rp.base ** k if k else Fraction(1)
-    return ((rp, Exponent(0, exp.n)),), extra
+    return ((rp, Exponent(0, exp.n)),), _exact(rp.base ** k) if k else 1
 
 
 def _power_of(base: Expr, e: Exponent) -> Expr:

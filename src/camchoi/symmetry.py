@@ -3,6 +3,7 @@ commutators, and Lie-algebra closure analysis."""
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
@@ -14,9 +15,11 @@ from .expr import (
     Sym,
     ZERO,
     ONE,
+    _exact,
     _mono_sort_key,
     _mul_into,
     _power_of,
+    _primitive,
     _split_terms,
     as_expr,
     derivative_table,
@@ -175,7 +178,7 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
                 break
         else:
             prev = m.get(mono1)
-            m[mono1] = c1 if prev is None else prev + c1
+            m[mono1] = c1 if prev is None else _exact(prev + c1)
             continue
         power = powers.get(e)
         if power is None:
@@ -218,6 +221,10 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
 
     The residual terms go straight into one coefficient map per jet monomial;
     a term whose exp/tanh argument holds a jet cannot be split and is refused.
+    Each map is normalised in one pass: its terms sorted by monomial key and
+    divided by their content, and the equation's ``key()`` read off the
+    monomial keys already at hand.  Equal equations count once, and the
+    system is sorted by ``key()``.
     """
     ctx = pde.ctx
     args = tuple(ctx.independents) + (ctx.dependent,)
@@ -228,10 +235,14 @@ def determining_equations(pde: Pde) -> DeterminingSystem:
         X = VectorField(ctx, {v: Expr.atom(f) for v, f in zip(ctx.independents, unknowns)},
                         Expr.atom(unknowns[-1]), name="generic")
         P = _GENERIC_PROLONGATIONS[space] = prolong(X)
-    groups = _split_terms(_residual_terms(P, pde).items(), lambda a: a.__class__ is Jet)
-    equations = list(dict.fromkeys(Expr._from_map(g).content_normalized() for g in groups.values()))
-    equations.sort(key=lambda e: e.key())
-    return DeterminingSystem(unknowns, equations)
+    keys = {}  # the terms of each distinct equation -> its key()
+    for g in _split_terms(_residual_terms(P, pde).items(), lambda a: a.__class__ is Jet).values():
+        items = sorted([(_mono_sort_key(mono), mono, c) for mono, c in g.items()],
+                       key=itemgetter(0), reverse=True)
+        terms = _primitive([item[1:] for item in items])
+        if terms not in keys:
+            keys[terms] = tuple([(item[0][2], c, 1) for item, (_mono, c) in zip(items, terms)])
+    return DeterminingSystem(unknowns, [Expr(terms) for terms in sorted(keys, key=keys.__getitem__)])
 
 
 def commutator(X: VectorField, Y: VectorField) -> VectorField:

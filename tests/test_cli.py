@@ -450,20 +450,26 @@ def test_unbound_parameter_is_named_in_model_text(capsys):
     assert (code, err) == (2, "error: unbound parameter Y0\n")
 
 
+LATIN1 = os.path.join(os.path.dirname(__file__), "models", "latin1.model")
+
+
+# a byte that is not UTF-8 is reported at its line and column; columns count
+# characters, and the fourth line of LATIN1 holds a two-byte character first
 @pytest.mark.parametrize("argv, message", [
     (["determining", "{d}/absent.model", "cc"], "[Errno 2] No such file or directory: '{d}/absent.model'"),
     (["determining", "{d}", "cc"], "[Errno 21] Is a directory: '{d}'"),
-    (["determining", "{d}/latin1.model", "cc"], "'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"),
+    (["determining", "{d}/latin1.model", "cc"], "{d}/latin1.model: line 1, col 10: not UTF-8"),
+    (["determining", LATIN1, "cc"], LATIN1 + ": line 4, col 8: not UTF-8"),
     (["fig1", "--out", "{d}/latin1.model", "--span", "0", "1"], "[Errno 17] File exists: '{d}/latin1.model'"),
     (["determining", "builtin", "cc", "--json", "{d}"], "[Errno 21] Is a directory: '{d}'"),
-], ids=["missing model", "model is a directory", "model is not utf-8", "fig1 out is a file", "json is a directory"])
+], ids=["missing model", "model is a directory", "model is not utf-8", "model is not utf-8 past line 1",
+        "fig1 out is a file", "json is a directory"])
 def test_a_file_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv, message):
     d = str(tmp_path)
     with open(os.path.join(d, "latin1.model"), "wb") as fh:
         fh.write("param caf\u00e9\n".encode("latin-1"))
-    code, _out, err = run(capsys, *(a.format(d=d) for a in argv))
-    assert code == 2
-    assert err == "error: %s\n" % message.format(d=d)
+    code, out, err = run(capsys, *(a.format(d=d) for a in argv))
+    assert (code, out, err) == (2, "", "error: %s\n" % message.format(d=d))
 
 
 def test_missing_block_is_a_usage_error(capsys):

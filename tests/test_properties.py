@@ -897,8 +897,48 @@ def test_int_and_fraction_coefficients_are_indistinguishable():
 
 
 def _assert_exact_coefficients(e):
+    """Every coefficient an int or a Fraction, and an int wherever it is integral."""
     for c in _coefficients(e):
-        assert type(c) in (int, Fraction), (type(c), e)
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (type(c), c, e)
+
+
+def _random_monomial(rng, coefficients=(Fraction(-3, 2), Fraction(2, 3), -2, -1, 1, 3)):
+    return Expr.rational(rng.choice(coefficients)) * Expr.atom(rng.choice(ATOM_POOL))
+
+
+# A base coefficient and an exponent whose constant part folds it into an
+# integral rational, e.g. (1/2)^(n-1) = 2*(1/2)^n.
+POW_EXPONENT_CASES = [
+    (1, EXP_N), (1, Exponent(1, 0)), (1, Exponent(-3, 1)), (2, Exponent(4, 1)),
+    (Fraction(1, 2), Exponent(-2, 1)), (Fraction(1, 3), Exponent(-4, -1)), (Fraction(3, 2), Exponent(2, 1)),
+]
+
+
+def test_arithmetic_leaves_an_int_wherever_a_coefficient_is_integral():
+    rng = random.Random(113)
+    fractional = 0
+    for _ in range(150):
+        e, f = _derivation_input(rng), random_expr(rng, 3)
+        m, m2 = _random_monomial(rng), _random_monomial(rng)
+        for given in (e, f, m, m2):
+            _assert_exact_coefficients(given)
+        fractional += any(type(c) is Fraction for c in _coefficients(e))
+        v = rng.choice([t, x])
+        base, exp = rng.choice(POW_EXPONENT_CASES)
+        results = [e + f, e - f, -e, e * f, e * m, m * m2, e / m, m / m2, 3 / m, f ** rng.randint(0, 3),
+                   m ** -rng.randint(1, 3), (Expr.rational(base) * Expr.atom(t)).pow_exponent(exp),
+                   e.diff(v), total_derivative(e, v, ctx2), e.subst(a, f), e.subst(a, m),
+                   e.content_normalized()]
+        for r in results:
+            _assert_exact_coefficients(r)
+    assert fractional >= 50
+
+
+def test_every_builtin_leading_rhs_holds_only_int_coefficients():
+    pdes = [blk.pde for blk in load_builtin().blocks if isinstance(blk, PdeBlock)]
+    assert len(pdes) >= 6
+    for pde in pdes:
+        assert all(type(c) is int for c in _coefficients(pde.leading_rhs)), pde.name
 
 
 def test_determining_systems_and_suite_residuals_hold_only_exact_coefficients(monkeypatch):

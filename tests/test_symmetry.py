@@ -205,6 +205,41 @@ def test_determining_equations_match_a_fresh_generic_prolongation(doc, monkeypat
     run(range(len(pdes)))
 
 
+def _reference_grouping(p):
+    """The determining system by the path that the one-pass normalisation
+    replaced: each jet-monomial group an Expr through ``_from_map``, then
+    ``content_normalized``, ``dict.fromkeys`` and a sort by ``key()``.
+    Returns the equations and the number of groups."""
+    from camchoi import symmetry
+
+    determining_equations(p)  # fills the generic prolongation of p's space
+    P = symmetry._GENERIC_PROLONGATIONS[(p.ctx.independents, p.ctx.dependent)]
+    groups = _split_terms(symmetry._residual_terms(P, p).items(), lambda a: a.__class__ is Jet)
+    equations = list(dict.fromkeys(Expr._from_map(g).content_normalized() for g in groups.values()))
+    equations.sort(key=lambda e: e.key())
+    return equations, len(groups)
+
+
+# drawn parameters, and the special values alpha = 0 and 1 for cc and h0 = 0
+# for cc19, where terms of the residual cancel
+def test_one_pass_grouping_matches_the_per_group_normalisation(doc):
+    rng = random.Random(33)
+    systems = [pde(doc, "gcc").with_parameter(N_SYMBOL, k) for k in range(2, 6)]
+    for name, q, special in (("cc", "alpha", [0, 1]), ("cc19", "h0", [0]), ("eq33", "alpha", [])):
+        drawn = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12)) for _ in range(5)]
+        systems += [pde(doc, name).with_parameter(doc.params[q], v) for v in special + drawn]
+    merged = 0
+    for p in systems:
+        got = determining_equations(p).equations
+        want, ngroups = _reference_grouping(p)
+        assert [str(e) for e in got] == [str(e) for e in want]
+        assert [e.terms for e in got] == [e.terms for e in want]
+        assert all(type(c) is int for e in got for _m, c in e.terms)
+        merged += len(want) < ngroups
+    # every system holds groups that normalise to the same equation
+    assert merged == len(systems)
+
+
 EXP_OF_A_JET = os.path.join(os.path.dirname(__file__), "models", "exp_of_a_jet.model")
 
 
