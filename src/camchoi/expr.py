@@ -19,9 +19,9 @@ Kernel invariants:
   mean equal monomials.
 * An Expr's terms are strictly descending by ``_mono_sort_key`` and carry no
   zero coefficient; a monomial's factors are strictly ascending by atom sort
-  key, and a RatPow never carries an integer exponent.  Sums merge the two
-  term tuples; each atom computes its sort key once, and each distinct
-  monomial once (``_MONO_KEYS``).
+  key, and a RatPow never carries an integer exponent.  Sums and
+  differences merge the two term tuples (``_merge``); each atom computes its
+  sort key once, and each distinct monomial once (``_MONO_KEYS``).
 * An Expr holds only its terms.  Monomial keys live only in ``_MONO_KEYS``;
   ``key()`` and the printed string are built on demand, and the hash is that
   of the terms.
@@ -429,36 +429,7 @@ class Expr:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        """Merge two canonical term tuples; like terms add, zero sums drop."""
-        other = as_expr(other)
-        ta, tb = self.terms, other.terms
-        if not tb:
-            return self
-        if not ta:
-            return other
-        ka = [_mono_sort_key(mono) for mono, _ in ta]
-        kb = [_mono_sort_key(mono) for mono, _ in tb]
-        na, nb = len(ta), len(tb)
-        terms = []
-        i = j = 0
-        while i < na and j < nb:
-            x, y = ka[i], kb[j]
-            if x > y:
-                terms.append(ta[i])
-                i += 1
-            elif x < y:
-                terms.append(tb[j])
-                j += 1
-            else:
-                mono, c = ta[i]
-                c = c + tb[j][1]
-                if c:
-                    terms.append((mono, _exact(c)))
-                i += 1
-                j += 1
-        terms.extend(ta[i:])
-        terms.extend(tb[j:])
-        return Expr(tuple(terms))
+        return _merge(self, as_expr(other))
 
     __radd__ = __add__
 
@@ -466,10 +437,10 @@ class Expr:
         return Expr(tuple([(mono, -c) for mono, c in self.terms]))
 
     def __sub__(self, other) -> "Expr":
-        return self + (-as_expr(other))
+        return _merge(self, as_expr(other), True)
 
     def __rsub__(self, other) -> "Expr":
-        return as_expr(other) + (-self)
+        return _merge(as_expr(other), self, True)
 
     def __mul__(self, other) -> "Expr":
         return Expr._from_map(_mul_into({}, self.terms, as_expr(other).terms))
@@ -632,34 +603,9 @@ class Expr:
                    for mono, _ in self.terms for a, e in mono)
 
     def _rebuild(self, replace: Callable) -> "Expr":
-        """The one substitution pass behind ``subst`` (and so ``subst_func``).
-
-        ``replace(atom, exponent)`` returns the Expr that replaces a factor,
-        or None to keep it; exp/tanh arguments are rebuilt through the same
-        rule.  A monomial with no replaced factor is copied as it is, and the
-        product of its replaced factors is multiplied into its kept part
-        once.  Returns self when nothing is replaced.
-        """
-        kept, changed = [], {}
-        for mono, coeff in self.terms:
-            rest, product = [], None
-            for a, e in mono:
-                r = replace(a, e)
-                if r is None and a.__class__ is App:
-                    arg = a.arg._rebuild(replace)
-                    if arg is not a.arg:
-                        r = _power_of(app(a.fn, arg), e)
-                if r is None:
-                    rest.append((a, e))
-                else:
-                    product = r if product is None else product * r
-            if product is None:
-                kept.append((mono, coeff))
-                continue
-            _mul_into(changed, ((tuple(rest), coeff),), product.terms)
-        if len(kept) == len(self.terms):
-            return self
-        return Expr(tuple(kept)) + Expr._from_map(changed)
+        """``subst``'s pass over the terms: returns self when nothing is replaced."""
+        m = _substitute(self.terms, replace)
+        return self if m is None else Expr._from_map(m)
 
     # -- structure -----------------------------------------------------------
 
@@ -790,6 +736,40 @@ def _mul_monos(m1: Mono, m2: Mono):
     return tuple(items), extra
 
 
+def _merge(a: Expr, b: Expr, negate: bool = False) -> Expr:
+    """a + b, or a - b when negate: the one merge of two canonical term
+    tuples; like terms add (or subtract), zero sums drop, and only the
+    subtrahend's terms that meet no like term are negated."""
+    ta, tb = a.terms, b.terms
+    if not tb:
+        return a
+    if not ta and not negate:
+        return b
+    ka = [_mono_sort_key(mono) for mono, _ in ta]
+    kb = [_mono_sort_key(mono) for mono, _ in tb]
+    na, nb = len(ta), len(tb)
+    terms = []
+    i = j = 0
+    while i < na and j < nb:
+        x, y = ka[i], kb[j]
+        if x > y:
+            terms.append(ta[i])
+            i += 1
+        elif x < y:
+            terms.append((tb[j][0], -tb[j][1]) if negate else tb[j])
+            j += 1
+        else:
+            mono, c = ta[i]
+            c = c - tb[j][1] if negate else c + tb[j][1]
+            if c:
+                terms.append((mono, _exact(c)))
+            i += 1
+            j += 1
+    terms.extend(ta[i:])
+    terms.extend([(mono, -c) for mono, c in tb[j:]] if negate else tb[j:])
+    return Expr(tuple(terms))
+
+
 def _exact(c):
     """The coefficient c, an int where it is integral: the one demotion of
     an integral Fraction that arithmetic leaves."""
@@ -810,6 +790,39 @@ def _mul_into(m: dict, terms_a, terms_b) -> dict:
             prev = m.get(mono)
             m[mono] = c if prev is None else _exact(prev + c)
     return m
+
+
+def _substitute(terms, replace: Callable) -> Optional[dict]:
+    """The one substitution pass, behind ``subst`` (and so ``subst_func``)
+    and the symmetry residual: ``terms`` is any (monomial, coefficient)
+    sequence, an Expr's terms or a raw term map's items with zero sums.
+
+    ``replace(atom, exponent)`` returns the Expr that replaces a factor, or
+    None to keep it; exp/tanh arguments are rebuilt by the same rule.  A
+    monomial's replaced factors are multiplied into its kept part once.
+    Returns the raw {monomial: coefficient} map, or None when nothing is
+    replaced."""
+    m, hit = {}, False
+    for mono, coeff in terms:
+        rest, product = [], None
+        for f in mono:
+            a, e = f
+            r = replace(a, e)
+            if r is None and a.__class__ is App:
+                arg = a.arg._rebuild(replace)
+                if arg is not a.arg:
+                    r = _power_of(app(a.fn, arg), e)
+            if r is None:
+                rest.append(f)
+            else:
+                product = r if product is None else product * r
+        if product is None:
+            prev = m.get(mono)
+            m[mono] = coeff if prev is None else _exact(prev + coeff)
+        else:
+            hit = True
+            _mul_into(m, ((tuple(rest), coeff),), product.terms)
+    return m if hit else None
 
 
 def _split_terms(terms, is_key: Callable) -> dict:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,6 +58,30 @@ class Token:
         self.value = value
         self.line = line
         self.col = col
+
+
+def _literal(tok: Token) -> Fraction:
+    """The exact value of a NUMBER token, its digits times a power of ten.
+
+    A ParseError at the token, before any power of ten is formed, if the
+    numerator or the denominator needs more digits than Python converts
+    between int and str (``sys.get_int_max_str_digits()``, 4300 by default;
+    4300 where it sets no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    mantissa, _, exponent = tok.value.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return Fraction(0)
+    sign = -1 if exponent[:1] == "-" else 1
+    e = exponent.lstrip("+-").lstrip("0")
+    if len(e) <= limit:  # a longer exponent outweighs any fraction the checks pass
+        k = sign * int(e or 0) - len(frac)  # the value is digits * 10^k
+        if len(digits) + max(k, 0) <= limit and -k < limit:
+            if k >= 0:
+                return Fraction(int(digits) * 10 ** k)
+            return Fraction(int(digits), 10 ** -k)
+    raise ParseError("number needs more than %d digits" % limit, tok.line, tok.col)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -626,12 +651,13 @@ class _Parser:
         while self.peek().type in ("+", "-"):
             if self.advance().type == "-":
                 sign = -sign
-        val = Fraction(self.expect("NUMBER").value)
+        val = _literal(self.expect("NUMBER"))
         if self.accept("/"):
-            den = self.expect("NUMBER")
-            if Fraction(den.value) == 0:
-                raise ParseError("division by zero", den.line, den.col)
-            val /= Fraction(den.value)
+            tok = self.expect("NUMBER")
+            den = _literal(tok)
+            if den == 0:
+                raise ParseError("division by zero", tok.line, tok.col)
+            val /= den
         return sign * val
 
     # expressions: an ExprError while combining sub-expressions is a
@@ -667,7 +693,7 @@ class _Parser:
         tok = self.peek()
         if tok.type == "NUMBER":
             self.advance()
-            return Expr.rational(Fraction(tok.value))
+            return Expr.rational(_literal(tok))
         if tok.type == "(":
             self.advance()
             e = self.parse_expr(scope)

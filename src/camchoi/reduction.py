@@ -347,9 +347,10 @@ def compare_reduced(
         ps = printed.lhs
         for s, val in substitutions:
             ps = ps.subst(s, val)
-        if d == ps.content_normalized():
+        ps = ps.content_normalized()
+        if d == ps:
             return CompareReport("under-substitution", ZERO)
-        residual = (d - ps.content_normalized())
+        residual = d - ps
     else:
         residual = d - p
     return CompareReport("mismatch", residual.content_normalized())

@@ -22,9 +22,6 @@ class Report:
             raise ValueError("unknown verdict %r" % result.verdict)
         self.results.append(result)
 
-    def sorted_results(self) -> List[CaseResult]:
-        return sorted(self.results, key=lambda r: (r.label, r.kind))
-
     def summary(self) -> Dict[str, int]:
         out = {"pass": 0, "fail": 0, "mismatch_recorded": 0, "unsupported": 0}
         for r in self.results:
@@ -37,9 +34,10 @@ class Report:
         return any(r.verdict == "fail" for r in self.results)
 
     def to_dict(self) -> dict:
+        """The cases sorted by label and kind, the ledger by label and subject."""
         cases = []
         ledger = []
-        for r in self.sorted_results():
+        for r in sorted(self.results, key=lambda r: (r.label, r.kind)):
             cases.append(
                 {
                     "label": r.label,
@@ -64,29 +62,26 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def human_text(self) -> str:
+        """The rows, summary and ledger of ``to_dict``, as text."""
+        d = self.to_dict()
         lines = []
-        width = max([len(r.label) for r in self.results] + [8])
-        for r in self.sorted_results():
+        width = max([len(c["label"]) for c in d["cases"]] + [8])
+        for c in d["cases"]:
             tag = {"pass": "PASS", "fail": "FAIL",
-                   "mismatch-recorded": "NOTE", "unsupported": "SKIP"}[r.verdict]
-            lines.append("%s  %-*s  %-14s  %s" % (tag, width, r.label, r.kind, r.verdict))
-        s = self.summary()
+                   "mismatch-recorded": "NOTE", "unsupported": "SKIP"}[c["verdict"]]
+            lines.append("%s  %-*s  %-14s  %s" % (tag, width, c["label"], c["kind"], c["verdict"]))
+        s = d["summary"]
         lines.append(
             "%d cases: %d pass, %d fail, %d recorded discrepancies, %d unsupported"
             % (s["total"], s["pass"], s["fail"], s["mismatch_recorded"], s["unsupported"])
         )
-        entries = [(r.label, e) for r in self.results for e in r.ledger]
-        if entries:
+        if d["ledger"]:
             lines.append("")
             lines.append("discrepancy ledger:")
-            for label, e in sorted(entries, key=lambda le: (le[0], le[1].subject)):
-                lines.append("  [%s] %s" % (label, e.subject))
-                if e.printed:
-                    lines.append("      printed:  %s" % e.printed)
-                if e.computed:
-                    lines.append("      computed: %s" % e.computed)
-                if e.residual:
-                    lines.append("      residual: %s" % e.residual)
-                if e.note:
-                    lines.append("      note: %s" % e.note)
+            for e in d["ledger"]:
+                lines.append("  [%s] %s" % (e["label"], e["subject"]))
+                for field, head in (("printed", "printed:  "), ("computed", "computed: "),
+                                    ("residual", "residual: "), ("note", "note: ")):
+                    if e[field]:
+                        lines.append("      %s%s" % (head, e[field]))
         return "\n".join(lines) + "\n"

@@ -15,12 +15,11 @@ from .expr import (
     Sym,
     ZERO,
     ONE,
-    _exact,
     _mono_sort_key,
-    _mul_into,
     _power_of,
     _primitive,
     _split_terms,
+    _substitute,
     as_expr,
     derivative_table,
 )
@@ -157,34 +156,19 @@ def apply_prolonged(P: ProlongedField, e: Expr) -> Expr:
 
 def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
     """pr X (lhs) on the solution manifold as a raw {monomial: coefficient}
-    map, zero sums kept, for a pde of order at most MAX_PROLONG_ORDER.
-
-    pr X (lhs) is one ``derive_terms`` pass, and in each of its terms the
-    factor u_L^e of the leading derivative is replaced by leading_rhs^e.  u_L
-    only occurs as such a factor: expand_pde refuses it inside exp/tanh, and
-    pr X brings no jet into an argument.  This is
-    ``on_manifold(apply_prolonged(P, lhs), pde)`` without the two canonical
-    sums in between.
+    map, zero sums kept, for a pde of order at most MAX_PROLONG_ORDER: one
+    ``derive_terms`` pass, then the one substitution pass with the rule
+    u_L -> leading_rhs.  This is ``on_manifold(apply_prolonged(P, lhs), pde)``
+    without the two canonical sums in between.
     """
     order = pde.lhs.max_jet_order()
     if order > MAX_PROLONG_ORDER:
         raise SymmetryError("pde %s is of order %d; prolongation is implemented up to order %d"
                             % (pde.name, order, MAX_PROLONG_ORDER))
-    leading, m = pde.leading, {}
-    powers = {}  # the exponent e of u_L in a term -> the terms of leading_rhs^e
-    for mono1, c1 in pde.lhs.derive_terms(_derivation(P)).items():
-        for i, (a, e) in enumerate(mono1):
-            if a is leading:
-                break
-        else:
-            prev = m.get(mono1)
-            m[mono1] = c1 if prev is None else _exact(prev + c1)
-            continue
-        power = powers.get(e)
-        if power is None:
-            power = powers[e] = _power_of(pde.leading_rhs, e).terms
-        _mul_into(m, ((mono1[:i] + mono1[i + 1 :], c1),), power)
-    return m
+    m = pde.lhs.derive_terms(_derivation(P))
+    leading, rhs = pde.leading, pde.leading_rhs
+    on = _substitute(m.items(), lambda a, e: _power_of(rhs, e) if a is leading else None)
+    return m if on is None else on
 
 
 def check_symmetry(X: VectorField, pde: Pde) -> Expr:

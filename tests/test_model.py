@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -215,13 +216,19 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
      "vars name 'f' is already a function"),
     ("param alpha\n" + _block(["vars = t", "dep = alpha", "eq alpha[t] + alpha = 0"]), 5, 3,
      "dep name 'alpha' is already a parameter"),
+    (_block(EQ_HEAD + ["eq u[t] + %s*u = 0" % ("1" * 5000)]), 4, 13, "number needs more than 4300 digits"),
+    (_block(EQ_HEAD + ["eq u[t] + 1e5000*u = 0"]), 4, 13, "number needs more than 4300 digits"),
+    (_block(EQ_HEAD + ["eq u[t] + 1e-5000*u = 0"]), 4, 13, "number needs more than 4300 digits"),
+    (_block(EQ_HEAD + ["eq u[t] + 1e30000000*u = 0"]), 4, 13, "number needs more than 4300 digits"),
+    (RUN % ("1", "0, " + "1" * 5000), 5, 13, "number needs more than 4300 digits"),
 ], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
         "leading coefficient with a variable", "leading derivative squared", "half power of a half power",
         "vars after eq", "dep after eq", "constants in a pde",
         "two decimal points", "exponent without digits", "zero divisor in an equation", "signed power",
         "zero divisor in ic", "exponent without digits in span", "on in an ode block",
         "on in a run block", "unknown method", "variable named like a parameter", "variable named like a function",
-        "dependent named like a parameter"])
+        "dependent named like a parameter", "5000-digit literal", "literal 1e5000", "literal 1e-5000",
+        "literal 1e30000000", "5000-digit span"])
 def test_malformed_blocks_are_parse_errors(text, line, col, match):
     with pytest.raises(ParseError, match=match) as err:
         parse_model(text)
@@ -233,6 +240,21 @@ def test_numbers_read_as_fractions(doc):
     for text, value in [("1.", 1), (".5", "1/2"), ("1.5e-3", "3/2000"), ("2E+2", 200), ("00.10", "1/10")]:
         assert parse_expression(doc, ctx, text) == Expr.rational(Fraction(value))
 
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit")
+def test_number_literals_follow_the_interpreters_digit_limit(doc):
+    ctx = doc.block(PdeBlock, "cc").ctx
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert parse_expression(doc, ctx, "1e999") == Expr.rational(10 ** 999)
+        assert parse_expression(doc, ctx, "1e-999") == Expr.rational(Fraction(1, 10 ** 999))
+        for text in ["1" * 2000, "1e1000", "1e-1000", "0." + "0" * 1000 + "1"]:
+            with pytest.raises(ParseError, match="number needs more than 1000 digits"):
+                parse_expression(doc, ctx, text)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 def test_block_names_are_unique_under_lookup():
     eq = "{ vars = t; dep = u; eq u[t] + u = 0 }\n"

@@ -33,6 +33,7 @@ from camchoi.expr import (
     _exponent_expr,
     _mono_sort_key,
     _power_of,
+    _substitute,
     app,
     as_expr,
 )
@@ -156,8 +157,12 @@ def test_sum_matches_reference_accumulation():
         f = random_expr(rng, 3)
         if rng.random() < 0.2:
             f = f - e  # force cancellations
+        q = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
         assert (e + f).terms == _reference_sum(e, f)
         assert (f + e).terms == _reference_sum(f, e)
+        assert (e - f).terms == _reference_sum(e, -f)
+        assert (f - e).terms == _reference_sum(f, -e)
+        assert (q - e).terms == _reference_sum(Expr.rational(q), -e)
 
 
 def test_monomial_key_table_matches_a_fresh_construction():
@@ -274,7 +279,7 @@ def test_substitute_self_is_identity():
         assert e.subst(s, Expr.atom(s)) == e
 
 
-# The factor-wise substitution that the one traversal in Expr._rebuild
+# The factor-wise substitution that the one pass in expr._substitute
 # replaced: every monomial rebuilt factor by factor with full Expr
 # multiplications, the binding of n and the function-symbol substitution as
 # separate copies of the loop.
@@ -359,9 +364,14 @@ def _reference_subst_func(e, name, args, rule, base_orders=None):
     return out
 
 
+# the rotation t -> x, x -> -t: it takes t^2 + x^2 to the raw sum 2*t*x - 2*x*t
+def _rotation(a):
+    return Expr.atom(x) if a is t else -Expr.atom(t) if a is x else ZERO
+
+
 def test_substitution_matches_the_factorwise_reference():
     rng = random.Random(67)
-    in_app = 0
+    in_app = zero_sums = shared = 0
     for _ in range(150):
         target = rng.choice(ATOM_POOL)
         e = random_expr(rng, 3)
@@ -372,7 +382,13 @@ def test_substitution_matches_the_factorwise_reference():
         assert got == _reference_subst(e, target, repl)
         _assert_canonical(got)
         in_app += any(isinstance(at, App) and at.arg.contains(target) for at in e.atoms())
-    assert in_app >= 30
+        # the pass on a raw derive_terms map, zero sums kept
+        raw = ((Expr.atom(t) ** 2 + Expr.atom(x) ** 2) * e).derive_terms(_rotation)
+        got = _substitute(raw.items(), lambda a, f: _power_of(repl, f) if a is target else None)
+        assert Expr._from_map(raw if got is None else got) == _reference_subst(Expr._from_map(raw), target, repl)
+        zero_sums += any(c == 0 for c in raw.values())
+        shared += sum(any(a is target for a, _f in mono) for mono in raw) >= 2
+    assert in_app >= 30 and zero_sums >= 100 and shared >= 50
 
 
 # Factors carrying the exponent parameter n: as an atom, in exponents, under
