@@ -12,8 +12,9 @@ zero testing decidable.
 Kernel invariants:
 
 * Atoms other than exp/tanh applications (Sym, Jet, Func, RatPow) and
-  Exponents are interned: building an equal one returns the existing object
-  (copies and unpickled objects too), so equality and hashing are by identity.
+  Exponents are interned through one constructor, ``_Interned``: building an
+  equal one returns the existing object (copies and unpickled objects too),
+  so equality and hashing are by identity.
 * Atom sort keys are injective (jet and function keys end with the ranks of
   their variables), so equal keys mean equal atoms and equal monomial keys
   mean equal monomials.
@@ -62,21 +63,51 @@ _RANK_APP = 7
 ELEMENTARY = ("exp", "tanh")
 
 
-class Exponent:
-    """Affine exponent num2/2 + n * <exponent parameter>; interned on (num2, n)."""
+class _Interned:
+    """The one constructor of the interned kernel objects.
 
-    __slots__ = ("num2", "n", "_key")
-    _interned: dict = {}
+    A subclass states its identity, ``_identity(*args)``: the constructor's
+    arguments in canonical form, and ``_fill(*identity)``, which checks and
+    fills a new object, its sort key ``_key`` included.  Building an equal
+    object returns the existing one, and copies and unpickled objects are
+    rebuilt from the stored identity, so equality and hashing are by identity.
+    """
 
-    def __new__(cls, num2: int, n: int = 0):
-        self = cls._interned.get((num2, n))
+    __slots__ = ("_ident", "_key")
+
+    def __init_subclass__(cls):
+        cls._interned = {}
+
+    def __new__(cls, *args):
+        ident = cls._identity(*args)
+        self = cls._interned.get(ident)
         if self is None:
             self = object.__new__(cls)
-            self.num2 = num2
-            self.n = n
-            self._key = (n, num2)
-            self = cls._interned.setdefault((num2, n), self)
+            self._ident = ident
+            self._fill(*ident)
+            self = cls._interned.setdefault(ident, self)
         return self
+
+    def sort_key(self):
+        return self._key
+
+    def __reduce__(self):
+        return (self.__class__, self._ident)
+
+
+class Exponent(_Interned):
+    """Affine exponent num2/2 + n * <exponent parameter>; interned on (num2, n)."""
+
+    __slots__ = ("num2", "n")
+
+    @staticmethod
+    def _identity(num2: int, n: int = 0):
+        return (num2, n)
+
+    def _fill(self, num2, n):
+        self.num2 = num2
+        self.n = n
+        self._key = (n, num2)
 
     def is_zero(self) -> bool:
         return self.num2 == 0 and self.n == 0
@@ -104,12 +135,6 @@ class Exponent:
     def constant(self) -> Fraction:
         return Fraction(self.num2, 2)
 
-    def key(self):
-        return self._key
-
-    def __reduce__(self):
-        return (Exponent, (self.num2, self.n))
-
     def __repr__(self) -> str:
         return "Exponent(num2=%r, n=%r)" % (self.num2, self.n)
 
@@ -134,34 +159,26 @@ EXP_ONE = Exponent(2, 0)
 EXP_N = Exponent(0, 1)
 
 
-class Sym:
+class Sym(_Interned):
     """A named base symbol: variable, parameter, or dependent quantity.
 
-    Interned on (kind, name).
+    Interned on (name, kind).
     """
 
-    __slots__ = ("name", "kind", "_rank", "_key")
-    _interned: dict = {}
+    __slots__ = ("name", "kind", "_rank")
 
-    def __new__(cls, name: str, kind: str = PARAMETER):
+    @staticmethod
+    def _identity(name: str, kind: str = PARAMETER):
+        return (name, kind)
+
+    def _fill(self, name, kind):
         rank = _KIND_RANK.get(kind)
         if rank is None:
             raise ExprError("unknown symbol kind %r" % kind)
-        self = cls._interned.get((kind, name))
-        if self is None:
-            self = object.__new__(cls)
-            self.name = name
-            self.kind = kind
-            self._rank = rank
-            self._key = (rank, name, ())
-            self = cls._interned.setdefault((kind, name), self)
-        return self
-
-    def sort_key(self):
-        return self._key
-
-    def __reduce__(self):
-        return (Sym, (self.name, self.kind))
+        self.name = name
+        self.kind = kind
+        self._rank = rank
+        self._key = (rank, name, ())
 
     def __repr__(self) -> str:
         return "Sym(%r, %s)" % (self.name, self.kind)
@@ -171,65 +188,51 @@ class Sym:
 N_SYMBOL = Sym("n", PARAMETER)
 
 
-class RatPow:
+class RatPow(_Interned):
     """Opaque rational base carrying a symbolic power, e.g. 2^n."""
 
-    __slots__ = ("base", "_key")
-    _interned: dict = {}
+    __slots__ = ("base",)
 
-    def __new__(cls, base: Fraction):
-        base = Fraction(base)
-        ident = (base.numerator, base.denominator)
-        self = cls._interned.get(ident)
-        if self is None:
-            if base == 0:
-                raise ExprError("zero base under a symbolic power")
-            self = object.__new__(cls)
-            self.base = base
-            self._key = (_RANK_RATPOW, "%d/%d" % ident, ())
-            self = cls._interned.setdefault(ident, self)
-        return self
+    @staticmethod
+    def _identity(base: Fraction):
+        return (Fraction(base),)
 
-    def sort_key(self):
-        return self._key
-
-    def __reduce__(self):
-        return (RatPow, (self.base,))
+    def _fill(self, base):
+        if base == 0:
+            raise ExprError("zero base under a symbolic power")
+        self.base = base
+        self._key = (_RANK_RATPOW, "%d/%d" % (base.numerator, base.denominator), ())
 
     def __repr__(self) -> str:
         return "RatPow(%s)" % (self.base,)
 
 
-class Jet:
+class Jet(_Interned):
     """Jet coordinate u_J for a dependent symbol over ordered base variables."""
 
-    __slots__ = ("dep", "ivars", "counts", "order", "_key")
-    _interned: dict = {}
+    __slots__ = ("dep", "ivars", "counts", "order")
 
-    def __new__(cls, dep: Sym, ivars: tuple, counts: tuple):
-        ivars = tuple(ivars)
-        counts = tuple(counts)
-        self = cls._interned.get((dep, ivars, counts))
-        if self is None:
-            if len(ivars) != len(counts):
-                raise ExprError("jet index length mismatch")
-            if any(c < 0 for c in counts):
-                raise ExprError("negative jet multi-index")
-            if sum(counts) == 0:
-                raise ExprError("zero-order jet; use the dependent symbol")
-            self = object.__new__(cls)
-            self.dep = dep
-            self.ivars = ivars
-            self.counts = counts
-            self.order = sum(counts)
-            self._key = (
-                _RANK_JET,
-                dep.name,
-                (self.order, counts, tuple([v.name for v in ivars])),
-                (dep._rank,) + tuple([v._rank for v in ivars]),
-            )
-            self = cls._interned.setdefault((dep, ivars, counts), self)
-        return self
+    @staticmethod
+    def _identity(dep: Sym, ivars: tuple, counts: tuple):
+        return (dep, tuple(ivars), tuple(counts))
+
+    def _fill(self, dep, ivars, counts):
+        if len(ivars) != len(counts):
+            raise ExprError("jet index length mismatch")
+        if any(c < 0 for c in counts):
+            raise ExprError("negative jet multi-index")
+        if sum(counts) == 0:
+            raise ExprError("zero-order jet; use the dependent symbol")
+        self.dep = dep
+        self.ivars = ivars
+        self.counts = counts
+        self.order = sum(counts)
+        self._key = (
+            _RANK_JET,
+            dep.name,
+            (self.order, counts, tuple([v.name for v in ivars])),
+            (dep._rank,) + tuple([v._rank for v in ivars]),
+        )
 
     def word(self) -> tuple:
         out = []
@@ -237,43 +240,34 @@ class Jet:
             out.extend([i] * c)
         return tuple(out)
 
-    def sort_key(self):
-        return self._key
-
-    def __reduce__(self):
-        return (Jet, (self.dep, self.ivars, self.counts))
-
     def __repr__(self) -> str:
         return "Jet(%s;%s)" % (self.dep.name, ",".join(map(str, self.counts)))
 
 
-class Func:
+class Func(_Interned):
     """Opaque function symbol with ordered arguments and a derivative multi-index."""
 
-    __slots__ = ("name", "args", "orders", "_key")
-    _interned: dict = {}
+    __slots__ = ("name", "args", "orders")
 
-    def __new__(cls, name: str, args: tuple, orders: Optional[tuple] = None):
+    @staticmethod
+    def _identity(name: str, args: tuple, orders: Optional[tuple] = None):
         args = tuple(args)
-        orders = tuple(0 for _ in args) if orders is None else tuple(orders)
-        self = cls._interned.get((name, args, orders))
-        if self is None:
-            if len(args) != len(orders) or any(o < 0 for o in orders):
-                raise ExprError("bad derivative multi-index for %s" % name)
-            if len(set(args)) != len(args):
-                raise ExprError("repeated argument of %s" % name)
-            self = object.__new__(cls)
-            self.name = name
-            self.args = args
-            self.orders = orders
-            self._key = (
-                _RANK_FUNC,
-                name,
-                (orders, tuple([a.name for a in args])),
-                tuple([a._rank for a in args]),
-            )
-            self = cls._interned.setdefault((name, args, orders), self)
-        return self
+        return (name, args, tuple(0 for _ in args) if orders is None else tuple(orders))
+
+    def _fill(self, name, args, orders):
+        if len(args) != len(orders) or any(o < 0 for o in orders):
+            raise ExprError("bad derivative multi-index for %s" % name)
+        if len(set(args)) != len(args):
+            raise ExprError("repeated argument of %s" % name)
+        self.name = name
+        self.args = args
+        self.orders = orders
+        self._key = (
+            _RANK_FUNC,
+            name,
+            (orders, tuple([a.name for a in args])),
+            tuple([a._rank for a in args]),
+        )
 
     def bump(self, arg: Sym) -> "Func":
         if arg not in self.args:
@@ -281,12 +275,6 @@ class Func:
         orders = list(self.orders)
         orders[self.args.index(arg)] += 1
         return Func(self.name, self.args, tuple(orders))
-
-    def sort_key(self):
-        return self._key
-
-    def __reduce__(self):
-        return (Func, (self.name, self.args, self.orders))
 
     def __repr__(self) -> str:
         return "Func(%s;%s)" % (self.name, ",".join(map(str, self.orders)))
@@ -472,7 +460,8 @@ class Expr:
         return out
 
     def pow_exponent(self, exp: Exponent) -> "Expr":
-        """Raise to a symbolic or half-integer exponent; monomial bases only."""
+        """The one power rule: self^exp for any Exponent.  An integer power
+        is ``**``; a symbolic or half-integer one needs a monomial base."""
         if exp.is_zero():
             return ONE
         if exp.is_integer():
@@ -583,7 +572,7 @@ class Expr:
             if not k.is_rational() or k.as_rational().denominator != 1:
                 raise ExprError("exponent parameter must bind to an integer")
             return self._rebuild(_bind_exponent_param(k.as_rational().numerator))
-        return self._rebuild(lambda a, e: _power_of(rules[a], e) if a in rules else None)
+        return self._rebuild(lambda a, e: rules[a].pow_exponent(e) if a in rules else None)
 
     def subst_func(self, name: str, args: tuple, rule: "Expr", base_orders: Optional[tuple] = None) -> "Expr":
         """Replace derivative instances of a named function symbol.
@@ -811,7 +800,7 @@ def _substitute(terms, replace: Callable) -> Optional[dict]:
             if r is None and a.__class__ is App:
                 arg = a.arg._rebuild(replace)
                 if arg is not a.arg:
-                    r = _power_of(app(a.fn, arg), e)
+                    r = app(a.fn, arg).pow_exponent(e)
             if r is None:
                 rest.append(f)
             else:
@@ -888,12 +877,6 @@ def _fold_ratpow(rp: RatPow, exp: Exponent):
     return ((rp, Exponent(0, exp.n)),), _exact(rp.base ** k) if k else 1
 
 
-def _power_of(base: Expr, e: Exponent) -> Expr:
-    if e.is_integer():
-        return base ** e.int_value()
-    return base.pow_exponent(e)
-
-
 def _bind_exponent_param(k: int) -> Callable:
     """The ``_rebuild`` rule that binds the exponent parameter n to the integer k."""
 
@@ -901,10 +884,10 @@ def _bind_exponent_param(k: int) -> Callable:
         if a is N_SYMBOL or a.__class__ is RatPow or e.n:
             bound = Exponent(e.num2 + 2 * k * e.n, 0)
             if a is N_SYMBOL:
-                return _power_of(Expr.rational(k), bound)
+                return Expr.rational(k).pow_exponent(bound)
             if a.__class__ is RatPow:
-                return _power_of(Expr.rational(a.base), bound)
-            return _power_of(Expr.atom(a)._rebuild(bind), bound)
+                return Expr.rational(a.base).pow_exponent(bound)
+            return Expr.atom(a)._rebuild(bind).pow_exponent(bound)
         return None
 
     return bind

@@ -3,7 +3,7 @@ verification cases keyed by stable labels (cc.NN, eq.NN, table-N, fig-1)."""
 
 from __future__ import annotations
 
-import importlib.resources as resources
+import os
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -44,7 +44,8 @@ from .symmetry import (
 
 
 def builtin_text() -> str:
-    return resources.files("camchoi").joinpath("data/builtin.model").read_text(encoding="utf-8")
+    # the module's own loader: importlib.resources imports inspect and zipfile from 3.12 on
+    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", "builtin.model")).decode("utf-8")
 
 
 _DOC: Optional[ModelDocument] = None

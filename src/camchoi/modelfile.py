@@ -353,7 +353,7 @@ class _Parser:
                 self.advance()
                 names = self._parse_namelist()
                 for nm in names:
-                    params[nm] = top.introduce(nm, N_SYMBOL if nm == "n" else Sym(nm, PARAMETER), "parameter", tok)
+                    params[nm] = top.introduce(nm, Sym(nm, PARAMETER), "parameter", tok)
                 decls.append(ParamDecl(names))
             elif tok.value == "exponent":
                 self.advance()
@@ -733,24 +733,17 @@ class _Parser:
 
 
 def _apply_power(base: Expr, expexpr: Expr) -> Expr:
-    if expexpr.is_rational():
-        q = expexpr.as_rational()
-        if q.denominator == 1:
-            return base ** q.numerator
-        if q.denominator == 2:
-            return base.pow_exponent(Exponent(q.numerator, 0))
-        raise ExprError("exponent denominators beyond 2 are not supported")
+    """base^expexpr for an exponent c/2 + k*n with integers c and k."""
     split = expexpr.affine_in(N_SYMBOL)
     if split is None:
         raise ExprError("exponent must be affine in n")
-    ncoeff, const = split
-    if not (const.is_zero or const.is_rational()) or not (ncoeff.is_zero or ncoeff.is_rational()):
+    k, c = split
+    if not (k.is_rational() and c.is_rational()):
         raise ExprError("exponent must be affine in n with rational coefficients")
-    c = const.as_rational() if not const.is_zero else Fraction(0)
-    k = ncoeff.as_rational() if not ncoeff.is_zero else Fraction(0)
-    if k.denominator != 1 or (2 * c).denominator != 1:
+    k, c2 = k.as_rational(), 2 * c.as_rational()
+    if k.denominator != 1 or c2.denominator != 1:
         raise ExprError("exponent outside the half-integer lattice")
-    return base.pow_exponent(Exponent(int(2 * c), int(k)))
+    return base.pow_exponent(Exponent(c2.numerator, k.numerator))
 
 
 def _detect_ansatz_function(rule: Expr, new_vars: tuple, sub: Token):

@@ -180,8 +180,6 @@ def _factory_source(solved: _SolvedOde) -> str:
                 else:
                     base = names[a]
                 if not ex.is_integer():
-                    if ex.n:
-                        raise OdeError("unbound exponent parameter in compiled expression")
                     parts.append("math.sqrt(%s)**%d" % (base, ex.num2))
                     continue
                 k = ex.int_value()

@@ -16,7 +16,6 @@ from .expr import (
     ZERO,
     ONE,
     _mono_sort_key,
-    _power_of,
     _primitive,
     _split_terms,
     _substitute,
@@ -167,7 +166,7 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
                             % (pde.name, order, MAX_PROLONG_ORDER))
     m = pde.lhs.derive_terms(_derivation(P))
     leading, rhs = pde.leading, pde.leading_rhs
-    on = _substitute(m.items(), lambda a, e: _power_of(rhs, e) if a is leading else None)
+    on = _substitute(m.items(), lambda a, e: rhs.pow_exponent(e) if a is leading else None)
     return m if on is None else on
 
 

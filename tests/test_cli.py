@@ -565,3 +565,16 @@ FUNCTION_OF_UNKNOWN = os.path.join(os.path.dirname(__file__), "models", "functio
 def test_an_equation_that_holds_a_function_of_the_unknown_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv[0], FUNCTION_OF_UNKNOWN, *argv[1:])
     assert (code, out, err) == (2, "", "error: equation g holds G(u), a function of the unknown u\n")
+
+
+REFUSALS = os.path.join(os.path.dirname(__file__), "models", "refusals.model")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("integrate", "two", "--ic", "1", "--span", "0", "1"), "ODE compilation needs a single independent variable"),
+    (("first-integral", "two", "two_fi"), "first-integral checks need a single reduced variable"),
+    (("solution-check", "two", "climb"), "solution rules did not stabilize"),
+], ids=["ode on two variables", "first integral on two variables", "rule that never stabilizes"])
+def test_inputs_a_command_refuses_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], REFUSALS, *argv[1:])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)

@@ -57,6 +57,11 @@ def test_expression_constant_folding(doc):
     assert parse_expression(doc, ctx, "D(u;t,x,x)") == ctx.jet_expr((1, 2, 0))
 
 
+def test_expression_with_trailing_input_is_a_parse_error(doc):
+    with pytest.raises(ParseError, match="^line 1, col 7: trailing input after expression$"):
+        parse_expression(doc, doc.block(PdeBlock, "cc").ctx, "u + 1 u")
+
+
 def test_every_variable_has_the_one_variable_kind(doc):
     """Which block builds a variable's name first does not decide its kind."""
     built = {"vars": [], "var": [], "bind": [], "invariants_for": []}
@@ -221,6 +226,21 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
     (_block(EQ_HEAD + ["eq u[t] + 1e-5000*u = 0"]), 4, 13, "number needs more than 4300 digits"),
     (_block(EQ_HEAD + ["eq u[t] + 1e30000000*u = 0"]), 4, 13, "number needs more than 4300 digits"),
     (RUN % ("1", "0, " + "1" * 5000), 5, 13, "number needs more than 4300 digits"),
+    (_block(EQ_HEAD + ["eq u[t] = 0", 'note = "a\nb"']), 5, 10, "unterminated string"),
+    (MINI + "field F { xi t = 1 }\n", MINI_LINES + 1, 11, "field blocks need 'on PDE'"),
+    (_block(["eq u[t] = 0"]), 2, 6, "vars and dep must come before eq"),
+    (MINI + "ansatz A on cc {\n  sub u = 0\n}\n", MINI_LINES + 3, 1, "ansatz needs at least one var clause"),
+    (MINI + "solution S on cc {\n  bind lam = t\n}\n", MINI_LINES + 3, 1, "solution needs a sub clause"),
+    ("ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n}\n", 4, 1,
+     "run blocks need ode, ic, and span clauses"),
+    ("param a\n" + _block(EQ_HEAD + ["eq u[t] + a(t) = 0"]), 5, 18, "'a' is a symbol, not a function"),
+    ("func phi(t)\n" + _block(["vars = t, x", "dep = u", "eq u[t] + phi(x) = 0"]), 5, 20,
+     r"function phi was declared with arguments \(t\)"),
+    ("exponent n\n" + _block(EQ_HEAD + ["eq u[t] + u^(n*n) = 0"]), 5, 15, "^line 5, col 15: exponent must be affine in n$"),
+    ("param a\n" + _block(EQ_HEAD + ["eq u[t] + u^a = 0"]), 5, 15,
+     "exponent must be affine in n with rational coefficients"),
+    (_block(EQ_HEAD + ["eq u[t] + u^(1/3) = 0"]), 4, 15, "exponent outside the half-integer lattice"),
+    ("exponent n\n" + _block(EQ_HEAD + ["eq u[t] + u^(n/2) = 0"]), 5, 15, "exponent outside the half-integer lattice"),
 ], ids=["repeated variable", "dependent is a variable", "no jets", "nonlinear leading",
         "leading coefficient with a variable", "leading derivative squared", "half power of a half power",
         "vars after eq", "dep after eq", "constants in a pde",
@@ -228,7 +248,10 @@ RUN = "ode o { vars = s; dep = H; eq H[s] = 0 }\nrun r {\n  ode = o\n  ic = %s\n
         "zero divisor in ic", "exponent without digits in span", "on in an ode block",
         "on in a run block", "unknown method", "variable named like a parameter", "variable named like a function",
         "dependent named like a parameter", "5000-digit literal", "literal 1e5000", "literal 1e-5000",
-        "literal 1e30000000", "5000-digit span"])
+        "literal 1e30000000", "5000-digit span", "newline in a note", "field without on", "eq before vars and dep",
+        "ansatz without var", "solution without sub", "run with only ode", "parameter applied as a function",
+        "function with other arguments", "exponent n*n", "exponent a parameter", "exponent 1/3",
+        "exponent n/2"])
 def test_malformed_blocks_are_parse_errors(text, line, col, match):
     with pytest.raises(ParseError, match=match) as err:
         parse_model(text)

@@ -325,6 +325,12 @@ def test_decompose_field_rejects_basis_on_another_jet_space(doc):
         decompose_field(vf(doc, "X1"), [vf(doc, "Z1"), vf(doc, "Z2")])
 
 
+def test_a_field_with_a_jet_coefficient_is_refused(doc):
+    ctx = doc.block(PdeBlock, "cc").ctx
+    with pytest.raises(SymmetryError, match="^point-symmetry coefficients must be jet free$"):
+        VectorField(ctx, {ctx.independents[0]: ctx.jet_expr((0, 1, 0))}, ZERO)
+
+
 def test_coefficient_strings_print_exact_quotients_as_monomials():
     a = Expr.atom(Sym("alpha"))
     den = 2 * a * a + 4 * a + 2
