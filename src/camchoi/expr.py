@@ -23,6 +23,11 @@ Kernel invariants:
   key, and a RatPow never carries an integer exponent.  Sums and
   differences merge the two term tuples (``_merge``); each atom computes its
   sort key once, and each distinct monomial once (``_MONO_KEYS``).
+* Pure monomial facts are built once: ``_PRODUCTS`` keys a product by the
+  pair of monomials, ``_PARTIALS`` a monomial's partial derivatives by the
+  monomial (``jet._SHIFTS`` does the same for total derivatives).  A
+  monomial with an exp/tanh factor is never stored, since App compares by
+  value and an entry would hand one caller's App to the next.
 * An Expr holds only its terms.  Monomial keys live only in ``_MONO_KEYS``;
   ``key()`` and the printed string are built on demand, and the hash is that
   of the terms.
@@ -336,6 +341,34 @@ def _mono_sort_key(mono: Mono):
     return key
 
 
+# Each product of two monomials, keyed by the pair, and each monomial's
+# partial derivatives; neither stores a monomial with an exp/tanh factor.
+_PRODUCTS: dict = {}
+_PARTIALS: dict = {}
+
+
+def _pure(mono: Mono) -> bool:
+    return all(a.__class__ is not App for a, _ in mono)
+
+
+def _partials(mono: Mono) -> tuple:
+    """One (atom, rest, exponent, scale) per factor a^e: rest is the monomial
+    with a^(e-1) in place of a^e, and scale the rational e, or None when e
+    holds n."""
+    parts = _PARTIALS.get(mono)
+    if parts is None:
+        parts = []
+        for i, (a, e) in enumerate(mono):
+            down = e.minus_int(1)
+            rest = mono[:i] + (() if down.is_zero() else ((a, down),)) + mono[i + 1 :]
+            scale = None if e.n else e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2)
+            parts.append((a, rest, e, scale))
+        parts = tuple(parts)
+        if _pure(mono):
+            _PARTIALS[mono] = parts
+    return parts
+
+
 class Expr:
     """Canonical expression; construct through the module helpers and operators."""
 
@@ -535,21 +568,14 @@ class Expr:
 
         m: dict = {}
         for mono, coeff in self.terms:
-            for i, (a, e) in enumerate(mono):
+            for a, rest, e, scale in _partials(mono):
                 da = of(a).terms
                 if not da:
                     continue
-                down = e.minus_int(1)
-                if down.is_zero():
-                    rest = mono[:i] + mono[i + 1 :]
-                else:
-                    rest = mono[:i] + ((a, down),) + mono[i + 1 :]
-                if e.n:
+                if scale is None:
                     scaled = (Expr(((rest, coeff),)) * _exponent_expr(e)).terms
-                elif e is EXP_ONE:
-                    scaled = ((rest, coeff),)
                 else:
-                    scaled = ((rest, _exact(coeff * (e.num2 >> 1 if e.num2 & 1 == 0 else Fraction(e.num2, 2)))),)
+                    scaled = ((rest, coeff if scale == 1 else _exact(coeff * scale)),)
                 _mul_into(m, scaled, da)
         return m
 
@@ -572,7 +598,7 @@ class Expr:
             if not k.is_rational() or k.as_rational().denominator != 1:
                 raise ExprError("exponent parameter must bind to an integer")
             return self._rebuild(_bind_exponent_param(k.as_rational().numerator))
-        return self._rebuild(lambda a, e: rules[a].pow_exponent(e) if a in rules else None)
+        return self._rebuild(lambda a, e: rules[a].pow_exponent(e) if a in rules else None, rules)
 
     def subst_func(self, name: str, args: tuple, rule: "Expr", base_orders: Optional[tuple] = None) -> "Expr":
         """Replace derivative instances of a named function symbol.
@@ -591,9 +617,9 @@ class Expr:
         return any(e.n or (a.__class__ is App and a.arg._n_in_exponent())
                    for mono, _ in self.terms for a, e in mono)
 
-    def _rebuild(self, replace: Callable) -> "Expr":
+    def _rebuild(self, replace: Callable, targets=None) -> "Expr":
         """``subst``'s pass over the terms: returns self when nothing is replaced."""
-        m = _substitute(self.terms, replace)
+        m = _substitute(self.terms, replace, targets)
         return self if m is None else Expr._from_map(m)
 
     # -- structure -----------------------------------------------------------
@@ -635,11 +661,7 @@ class Expr:
         return Expr(_primitive(self.terms)) if self.terms else self
 
     def max_jet_order(self) -> int:
-        best = 0
-        for a in self.atoms():
-            if isinstance(a, Jet):
-                best = max(best, a.order)
-        return best
+        return max((a.order for a in self.atoms() if a.__class__ is Jet), default=0)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -772,7 +794,12 @@ def _mul_into(m: dict, terms_a, terms_b) -> dict:
     for mono1, c1 in terms_a:
         unit = c1 == 1
         for mono2, c2 in terms_b:
-            mono, extra = _mul_monos(mono1, mono2)
+            product = _PRODUCTS.get((mono1, mono2))
+            if product is None:
+                product = _mul_monos(mono1, mono2)
+                if _pure(mono1) and _pure(mono2):
+                    _PRODUCTS[(mono1, mono2)] = product
+            mono, extra = product
             c = c2 if unit else c1 if c2 == 1 else _exact(c1 * c2)
             if extra != 1:
                 c = _exact(c * extra)
@@ -781,7 +808,7 @@ def _mul_into(m: dict, terms_a, terms_b) -> dict:
     return m
 
 
-def _substitute(terms, replace: Callable) -> Optional[dict]:
+def _substitute(terms, replace: Callable, targets=None) -> Optional[dict]:
     """The one substitution pass, behind ``subst`` (and so ``subst_func``)
     and the symmetry residual: ``terms`` is any (monomial, coefficient)
     sequence, an Expr's terms or a raw term map's items with zero sums.
@@ -789,16 +816,26 @@ def _substitute(terms, replace: Callable) -> Optional[dict]:
     ``replace(atom, exponent)`` returns the Expr that replaces a factor, or
     None to keep it; exp/tanh arguments are rebuilt by the same rule.  A
     monomial's replaced factors are multiplied into its kept part once.
+    ``targets``, when given, holds every atom the rule replaces: a monomial
+    with none of them and no exp/tanh factor is kept without asking the rule.
     Returns the raw {monomial: coefficient} map, or None when nothing is
     replaced."""
     m, hit = {}, False
     for mono, coeff in terms:
+        if targets is not None:
+            for a, _e in mono:
+                if a in targets or a.__class__ is App:
+                    break
+            else:
+                prev = m.get(mono)
+                m[mono] = coeff if prev is None else _exact(prev + coeff)
+                continue
         rest, product = [], None
         for f in mono:
             a, e = f
             r = replace(a, e)
             if r is None and a.__class__ is App:
-                arg = a.arg._rebuild(replace)
+                arg = a.arg._rebuild(replace, targets)
                 if arg is not a.arg:
                     r = app(a.fn, arg).pow_exponent(e)
             if r is None:
@@ -894,13 +931,7 @@ def _bind_exponent_param(k: int) -> Callable:
 
 
 def _exponent_expr(e: Exponent) -> Expr:
-    out = ZERO
-    c = e.constant()
-    if c:
-        out = out + Expr.rational(c)
-    if e.n:
-        out = out + Expr.rational(e.n) * Expr.atom(N_SYMBOL)
-    return out
+    return Expr.rational(e.constant()) + Expr.rational(e.n) * Expr.atom(N_SYMBOL)
 
 
 def derivative_table(base, step: Callable) -> Callable:
@@ -977,10 +1008,7 @@ def _format_mono(mono: Mono, coeff: Fraction) -> str:
         parts.append(str(ac))
     for a, e in mono:
         base = _format_atom(a)
-        if e == EXP_ONE:
-            parts.append(base)
-        else:
-            parts.append("%s^%s" % (base, _format_exponent(e)))
+        parts.append(base if e is EXP_ONE else "%s^%s" % (base, _format_exponent(e)))
     return "*".join(parts)
 
 

@@ -104,22 +104,29 @@ class Context(Record):
         return tuple(1 if j == i else 0 for j in range(len(self.independents)))
 
 
+# (independents, dependent, v) -> {atom: D_v atom} for v, u and every other
+# Sym or Jet met so far; the atoms are interned, so no entry can go stale.
+# A jet past the order cap raises and is not stored.
+_SHIFTS: dict = {}
+
+
 def total_derivative(e: Expr, v: Sym, ctx: Context) -> Expr:
     """D_v e = d_v e + sum over u and the jets u_J of ctx.dependent of u_{J+v} * d e / d u_J.
 
     One ``Expr.derive`` pass: v goes to 1, u to u_v and u_J to u_{J+v}; every
     other Sym or Jet is constant.
     """
-    unit = ctx.unit(v)
+    key = (ctx.independents, ctx.dependent, v)
+    shift = _SHIFTS.get(key)
+    if shift is None:
+        shift = _SHIFTS[key] = {v: ONE, ctx.dependent: ctx.jet_expr(ctx.unit(v))}
 
     def d(a):
-        if a == v:
-            return ONE
-        if a == ctx.dependent:
-            return ctx.jet_expr(unit)
-        if a.__class__ is Jet and a.dep == ctx.dependent:
-            return ctx.jet_expr(tuple(c + k for c, k in zip(a.counts, unit)))
-        return ZERO
+        r = shift.get(a)
+        if r is None:
+            r = shift[a] = (ctx.jet_expr(tuple(c + k for c, k in zip(a.counts, ctx.unit(v))))
+                            if a.__class__ is Jet and a.dep == ctx.dependent else ZERO)
+        return r
 
     return as_expr(e).derive(d)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
+    App,
     Expr,
     ExprError,
     N_SYMBOL,
@@ -116,7 +117,11 @@ def _finite_float(p: Sym, v: object) -> float:
 
 def _solve(ctx: Context, e: Expr, params: Dict[Sym, object]) -> _SolvedOde:
     """The table entry for e = 0, solved for its leading derivative by
-    ``expand_pde`` once n is bound, and stored on first use."""
+    ``expand_pde`` once n is bound, and stored on first use.  The compiled
+    code has no exp or tanh, so an equation that applies one is refused."""
+    for a in e.atoms():
+        if a.__class__ is App:
+            raise OdeError("ODE compilation does not support %s" % Expr.atom(a))
     if len(ctx.independents) != 1:
         raise OdeError("ODE compilation needs a single independent variable")
     n = None

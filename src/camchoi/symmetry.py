@@ -166,7 +166,7 @@ def _residual_terms(P: ProlongedField, pde: Pde) -> dict:
                             % (pde.name, order, MAX_PROLONG_ORDER))
     m = pde.lhs.derive_terms(_derivation(P))
     leading, rhs = pde.leading, pde.leading_rhs
-    on = _substitute(m.items(), lambda a, e: rhs.pow_exponent(e) if a is leading else None)
+    on = _substitute(m.items(), lambda a, e: rhs.pow_exponent(e) if a is leading else None, (leading,))
     return m if on is None else on
 
 

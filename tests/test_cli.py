@@ -574,7 +574,11 @@ REFUSALS = os.path.join(os.path.dirname(__file__), "models", "refusals.model")
     (("integrate", "two", "--ic", "1", "--span", "0", "1"), "ODE compilation needs a single independent variable"),
     (("first-integral", "two", "two_fi"), "first-integral checks need a single reduced variable"),
     (("solution-check", "two", "climb"), "solution rules did not stabilize"),
-], ids=["ode on two variables", "first integral on two variables", "rule that never stabilizes"])
+    (("integrate", "exp_of_state", "--ic", "1", "--span", "0", "1"), "ODE compilation does not support exp(H)"),
+    (("integrate", "exp_of_power", "--ic", "1", "--span", "0", "1", "--param", "n=2"),
+     "ODE compilation does not support exp(H^n)"),
+], ids=["ode on two variables", "first integral on two variables", "rule that never stabilizes",
+        "ode applying exp", "ode applying exp to a power of n"])
 def test_inputs_a_command_refuses_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv[0], REFUSALS, *argv[1:])
     assert (code, out, err) == (2, "", "error: %s\n" % message)

@@ -30,15 +30,17 @@ from camchoi.expr import (
     ONE,
     ZERO,
     _MONO_KEYS,
+    _PARTIALS,
+    _PRODUCTS,
     _exponent_expr,
     _mono_sort_key,
     _substitute,
     app,
     as_expr,
 )
-from camchoi.jet import MAX_JET_ORDER, Context, JetError, on_manifold, total_derivative
+from camchoi.jet import _SHIFTS, MAX_JET_ORDER, Context, JetError, on_manifold, total_derivative
 from camchoi.library import load_builtin
-from camchoi.modelfile import PdeBlock, parse_expression
+from camchoi.modelfile import FieldBlock, PdeBlock, parse_expression
 from camchoi.reduction import (
     Ansatz,
     ReducedEquation,
@@ -53,7 +55,9 @@ from camchoi.symmetry import (
     SymmetryError,
     VectorField,
     apply_prolonged,
+    check_symmetry,
     commutator,
+    determining_equations,
     field_lincomb,
     prolong,
 )
@@ -184,6 +188,93 @@ def test_monomial_key_table_matches_a_fresh_construction():
     assert first is not second and first == second
     m1, m2 = ((u, EXP_ONE), (first, EXP_ONE)), ((u, EXP_ONE), (second, EXP_ONE))
     assert _mono_sort_key(m2) is _mono_sort_key(m1) == _reference_mono_sort_key(m2)
+
+
+def _reference_mono_product(m1, m2):
+    """(monomial, rational factor) of m1*m2, built from an exponent map."""
+    exps = {}
+    for at, ex in m1 + m2:
+        exps[at] = exps[at].plus(ex) if at in exps else ex
+    factors, extra = [], 1
+    for at, ex in exps.items():
+        if isinstance(at, RatPow) and ex.is_integer():
+            extra *= at.base ** ex.int_value()
+        elif not ex.is_zero():
+            factors.append((at, ex))
+    return tuple(sorted(factors, key=lambda fct: fct[0].sort_key())), extra
+
+
+def _reference_partials(mono):
+    """(atom, monomial with that factor's exponent lowered by one, exponent,
+    the exponent as a rational or None when it holds n) per factor."""
+    out = []
+    for at, ex in mono:
+        exps = dict(mono)
+        exps[at] = Exponent(ex.num2 - 2, ex.n)
+        rest = tuple((b, y) for b, y in exps.items() if not y.is_zero())
+        out.append((at, rest, ex, None if ex.n else Fraction(ex.num2, 2)))
+    return tuple(out)
+
+
+def _holds_app(mono):
+    return any(isinstance(at, App) for at, _ in mono)
+
+
+def test_product_partial_and_shift_tables_match_a_fresh_construction():
+    rng = random.Random(127)
+    targets = [t, x, u, a, Jet(u, (t, x), (0, 1))]
+    apps = 0
+    for _ in range(150):
+        e, f, g = _derivation_input(rng), random_expr(rng, 3), random_expr(rng, 3)
+        s, v = rng.choice(targets), rng.choice([t, x])
+        for r in (e + f, e * f, e.diff(s), total_derivative(e, v, ctx2), g.subst(s, f)):
+            apps += any(_holds_app(mono) for mono, _ in r.terms)
+    assert apps >= 50
+    assert len(_PRODUCTS) > 200 and len(_PARTIALS) > 100
+    for (m1, m2), product in list(_PRODUCTS.items()):
+        assert not _holds_app(m1) and not _holds_app(m2)
+        assert product == _reference_mono_product(m1, m2)
+    for mono, parts in list(_PARTIALS.items()):
+        assert not _holds_app(mono)
+        assert parts == _reference_partials(mono)
+    assert len(_SHIFTS) >= 2
+    for (ivars, dep, var), shift in list(_SHIFTS.items()):
+        for atom, value in list(shift.items()):
+            assert isinstance(atom, (Sym, Jet))
+            assert value == _reference_total_derivative(Expr.atom(atom), var, Context(ivars, dep))
+
+
+def test_an_application_with_fraction_coefficients_leaves_later_arithmetic_integral():
+    # the Fraction(1)-coefficient exp(...) that test_int_and_fraction_coefficients_are_indistinguishable
+    # builds: equal to its int twin, so a table that stored it would hand it on
+    held = Expr.atom(u) * app("exp", Expr.atom(t) + 2 * Expr.atom(x)) + Expr.atom(Jet(u, (t, x), (0, 1)))
+    ef, ei = _with_coefficients(held, False), _with_coefficients(held, True)
+    assert ef == ei and any(type(c) is Fraction for c in _coefficients(ef))
+    other = Expr.atom(t) * Expr.atom(u) + 3
+    ops = (lambda p: p * p, lambda p: p * other, lambda p: p.diff(u), lambda p: p.diff(t),
+           lambda p: total_derivative(p, t, ctx2), lambda p: total_derivative(p, x, ctx2),
+           lambda p: p.subst(u, other), lambda p: p.subst(a, other))
+    for op in ops:
+        op(ef)
+    for op in ops:
+        _assert_exact_coefficients(op(ei))
+
+
+def test_symmetry_results_do_not_depend_on_the_kernel_tables():
+    doc = load_builtin()
+    pdes = {blk.name: blk.pde for blk in doc.blocks if isinstance(blk, PdeBlock)}
+    fields = [(blk.vf, pdes[blk.on]) for blk in doc.blocks if isinstance(blk, FieldBlock)]
+    assert len(fields) >= 25
+
+    def results():
+        return ([str(eq) for name in ("cc", "gcc", "cc19", "eq33") for eq in determining_equations(pdes[name]).equations]
+                + [str(check_symmetry(vf, pde)) for vf, pde in fields])
+
+    for table in (_PRODUCTS, _PARTIALS, _SHIFTS):
+        table.clear()
+    cold = results()
+    assert _PRODUCTS and _PARTIALS and _SHIFTS
+    assert results() == cold
 
 
 def test_results_are_strictly_descending_without_zeros():
